@@ -54,6 +54,17 @@ EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 
 
+def _depth_bound(text: str) -> int:
+    """argparse type for depth bounds: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"depth bound must be non-negative, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output on stdout")
     p.add_argument(
@@ -88,14 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("traces", help="enumerate traces up to a depth bound")
     p.add_argument("path", metavar="FILE")
-    p.add_argument("-k", "--depth", type=int, required=True)
+    p.add_argument("-k", "--depth", type=_depth_bound, required=True)
     _add_common(p)
 
     p = sub.add_parser("check", help="conformance of an implementation against a specification")
     p.add_argument("iut", metavar="IUT_FILE")
     p.add_argument("spec", metavar="SPEC_FILE")
     p.add_argument("--method", choices=("exact", "bounded"), default="exact")
-    p.add_argument("-k", "--depth", type=int, default=None, help="bound for --method bounded")
+    p.add_argument("-k", "--depth", type=_depth_bound, default=None,
+                   help="bound for --method bounded")
     p.add_argument(
         "--unspecified",
         choices=("allow", "forbid"),
@@ -109,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+", metavar="FILE")
     p.add_argument("--target", required=True, help="leaf component name")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--oracle-depth", type=int, default=None,
+    p.add_argument("--oracle-depth", type=_depth_bound, default=None,
                    help="also build the trace-tree construction and compare up to this depth")
     p.add_argument("--relax", action="store_true")
     p.add_argument("--dot", help="also write a Graphviz rendering here")

@@ -16,20 +16,21 @@ relation coincide with trace inclusion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from . import _core
-from .errors import SignatureMismatchError
+from .errors import SignatureMismatchError, TraceLimitError
 from .machine import (
     Component,
     Step,
     Trace,
     is_input_enabled,
-    out_after,
-    sorted_traces,
-    states_after,
-    traces_up_to,
     DEFAULT_TRACE_GUARD,
 )
+
+# Not called here. perfbench/spans.py times the machine layer by wrapping
+# these names in this module, so they stay importable from it.
+from .machine import out_after, sorted_traces, states_after, traces_up_to  # noqa: F401
 
 UNSPECIFIED_MODES = ("allow", "forbid")
 
@@ -178,6 +179,50 @@ def check_cioco_exact(iut: Component, spec: Component, unspecified: str = "allow
     )
 
 
+def _union_per_state_set(table: dict) -> Callable[[frozenset[str]], dict]:
+    """Memoized union of ``table[state]`` (key -> set of values) over a state set.
+
+    The result maps each key to a frozenset, keys in sorted order. Every
+    trace reaching the same state set shares the same result.
+    """
+    memo: dict[frozenset[str], dict] = {}
+
+    def union(states: frozenset[str]) -> dict:
+        found = memo.get(states)
+        if found is None:
+            merged: dict = {}
+            for state in states:
+                for key, values in table.get(state, {}).items():
+                    merged.setdefault(key, set()).update(values)
+            found = memo[states] = {key: frozenset(merged[key]) for key in sorted(merged)}
+        return found
+
+    return union
+
+
+def _first_violation(
+    inputs: list[str],
+    iut_outs_by_input: dict[str, frozenset[str]],
+    spec_outs_by_input: dict[str, frozenset[str]],
+    strict: bool,
+) -> tuple[str, str, frozenset[str], frozenset[str]] | None:
+    """The first input on which the implementation over-produces, or None.
+
+    Returns (input, least offending output, iut outputs, spec outputs),
+    the fields of a Counterexample after its witness.
+    """
+    for i in inputs:
+        iut_outs = iut_outs_by_input.get(i)
+        if not iut_outs:
+            continue
+        spec_outs = spec_outs_by_input.get(i, frozenset())
+        if not spec_outs and not strict:
+            continue
+        if not iut_outs <= spec_outs:
+            return i, min(iut_outs - spec_outs), iut_outs, spec_outs
+    return None
+
+
 def check_cioco_bounded(
     iut: Component,
     spec: Component,
@@ -187,39 +232,88 @@ def check_cioco_bounded(
 ) -> Verdict:
     """Check cioco over all specification traces of length at most ``k``.
 
-    Independent of the exact decision procedure: enumerates traces
-    explicitly and compares output sets step by step. Finding no
-    violation up to the bound is reported as inconclusive.
+    Independent of the exact decision procedure: enumerates every
+    specification trace explicitly and compares output sets after each
+    one. Finding no violation up to the bound is reported as
+    inconclusive.
+
+    Traces are examined in canonical order: by length, then
+    lexicographically by step. The enumeration is breadth-first, one
+    length at a time; each trace carries the states both machines reach
+    along it, so no trace is replayed from the initial state. The first
+    violation in this order is the counterexample.
+
+    ``stats.explored_pairs`` counts the traces examined: the 1-based
+    position of the failing trace in canonical order, or every trace up
+    to ``k`` when none fails.
+
+    ``guard`` bounds the number of specification traces up to ``k``
+    exactly as in ``traces_up_to``: TraceLimitError is raised whenever
+    that enumeration would raise it, even if a violation exists. The
+    traces are counted before any is examined.
     """
     _require_same_signature(iut, spec)
     strict = _mode_strict(unspecified)
     warnings = _input_enabled_warnings(iut)
+    if k < 0:
+        raise ValueError("depth bound must be non-negative")
+
+    spec_moves = _union_per_state_set(spec.arrows)
+    start = frozenset([spec.initial])
+
+    # The guard bounds the specification's traces up to k as traces_up_to
+    # counts them: tested only when a trace is added, and whether or not
+    # a violation comes first. Counting them needs only how many traces
+    # reach each specification state set.
+    enumerated = 1
+    reaching = {start: 1}
+    for _ in range(k):
+        longer_reaching: dict[frozenset[str], int] = {}
+        for spec_states, n in reaching.items():
+            for target in spec_moves(spec_states).values():
+                longer_reaching[target] = longer_reaching.get(target, 0) + n
+                enumerated += n
+                if enumerated > guard:
+                    raise TraceLimitError(guard, f"traces of '{spec.name}' up to depth {k}")
+        if not longer_reaching:
+            break
+        reaching = longer_reaching
 
     inputs = sorted(spec.inputs)
+    iut_moves = _union_per_state_set(iut.arrows)
+    spec_outputs = _union_per_state_set(spec.outputs_by_input)
+    iut_outputs = _union_per_state_set(iut.outputs_by_input)
+    steps = {(t.input, t.output): Step(t.input, t.output) for t in spec.transitions}
+    nowhere: frozenset[str] = frozenset()
+
+    # The traces of one length, each with the states the specification
+    # and the implementation reach along it.
+    level: list[tuple[Trace, frozenset[str], frozenset[str]]] = [
+        ((), start, frozenset([iut.initial]))
+    ]
     checked = 0
-    for tr in sorted_traces(traces_up_to(spec, k, guard=guard)):
-        checked += 1
-        if not states_after(iut, tr):
-            continue
-        for i in inputs:
-            iut_outs = out_after(iut, tr, i)
-            if not iut_outs:
+    for depth in range(k + 1):
+        if depth:
+            longer = []
+            for tr, spec_states, iut_states in level:
+                iut_after = iut_moves(iut_states)
+                for io, target in spec_moves(spec_states).items():
+                    longer.append((tr + (steps[io],), target, iut_after.get(io, nowhere)))
+            if not longer:
+                break
+            level = longer
+        for tr, spec_states, iut_states in level:
+            checked += 1
+            if not iut_states:
                 continue
-            spec_outs = out_after(spec, tr, i)
-            if not spec_outs and not strict:
-                continue
-            if not iut_outs <= spec_outs:
-                ce = Counterexample(
-                    witness=tr,
-                    input=i,
-                    offending_output=min(iut_outs - spec_outs),
-                    iut_outputs=iut_outs,
-                    spec_outputs=spec_outs,
-                )
+            found = _first_violation(
+                inputs, iut_outputs(iut_states), spec_outputs(spec_states), strict
+            )
+            if found is not None:
                 return Verdict(
                     "fail",
                     "bounded",
-                    counterexample=ce,
+                    counterexample=Counterexample(tr, *found),
                     stats=CheckStats(checked, len(tr)),
                     depth=k,
                     warnings=warnings,

@@ -101,10 +101,14 @@ def naive_full_product(c1: Component, c2: Component) -> Component:
 def naive_cioco_bounded(iut, spec, k, strict=False):
     """Quantify the output-inclusion condition over explicitly enumerated traces.
 
-    Returns None or the lexicographically first minimal violation
-    (witness, input, offending output).
+    Returns ``(violation, examined)``: ``violation`` is None or the
+    lexicographically first minimal violation (witness, input, offending
+    output); ``examined`` is how many traces were examined in canonical
+    order, up to and including the witness.
     """
+    examined = 0
     for tr in sorted(naive_traces(spec, k), key=lambda t: (len(t), t)):
+        examined += 1
         for i in sorted(spec.inputs):
             iut_outs = naive_out_after(iut, tr, i)
             if not iut_outs:
@@ -114,8 +118,8 @@ def naive_cioco_bounded(iut, spec, k, strict=False):
                 continue
             extra = iut_outs - spec_outs
             if extra:
-                return tr, i, min(extra)
-    return None
+                return (tr, i, min(extra)), examined
+    return None, examined
 
 
 def reassembles(c1: Component, c2: Component, tr: Trace, tr1: Trace, tr2: Trace) -> bool:

@@ -1,7 +1,12 @@
 """Command-line interface: behaviour and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from fsmcheck.cli import main
 from fsmcheck.formats import load_component, save_component
@@ -10,6 +15,7 @@ from fsmcheck.machine import Component
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 COFFEE = FIXTURES / "coffee"
 RELAY = FIXTURES / "relay"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv, capsys=None):
@@ -17,6 +23,16 @@ def run(*argv, capsys=None):
     if capsys is None:
         return code, ""
     return code, capsys.readouterr().out
+
+
+def rejected_at_parsing(capsys, *argv) -> str:
+    """Run an invocation argparse must refuse; return its stderr."""
+    with pytest.raises(SystemExit) as exited:
+        main([str(a) for a in argv])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
 
 
 class TestValidate:
@@ -100,6 +116,10 @@ class TestTraces:
         )
         assert run("traces", path, "-k", "12", "--guard", "40")[0] == 2
 
+    def test_negative_depth_exits_two(self, capsys):
+        err = rejected_at_parsing(capsys, "traces", "-k", "-1", COFFEE / "drink.fsm")
+        assert "non-negative" in err
+
 
 class TestCheck:
     def test_local_coffee_checks_pass(self):
@@ -135,6 +155,13 @@ class TestCheck:
         assert run("check", "--method", "bounded", "-k", "0", iut, spec)[0] == 3
         assert run("check", "--method", "bounded", "-k", "3", iut, spec)[0] == 1
 
+    def test_negative_depth_exits_two(self, capsys):
+        err = rejected_at_parsing(
+            capsys, "check", "--method", "bounded", "-k", "-1",
+            COFFEE / "drink.fsm", COFFEE / "drink.fsm",
+        )
+        assert "non-negative" in err
+
 
 class TestProject:
     def test_revised_money_projection_is_the_spec_itself(self, tmp_path, capsys):
@@ -162,6 +189,15 @@ class TestProject:
             "--target", "Z", "-o", out,
         )
         assert code == 2
+
+    def test_negative_oracle_depth_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "proj.fsm"
+        err = rejected_at_parsing(
+            capsys, "project", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
+            "--target", "M", "-o", out, "--oracle-depth", "-1",
+        )
+        assert "non-negative" in err
+        assert not out.exists()
 
 
 class TestCompositional:
@@ -221,3 +257,27 @@ def test_relay_global_check_exit_and_witness(tmp_path, capsys):
     assert verdict["witness"] == [{"input": "i1", "output": "o3"}]
     assert verdict["input"] == "i2"
     assert verdict["offending_output"] == "o5"
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    iut = tmp_path / "iut.fsm"
+    spec = tmp_path / "spec.fsm"
+    run("compose", "(par M D)", COFFEE / "iut_money.fsm", COFFEE / "drink.fsm", "-o", iut)
+    run("compose", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm", "-o", spec)
+    invocations = [
+        ("check", "--method", "bounded", "-k", "4", "--json", iut, spec),
+        ("compositional", "--theorem", "2", "--json",
+         RELAY / "iut_left.fsm", RELAY / "spec_left.fsm", RELAY / "right.fsm", RELAY / "right.fsm"),
+    ]
+    for argv in invocations:
+        results = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-m", "fsmcheck.cli", *map(str, argv)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.stderr == ""
+            results.add((done.returncode, done.stdout))
+        assert len(results) == 1, argv

@@ -7,6 +7,7 @@ import pytest
 from fsmcheck import (
     Component,
     SignatureMismatchError,
+    TraceLimitError,
     check_cioco_bounded,
     check_cioco_exact,
     check_trace_inclusion,
@@ -162,15 +163,49 @@ class TestBounded:
         rng = random.Random(61)
         for _ in range(80):
             iut, spec = pair_over_shared_alphabet(rng, n_states=(2, 4))
-            got = check_cioco_bounded(iut, spec, 3)
-            expected = naive_cioco_bounded(iut, spec, 3)
-            if expected is None:
-                assert got.result == "inconclusive"
-            else:
-                tr, i, o = expected
-                assert got.failed
-                assert (got.counterexample.witness, got.counterexample.input,
-                        got.counterexample.offending_output) == (tr, i, o)
+            for unspecified in ("allow", "forbid"):
+                got = check_cioco_bounded(iut, spec, 3, unspecified=unspecified)
+                expected, examined = naive_cioco_bounded(
+                    iut, spec, 3, strict=unspecified == "forbid"
+                )
+                assert got.stats.explored_pairs == examined
+                if expected is None:
+                    assert got.result == "inconclusive"
+                    assert got.stats.max_depth == 3
+                else:
+                    tr, i, o = expected
+                    assert got.failed
+                    assert got.stats.max_depth == len(tr)
+                    assert (got.counterexample.witness, got.counterexample.input,
+                            got.counterexample.offending_output) == (tr, i, o)
+
+    def test_guard_counts_every_trace_even_after_a_violation(self):
+        iut = Component.build(
+            "i", "s0", [("s0", "a", "x", "s0"), ("s0", "a", "z", "s0")], outputs=["x", "z"]
+        )
+        spec = Component.build("s", "s0", [("s0", "a", "x", "s0")], outputs=["x", "z"])
+        k = 3
+        count = len(traces_up_to(spec, k))
+        with pytest.raises(TraceLimitError) as enumerated:
+            traces_up_to(spec, k, guard=count - 1)
+        with pytest.raises(TraceLimitError) as checked:
+            check_cioco_bounded(iut, spec, k, guard=count - 1)
+        assert str(checked.value) == str(enumerated.value)
+
+        default = check_cioco_bounded(iut, spec, k)
+        assert default.failed and default.counterexample.witness == ()
+        assert check_cioco_bounded(iut, spec, k, guard=count).to_dict() == default.to_dict()
+
+    def test_guard_is_not_tested_when_only_the_empty_trace_exists(self):
+        iut = Component.build("i", "s0", [("s0", "a", "x", "s0")])
+        spec = Component.build("s", "s0", [], inputs=["a"], outputs=["x"])
+        assert traces_up_to(spec, 4, guard=0) == {()}
+        assert check_cioco_bounded(iut, spec, 4, guard=0).result == "inconclusive"
+        assert check_cioco_bounded(iut, spec, 10**9, guard=0).stats.max_depth == 10**9
+        forbid = check_cioco_bounded(iut, spec, 4, unspecified="forbid", guard=0)
+        assert forbid.failed
+        assert forbid.counterexample.witness == ()
+        assert forbid.stats.explored_pairs == 1
 
     def test_failures_are_monotone_in_depth(self):
         rng = random.Random(67)
