@@ -1,37 +1,24 @@
-"""Search kernels with a compiled fast path.
+"""Search kernels over integer-encoded components.
 
-At import time the compiled extension is preferred; the pure-Python
-implementation is the fallback. Set FSMCHECK_NO_EXT=1 to force the
-fallback (useful for benchmarking and debugging).
+``encode`` maps components to dense integer ids and bitmask state
+subsets; ``pure`` holds the two searches: the synchronous product
+closure and the subset-pair conformance search, which also decides
+trace inclusion.
 """
 
-import os
-
-from . import pure
 from .encode import EncodedComponent, bits, encode_pair, label_table
-
-if os.environ.get("FSMCHECK_NO_EXT"):
-    impl = pure
-else:
-    try:
-        from . import _speed as impl  # type: ignore[attr-defined]
-    except ImportError:
-        impl = pure
-
-BACKEND = "compiled" if impl is not pure else "pure"
-
-product_closure = impl.product_closure
-cioco_bfs = impl.cioco_bfs
-inclusion_bfs = impl.inclusion_bfs
-
-LEFT_ONLY = pure.LEFT_ONLY
-RIGHT_ONLY = pure.RIGHT_ONLY
-LEFT_FEEDS_RIGHT = pure.LEFT_FEEDS_RIGHT
-RIGHT_FEEDS_LEFT = pure.RIGHT_FEEDS_LEFT
-NO_LABEL = pure.NO_LABEL
+from .pure import (
+    LEFT_FEEDS_RIGHT,
+    LEFT_ONLY,
+    NO_LABEL,
+    RIGHT_FEEDS_LEFT,
+    RIGHT_ONLY,
+    cioco_bfs,
+    inclusion_bfs,
+    product_closure,
+)
 
 __all__ = [
-    "BACKEND",
     "EncodedComponent",
     "bits",
     "encode_pair",

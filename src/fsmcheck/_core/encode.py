@@ -22,7 +22,6 @@ class EncodedComponent:
         "output_ids",
         "trans",
         "step_targets",
-        "outs_by_input",
     )
 
     def __init__(self, c: Component, label_ids: dict[str, int]):
@@ -44,17 +43,12 @@ class EncodedComponent:
         ]
 
         # step_targets[s]: {(i, o): bitmask of targets}
-        # outs_by_input[s]: {i: sorted tuple of outputs}
         self.step_targets: list[dict[tuple[int, int], int]] = []
-        self.outs_by_input: list[dict[int, tuple[int, ...]]] = []
         for s in range(self.n_states):
             steps: dict[tuple[int, int], int] = {}
-            outs: dict[int, set[int]] = {}
             for (i, o, t) in self.trans[s]:
                 steps[(i, o)] = steps.get((i, o), 0) | (1 << t)
-                outs.setdefault(i, set()).add(o)
             self.step_targets.append(steps)
-            self.outs_by_input.append({i: tuple(sorted(v)) for i, v in outs.items()})
 
 
 def label_table(*components: Component) -> tuple[list[str], dict[str, int]]:

@@ -1,9 +1,7 @@
 """Pure-Python search kernels.
 
-Same contract as the compiled twin in ``_speed.pyx``; the selector in
-``__init__`` picks whichever is available. All iteration orders are
-sorted, so results are deterministic and identical across the two
-implementations.
+All iteration orders are sorted, so results are deterministic and do not
+depend on the hash seed.
 """
 
 from __future__ import annotations
@@ -89,13 +87,6 @@ def _aggregate(enc: EncodedComponent, mask: int):
     return steps
 
 
-def _outs_for(enc: EncodedComponent, mask: int, i: int):
-    outs = set()
-    for s in bits(mask):
-        outs.update(enc.outs_by_input[s].get(i, ()))
-    return outs
-
-
 def _witness(seen, key):
     path = []
     while True:
@@ -108,7 +99,7 @@ def _witness(seen, key):
     return path
 
 
-def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, input_ids, strict: bool):
+def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: bool):
     """Decide output-inclusion conformance by subset-pair search.
 
     Explores pairs (Qi, Qs) of state subsets reached by common traces of
@@ -117,13 +108,12 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, input_ids, 
 
     With ``strict`` false, inputs with no specification continuation after
     the current trace impose no obligation; with it true they forbid any
-    implementation output.
+    implementation output, which makes the relation trace inclusion.
 
     Returns (counterexample | None, stats) where the counterexample is
     (witness_steps, input, offending_output, iut_outputs, spec_outputs)
     over label ids and stats is (explored_pairs, max_depth).
     """
-    inputs = sorted(input_ids)
     start = (1 << enc_iut.initial, 1 << enc_spec.initial)
     seen = {start: None}
     queue = deque([(start, 0)])
@@ -136,23 +126,19 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, input_ids, 
         if depth > max_depth:
             max_depth = depth
 
-        for i in inputs:
-            iut_outs = _outs_for(enc_iut, qi, i)
-            if not iut_outs:
-                continue
-            spec_outs = _outs_for(enc_spec, qs, i)
-            if not spec_outs and not strict:
-                continue
-            if not iut_outs <= spec_outs:
-                offending = min(iut_outs - spec_outs)
-                witness = _witness(seen, (qi, qs))
-                ce = (witness, i, offending, frozenset(iut_outs), frozenset(spec_outs))
-                return ce, (explored, max_depth)
-
-        iut_steps = _aggregate(enc_iut, qi)
         spec_steps = _aggregate(enc_spec, qs)
-        for io in sorted(set(iut_steps) & set(spec_steps)):
-            nxt = (iut_steps[io], spec_steps[io])
+        iut_steps = sorted(_aggregate(enc_iut, qi).items())
+        for io, targets in iut_steps:
+            spec_targets = spec_steps.get(io)
+            if spec_targets is None:
+                i, o = io
+                spec_outputs = frozenset(b for (a, b) in spec_steps if a == i)
+                if strict or spec_outputs:
+                    iut_outputs = frozenset(b for ((a, b), _) in iut_steps if a == i)
+                    witness = _witness(seen, (qi, qs))
+                    return (witness, i, o, iut_outputs, spec_outputs), (explored, max_depth)
+                continue
+            nxt = (targets, spec_targets)
             if nxt not in seen:
                 seen[nxt] = ((qi, qs), io)
                 queue.append((nxt, depth + 1))
@@ -160,41 +146,8 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, input_ids, 
     return None, (explored, max_depth)
 
 
+# Kept as its own entry point: perfbench/spans.py times trace inclusion
+# by wrapping this name in fsmcheck._core.
 def inclusion_bfs(enc1: EncodedComponent, enc2: EncodedComponent):
-    """Decide trace inclusion Trace(c1) <= Trace(c2) by subset-pair search.
-
-    On failure returns the shortest step sequence executable by c1 but
-    not c2, split as (witness_prefix, input, output, outs1, outs2).
-    """
-    start = (1 << enc1.initial, 1 << enc2.initial)
-    seen = {start: None}
-    queue = deque([(start, 0)])
-    explored = 0
-    max_depth = 0
-
-    while queue:
-        (q1, q2), depth = queue.popleft()
-        explored += 1
-        if depth > max_depth:
-            max_depth = depth
-
-        steps1 = _aggregate(enc1, q1)
-        steps2 = _aggregate(enc2, q2)
-        for io in sorted(steps1):
-            if io not in steps2:
-                i, o = io
-                witness = _witness(seen, (q1, q2))
-                ce = (
-                    witness,
-                    i,
-                    o,
-                    frozenset(_outs_for(enc1, q1, i)),
-                    frozenset(_outs_for(enc2, q2, i)),
-                )
-                return ce, (explored, max_depth)
-            nxt = (steps1[io], steps2[io])
-            if nxt not in seen:
-                seen[nxt] = ((q1, q2), io)
-                queue.append((nxt, depth + 1))
-
-    return None, (explored, max_depth)
+    """Decide trace inclusion Trace(c1) <= Trace(c2): the strict search."""
+    return cioco_bfs(enc1, enc2, strict=True)

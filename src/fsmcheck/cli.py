@@ -54,22 +54,29 @@ EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 
 
-def _depth_bound(text: str) -> int:
-    """argparse type for depth bounds: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"depth bound must be non-negative, got {value}")
-    return value
+def _non_negative(what: str):
+    """argparse type for a non-negative integer; ``what`` names it in errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be non-negative, got {value}")
+        return value
+
+    return parse
+
+
+_depth_bound = _non_negative("depth bound")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output on stdout")
     p.add_argument(
         "--guard",
-        type=int,
+        type=_non_negative("guard"),
         default=DEFAULT_TRACE_GUARD,
         help="cardinality guard for bounded enumerations",
     )
@@ -257,6 +264,8 @@ def cmd_check(args) -> int:
             iut, spec, args.depth, unspecified=args.unspecified, guard=args.guard
         )
     else:
+        if args.depth is not None:
+            raise ParseError("--depth requires --method bounded")
         verdict = check_cioco_exact(iut, spec, unspecified=args.unspecified)
     _emit(args, verdict.to_dict(), _verdict_human(verdict))
     return _verdict_exit(verdict)

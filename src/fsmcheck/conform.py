@@ -163,9 +163,8 @@ def check_cioco_exact(iut: Component, spec: Component, unspecified: str = "allow
     strict = _mode_strict(unspecified)
     warnings = _input_enabled_warnings(iut)
 
-    enc_iut, enc_spec, label_names, label_ids = _core.encode_pair(iut, spec)
-    input_ids = frozenset(label_ids[x] for x in spec.inputs)
-    raw, (explored, max_depth) = _core.cioco_bfs(enc_iut, enc_spec, input_ids, strict)
+    enc_iut, enc_spec, label_names, _ = _core.encode_pair(iut, spec)
+    raw, (explored, max_depth) = _core.cioco_bfs(enc_iut, enc_spec, strict)
     stats = CheckStats(explored, max_depth)
 
     if raw is None:

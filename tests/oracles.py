@@ -122,6 +122,31 @@ def naive_cioco_bounded(iut, spec, k, strict=False):
     return None, examined
 
 
+def naive_trace_inclusion(c1: Component, c2: Component, k: int) -> Trace | None:
+    """The shortest, lexicographically least trace of ``c1`` up to length
+    ``k`` that ``c2`` cannot execute, or None."""
+    for tr in sorted(naive_traces(c1, k), key=lambda t: (len(t), t)):
+        if not naive_has_trace(c2, tr):
+            return tr
+    return None
+
+
+def agrees_with_naive_inclusion(verdict, c1: Component, c2: Component) -> bool:
+    """Does an exact verdict on Trace(c1) <= Trace(c2) match the brute force?
+
+    A failure must name the trace the brute force finds first at the
+    counterexample's length. A pass must leave no escaping trace up to six
+    steps, nor one step past the deepest subset pair the search reports:
+    a shortest escaping trace leaves from a pair at its least depth, one
+    step further.
+    """
+    if verdict.failed:
+        full = verdict.counterexample.full_trace()
+        return naive_trace_inclusion(c1, c2, len(full)) == full
+    k = max(verdict.stats.max_depth + 1, 6)
+    return verdict.passed and naive_trace_inclusion(c1, c2, k) is None
+
+
 def reassembles(c1: Component, c2: Component, tr: Trace, tr1: Trace, tr2: Trace) -> bool:
     """Can component runs over ``tr1``/``tr2`` interleave back into ``tr``?
 

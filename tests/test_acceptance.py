@@ -49,7 +49,7 @@ from fsmcheck.randgen import (
     random_input_enabled_spec,
 )
 
-from oracles import reassembles
+from oracles import agrees_with_naive_inclusion, reassembles
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -265,7 +265,10 @@ def test_criterion_09_inclusion_conformance_bridges():
     while part1 < 500:
         spec = random_component(rng, "S", ["a", "b"], ["x", "y"], n_states=(2, 4))
         iut = prune(rng, spec, keep=rng.uniform(0.4, 0.9), name="I")
-        if not check_trace_inclusion(iut, spec).passed:
+        inclusion = check_trace_inclusion(iut, spec)
+        if not agrees_with_naive_inclusion(inclusion, iut, spec):
+            violations += 1
+        if not inclusion.passed:
             continue
         part1 += 1
         if not check_cioco_exact(iut, spec).passed:
@@ -289,7 +292,8 @@ def test_criterion_09_inclusion_conformance_bridges():
         if not check_cioco_exact(iut, spec).passed:
             continue
         part2 += 1
-        if not check_trace_inclusion(iut, spec).passed:
+        inclusion = check_trace_inclusion(iut, spec)
+        if not inclusion.passed or not agrees_with_naive_inclusion(inclusion, iut, spec):
             violations += 1
 
     elapsed = time.monotonic() - started

@@ -120,6 +120,13 @@ class TestTraces:
         err = rejected_at_parsing(capsys, "traces", "-k", "-1", COFFEE / "drink.fsm")
         assert "non-negative" in err
 
+    def test_negative_guard_exits_two(self, capsys):
+        err = rejected_at_parsing(
+            capsys, "traces", "-k", "2", "--guard", "-1", COFFEE / "drink.fsm"
+        )
+        assert "guard must be non-negative" in err
+        assert "exceeded" not in err
+
 
 class TestCheck:
     def test_local_coffee_checks_pass(self):
@@ -161,6 +168,14 @@ class TestCheck:
             COFFEE / "drink.fsm", COFFEE / "drink.fsm",
         )
         assert "non-negative" in err
+
+    def test_depth_without_bounded_method_exits_two(self, capsys):
+        drink = COFFEE / "drink.fsm"
+        for method in ((), ("--method", "exact")):
+            assert run("check", *method, "-k", "3", drink, drink) == (2, "")
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--depth requires --method bounded" in captured.err
 
 
 class TestProject:
@@ -264,14 +279,20 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     spec = tmp_path / "spec.fsm"
     run("compose", "(par M D)", COFFEE / "iut_money.fsm", COFFEE / "drink.fsm", "-o", iut)
     run("compose", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm", "-o", spec)
+    written = tmp_path / "written.fsm"
     invocations = [
+        ("check", "--json", iut, spec),
         ("check", "--method", "bounded", "-k", "4", "--json", iut, spec),
         ("compositional", "--theorem", "2", "--json",
          RELAY / "iut_left.fsm", RELAY / "spec_left.fsm", RELAY / "right.fsm", RELAY / "right.fsm"),
+        ("project", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
+         "--target", "M", "-o", written, "--oracle-depth", "4", "--json"),
+        ("compose", "(par M D)", COFFEE / "iut_money.fsm", COFFEE / "drink.fsm", "-o", written),
     ]
     for argv in invocations:
         results = set()
         for seed in ("0", "1", "2"):
+            written.unlink(missing_ok=True)
             env = dict(os.environ, PYTHONHASHSEED=seed)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
             done = subprocess.run(
@@ -279,5 +300,6 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
                 env=env, capture_output=True, text=True, timeout=120,
             )
             assert done.stderr == ""
-            results.add((done.returncode, done.stdout))
+            file_text = written.read_text(encoding="utf-8") if written.exists() else None
+            results.add((done.returncode, done.stdout, file_text))
         assert len(results) == 1, argv

@@ -21,7 +21,12 @@ from fsmcheck import (
 )
 from fsmcheck.randgen import conforming_iut, mutate, prune, random_component
 
-from oracles import naive_cioco_bounded
+from oracles import (
+    agrees_with_naive_inclusion,
+    naive_cioco_bounded,
+    naive_out_after,
+    naive_states_after,
+)
 
 
 def spec_like(rng, n_states=(2, 5)):
@@ -299,6 +304,9 @@ class TestInclusionAndConformance:
             strict = check_cioco_exact(iut, spec, unspecified="forbid")
             inclusion = check_trace_inclusion(iut, spec)
             assert strict.result == inclusion.result
+            # the two share one search, so each is held to the brute force
+            assert agrees_with_naive_inclusion(inclusion, iut, spec)
+            assert agrees_with_naive_inclusion(strict, iut, spec)
 
 
 def test_vacuous_outside_implementation_traces():
@@ -310,3 +318,35 @@ def test_vacuous_outside_implementation_traces():
     )
     assert not states_after(iut, trace("a|y"))
     assert check_cioco_exact(iut, spec).passed
+
+
+def test_masks_beyond_64_states():
+    # state subsets are bitmasks over sorted state names, and must not
+    # assume machine-word width: most of these counterexamples pass
+    # through specification states numbered past 63
+    rng = random.Random(421)
+    failures = wide = 0
+    for _ in range(30):
+        spec = random_component(
+            rng, "big", ["a"], ["x", "y"], n_states=(70, 80), density=(0.9, 1.0)
+        )
+        iut = mutate(rng, spec, name="bigger", adds=3)
+        v = check_cioco_exact(iut, spec)
+        if not v.failed:
+            assert v.passed
+            # a shortest violation would follow a trace no deeper than the search went
+            assert naive_cioco_bounded(iut, spec, v.stats.max_depth)[0] is None
+            continue
+        failures += 1
+        ce = v.counterexample
+        assert naive_out_after(iut, ce.witness, ce.input) == ce.iut_outputs
+        assert naive_out_after(spec, ce.witness, ce.input) == ce.spec_outputs
+        assert ce.offending_output in ce.iut_outputs - ce.spec_outputs
+        first, _ = naive_cioco_bounded(iut, spec, len(ce.witness))
+        assert first == (ce.witness, ce.input, ce.offending_output)
+        numbering = sorted(spec.states)
+        reached = set().union(
+            *(naive_states_after(spec, ce.witness[:j]) for j in range(len(ce.witness) + 1))
+        )
+        wide += max(map(numbering.index, reached)) >= 64
+    assert failures >= 5 and wide >= 3
