@@ -1,54 +1,135 @@
 """Integer encoding of components for the search kernels.
 
-States and labels are mapped to dense integer ids with deterministic
-(sorted) numbering, so that numeric order coincides with lexicographic
-label order. State subsets are bitmask integers.
+States and labels are mapped to dense integer ids. Label tables are
+sorted, so that numeric order coincides with lexicographic label order;
+a component's states are numbered in sorted name order. State subsets
+are bitmask integers.
 """
 
 from __future__ import annotations
 
-from ..machine import Component
+from ..machine import Component, Transition
 
 
 class EncodedComponent:
-    """A component over an externally supplied label table."""
+    """A component on dense integer ids over a shared label table.
+
+    ``label_names[x]`` names label id ``x`` and ``label_ids`` is its
+    inverse; ``state_names[s]`` names state ``s``. ``step_targets[s]``
+    maps every (input, output) pair of label ids enabled in state ``s``
+    to the bitmask of its target states. Encoded components are never
+    modified, so several may share one step map.
+    """
 
     __slots__ = (
-        "n_states",
-        "initial",
+        "name",
         "state_names",
-        "state_ids",
+        "initial",
+        "label_names",
+        "label_ids",
         "input_ids",
         "output_ids",
-        "trans",
         "step_targets",
     )
 
-    def __init__(self, c: Component, label_ids: dict[str, int]):
-        self.state_names: list[str] = sorted(c.states)
-        self.state_ids: dict[str, int] = {s: n for n, s in enumerate(self.state_names)}
-        self.n_states = len(self.state_names)
-        self.initial = self.state_ids[c.initial]
-        self.input_ids = frozenset(label_ids[x] for x in c.inputs)
-        self.output_ids = frozenset(label_ids[x] for x in c.outputs)
+    def __init__(
+        self,
+        name: str,
+        state_names: list[str],
+        initial: int,
+        label_names: list[str],
+        label_ids: dict[str, int],
+        input_ids: frozenset[int],
+        output_ids: frozenset[int],
+        step_targets: list[dict[tuple[int, int], int]],
+    ):
+        self.name = name
+        self.state_names = state_names
+        self.initial = initial
+        self.label_names = label_names
+        self.label_ids = label_ids
+        self.input_ids = input_ids
+        self.output_ids = output_ids
+        self.step_targets = step_targets
 
-        # trans[s]: sorted tuple of (input, output, target) triples
-        per_state: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n_states)]
+    @classmethod
+    def of(cls, c: Component, label_names: list[str], label_ids: dict[str, int]):
+        """Encode ``c`` over the given label table, states in sorted name order."""
+        state_names = sorted(c.states)
+        state_ids = {s: n for n, s in enumerate(state_names)}
+        step_targets: list[dict[tuple[int, int], int]] = [{} for _ in state_names]
         for t in c.transitions:
-            per_state[self.state_ids[t.source]].append(
-                (label_ids[t.input], label_ids[t.output], self.state_ids[t.target])
-            )
-        self.trans: list[tuple[tuple[int, int, int], ...]] = [
-            tuple(sorted(lst)) for lst in per_state
-        ]
+            steps = step_targets[state_ids[t.source]]
+            io = (label_ids[t.input], label_ids[t.output])
+            steps[io] = steps.get(io, 0) | (1 << state_ids[t.target])
+        return cls(
+            c.name,
+            state_names,
+            state_ids[c.initial],
+            label_names,
+            label_ids,
+            frozenset(label_ids[x] for x in c.inputs),
+            frozenset(label_ids[x] for x in c.outputs),
+            step_targets,
+        )
 
-        # step_targets[s]: {(i, o): bitmask of targets}
-        self.step_targets: list[dict[tuple[int, int], int]] = []
-        for s in range(self.n_states):
-            steps: dict[tuple[int, int], int] = {}
-            for (i, o, t) in self.trans[s]:
-                steps[(i, o)] = steps.get((i, o), 0) | (1 << t)
-            self.step_targets.append(steps)
+    def by_sorted_name(self) -> tuple["EncodedComponent", list[int]]:
+        """This machine with its states numbered in sorted name order.
+
+        That is the numbering ``of`` gives. Also returns, for each new id,
+        the state's id here. A machine numbered so already is returned
+        as it is.
+        """
+        names = self.state_names
+        order = sorted(range(len(names)), key=names.__getitem__)
+        if all(r == s for r, s in enumerate(order)):
+            return self, order
+        rank = [0] * len(order)
+        for r, s in enumerate(order):
+            rank[s] = r
+        step_targets: list[dict[tuple[int, int], int]] = []
+        for s in order:
+            steps = {}
+            for io, targets in self.step_targets[s].items():
+                mask = 0
+                for t in bits(targets):
+                    mask |= 1 << rank[t]
+                steps[io] = mask
+            step_targets.append(steps)
+        renumbered = EncodedComponent(
+            self.name,
+            [names[s] for s in order],
+            rank[self.initial],
+            self.label_names,
+            self.label_ids,
+            self.input_ids,
+            self.output_ids,
+            step_targets,
+        )
+        return renumbered, order
+
+    def decode(self) -> Component:
+        """The named component: the part reachable from the initial state."""
+        names, labels = self.state_names, self.label_names
+        seen = {self.initial}
+        stack = [self.initial]
+        transitions = []
+        while stack:
+            s = stack.pop()
+            for (i, o), targets in self.step_targets[s].items():
+                for t in bits(targets):
+                    transitions.append(Transition(names[s], labels[i], labels[o], names[t]))
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+        return Component(
+            name=self.name,
+            states=frozenset(names[s] for s in seen),
+            initial=names[self.initial],
+            inputs=frozenset(labels[x] for x in self.input_ids),
+            outputs=frozenset(labels[x] for x in self.output_ids),
+            transitions=frozenset(transitions),
+        )
 
 
 def label_table(*components: Component) -> tuple[list[str], dict[str, int]]:
@@ -62,14 +143,12 @@ def label_table(*components: Component) -> tuple[list[str], dict[str, int]]:
 
 def encode_pair(c1: Component, c2: Component):
     names, ids = label_table(c1, c2)
-    return EncodedComponent(c1, ids), EncodedComponent(c2, ids), names, ids
+    return EncodedComponent.of(c1, names, ids), EncodedComponent.of(c2, names, ids), names, ids
 
 
 def bits(mask: int):
     """Indices of the set bits of ``mask``, ascending."""
-    n = 0
     while mask:
-        if mask & 1:
-            yield n
-        mask >>= 1
-        n += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

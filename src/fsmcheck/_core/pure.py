@@ -33,6 +33,8 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
     """
     in1 = enc1.input_ids
     in2 = enc2.input_ids
+    moves1 = _moves(enc1)
+    moves2 = _moves(enc2)
     start = (enc1.initial, enc2.initial)
     pair_index = {start: 0}
     pairs = [start]
@@ -44,7 +46,7 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
         src = pair_index[pair]
         found = []
 
-        for (i, o, t1) in enc1.trans[s1]:
+        for (i, o, t1) in moves1[s1]:
             if i not in composed_inputs:
                 continue
             # left moves alone: its output is not consumable by the right
@@ -52,16 +54,16 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
                 found.append((i, o, t1, s2, LEFT_ONLY, NO_LABEL))
             else:
                 # left output feeds the right, whose reaction is observed
-                for (i2, o2, t2) in enc2.trans[s2]:
+                for (i2, o2, t2) in moves2[s2]:
                     if i2 == o:
                         found.append((i, o2, t1, t2, LEFT_FEEDS_RIGHT, o))
-        for (i, o, t2) in enc2.trans[s2]:
+        for (i, o, t2) in moves2[s2]:
             if i not in composed_inputs:
                 continue
             if o not in in1:
                 found.append((i, o, s1, t2, RIGHT_ONLY, NO_LABEL))
             else:
-                for (i1, o1, t1) in enc1.trans[s1]:
+                for (i1, o1, t1) in moves1[s1]:
                     if i1 == o:
                         found.append((i, o1, t1, t2, RIGHT_FEEDS_LEFT, o))
 
@@ -76,6 +78,14 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
             transitions.append((src, i, o, dst, rule, mid))
 
     return pairs, transitions
+
+
+def _moves(enc: EncodedComponent) -> list[list[tuple[int, int, int]]]:
+    """Per state, its transitions as (input, output, target) triples."""
+    return [
+        [(i, o, t) for (i, o), targets in steps.items() for t in bits(targets)]
+        for steps in enc.step_targets
+    ]
 
 
 def _aggregate(enc: EncodedComponent, mask: int):

@@ -34,10 +34,10 @@ from .compose import (
     signature_check,
     subcomponents,
 )
-from .conform import Counterexample, Verdict, check_cioco_exact
+from .conform import Counterexample, Verdict, _check_against_projection, check_cioco_exact
 from .errors import ShapeMismatchError, SignatureMismatchError
 from .machine import Component, Trace, is_input_enabled, out_after
-from .project import component_in_context, project_trace
+from .project import _encoded_in_context, component_in_context, project_trace
 
 SOUND_PASS = "sound-pass"
 SOUND_FAIL = "sound-fail"
@@ -184,8 +184,8 @@ def certify_in_context(
 
     locals_ = {}
     for name, iut in ((n1, iut1), (n2, iut2)):
-        projection = component_in_context(build, name).component
-        locals_[name] = check_cioco_exact(iut, projection, unspecified="forbid")
+        projection = _encoded_in_context(build, name)
+        locals_[name] = _check_against_projection(iut, projection)
 
     conclusion = _conclude(assumptions, locals_)
     if conclusion == NOT_APPLICABLE:

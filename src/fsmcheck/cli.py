@@ -80,9 +80,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default=DEFAULT_TRACE_GUARD,
         help="cardinality guard for bounded enumerations",
     )
-    p.add_argument(
-        "--seed", type=int, default=None, help="seed for randomized workflows (reserved)"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

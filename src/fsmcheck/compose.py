@@ -5,14 +5,17 @@ one side reacting alone (its output not consumable by the other), or one
 side's output being synchronously consumed as the other side's input,
 with the second reaction observed. Synchronized intermediates are hidden.
 
-Only the reachable part of the state product is materialized, and every
-composed transition records which rule produced it, including hidden
-intermediates; projection is built on those records.
+Only the reachable part of the state product is materialized. A system
+expression is built on integer ids over one label table for the whole
+expression, and every composed transition records all the ways it
+decomposes into leaf steps, hidden intermediates included; projection
+is built on those records. Names are decoded only when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _core
 from .errors import ComposabilityError
@@ -42,11 +45,7 @@ def subcomponents(expr: SystemExpr) -> frozenset[str]:
 
 
 def leaf_components(expr: SystemExpr) -> dict[str, Component]:
-    if isinstance(expr, Leaf):
-        return {expr.name: expr.component}
-    table = leaf_components(expr.left)
-    table.update(leaf_components(expr.right))
-    return table
+    return {leaf.name: leaf.component for leaf in _leaves(expr)}
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,9 @@ class CompositionReport:
         }
 
 
-def signature_check(c1: Component, c2: Component) -> CompositionReport:
+def signature_check(
+    c1: Component | SystemBuild, c2: Component | SystemBuild
+) -> CompositionReport:
     o1_i2 = c1.outputs & c2.inputs
     o2_i1 = c2.outputs & c1.inputs
     i1_i2 = c1.inputs & c2.inputs
@@ -89,7 +90,9 @@ def signature_check(c1: Component, c2: Component) -> CompositionReport:
     )
 
 
-def composed_alphabets(c1: Component, c2: Component) -> tuple[frozenset[str], frozenset[str]]:
+def composed_alphabets(
+    c1: Component | SystemBuild, c2: Component | SystemBuild
+) -> tuple[frozenset[str], frozenset[str]]:
     outputs = c1.outputs | c2.outputs
     inputs = (c1.inputs | c2.inputs) - outputs
     return inputs, outputs
@@ -102,76 +105,77 @@ def _pair_name(existing: set[str], left: str, right: str) -> str:
     return name
 
 
-#: Per-transition provenance: which rule produced it and, for the two
-#: feeding rules, the hidden intermediate label.
-Provenance = tuple[int, str | None]
+#: One way a composed transition decomposes into leaf steps, aligned with
+#: the build's leaf order; None marks a leaf that does not move.
+Decomposition = tuple[Step | None, ...]
+
+#: A composed transition on integer ids: (source, input, output, target).
+TransitionIds = tuple[int, int, int, int]
+
+#: A Decomposition on integer ids: each moving leaf's (input, output).
+WayIds = tuple[tuple[int, int] | None, ...]
 
 
 @dataclass(frozen=True)
-class PairComposition:
-    component: Component
-    provenance: dict[Transition, frozenset[Provenance]]
-    report: CompositionReport
-    left_states: dict[str, str]   # composed state -> left state
-    right_states: dict[str, str]  # composed state -> right state
+class SystemBuild:
+    """A fully built system expression, kept on integer ids.
 
-
-def compose_pair(
-    c1: Component, c2: Component, relax: bool = False, name: str | None = None
-) -> PairComposition:
-    """Reachable synchronous product of two components, with provenance.
-
-    Unless ``relax`` is set, requires both directions of synchronization
-    to be possible at the signature level.
+    ``machine`` is the composed component encoded over the sorted label
+    table of the whole expression: a leaf's states are numbered in sorted
+    name order, a composed node's in discovery order from the initial
+    state. ``ways`` maps every composed transition ``(source, input,
+    output, target)`` on those ids to all the ways it can be attributed
+    to leaf steps. ``component`` and ``decompositions`` are the same
+    machine and map with names, decoded on first read.
     """
-    report = signature_check(c1, c2)
-    if not report.synchronizable and not relax:
-        raise ComposabilityError(
-            f"components '{c1.name}' and '{c2.name}' cannot synchronize in both "
-            f"directions (outputs1&inputs2={sorted(report.o1_cap_i2)}, "
-            f"outputs2&inputs1={sorted(report.o2_cap_i1)}); pass relax to force"
-        )
 
-    enc1, enc2, label_names, label_ids = _core.encode_pair(c1, c2)
-    inputs, outputs = composed_alphabets(c1, c2)
-    composed_input_ids = frozenset(label_ids[x] for x in inputs)
+    expr: SystemExpr
+    leaves: tuple[str, ...]
+    reports: tuple[tuple[str, CompositionReport], ...]  # (node path, report)
+    machine: _core.EncodedComponent
+    ways: dict[TransitionIds, frozenset[WayIds]]
 
-    pairs, raw = _core.product_closure(enc1, enc2, composed_input_ids)
+    @property
+    def inputs(self) -> frozenset[str]:
+        return frozenset(self.machine.label_names[x] for x in self.machine.input_ids)
 
-    state_names: list[str] = []
-    taken: set[str] = set()
-    left_states: dict[str, str] = {}
-    right_states: dict[str, str] = {}
-    for (s1, s2) in pairs:
-        left = enc1.state_names[s1]
-        right = enc2.state_names[s2]
-        sname = _pair_name(taken, left, right)
-        taken.add(sname)
-        state_names.append(sname)
-        left_states[sname] = left
-        right_states[sname] = right
+    @property
+    def outputs(self) -> frozenset[str]:
+        return frozenset(self.machine.label_names[x] for x in self.machine.output_ids)
 
-    provenance: dict[Transition, set[Provenance]] = {}
-    for (src, i, o, dst, rule, mid) in raw:
-        t = Transition(state_names[src], label_names[i], label_names[o], state_names[dst])
-        mid_label = None if mid == _core.NO_LABEL else label_names[mid]
-        provenance.setdefault(t, set()).add((rule, mid_label))
+    @cached_property
+    def component(self) -> Component:
+        if isinstance(self.expr, Leaf):
+            return self.expr.component
+        return self.machine.decode()  # every composed state is reachable
 
-    component = Component(
-        name=name or f"({c1.name}*{c2.name})",
-        states=frozenset(state_names),
-        initial=state_names[0],
-        inputs=inputs,
-        outputs=outputs,
-        transitions=frozenset(provenance),
-    )
-    return PairComposition(
-        component=component,
-        provenance={t: frozenset(p) for t, p in provenance.items()},
-        report=report,
-        left_states=left_states,
-        right_states=right_states,
-    )
+    @cached_property
+    def decompositions(self) -> dict[Transition, frozenset[Decomposition]]:
+        """Every transition of ``component`` mapped to its decompositions."""
+        names, labels = self.machine.state_names, self.machine.label_names
+        return {
+            Transition(names[s], labels[i], labels[o], names[t]): frozenset(
+                tuple(None if io is None else Step(labels[io[0]], labels[io[1]]) for io in way)
+                for way in ways
+            )
+            for (s, i, o, t), ways in self.ways.items()
+        }
+
+    def leaf_component(self, name: str) -> Component:
+        return leaf_components(self.expr)[name]
+
+
+def compose_pair(c1: Component, c2: Component, relax: bool = False) -> SystemBuild:
+    """Reachable synchronous product of two components, with decompositions.
+
+    The result is the build of ``Par(Leaf("left", c1), Leaf("right",
+    c2))``. Unless ``relax`` is set, requires both directions of
+    synchronization to be possible at the signature level.
+    """
+    expr = Par(Leaf("left", c1), Leaf("right", c2))
+    labels = _core.label_table(c1, c2)
+    left, right = _leaf_build(expr.left, *labels), _leaf_build(expr.right, *labels)
+    return _compose(expr, left, right, relax, "root")
 
 
 def synchronous_parallel(c1: Component, c2: Component, relax: bool = False) -> Component:
@@ -179,107 +183,128 @@ def synchronous_parallel(c1: Component, c2: Component, relax: bool = False) -> C
     return compose_pair(c1, c2, relax=relax).component
 
 
-#: One way a composed transition decomposes into leaf steps, aligned with
-#: the build's leaf order; None marks a leaf that does not move.
-Decomposition = tuple[Step | None, ...]
-
-
-@dataclass(frozen=True)
-class SystemBuild:
-    """A fully built system expression.
-
-    ``decompositions`` maps every transition of the composed component to
-    all ways it can be attributed to leaf-component steps.
-    """
-
-    expr: SystemExpr
-    component: Component
-    leaves: tuple[str, ...]
-    decompositions: dict[Transition, frozenset[Decomposition]]
-    reports: tuple[tuple[str, CompositionReport], ...]  # (node path, report)
-
-    def leaf_component(self, name: str) -> Component:
-        return leaf_components(self.expr)[name]
-
-
 def build_system_full(expr: SystemExpr, relax: bool = False) -> SystemBuild:
-    """Fold the composition over the expression tree, keeping provenance.
+    """Fold the composition over the expression tree, keeping decompositions.
 
     Leaf names must be unique. Composability errors carry the path of the
     offending node ("left", "right.left", ... relative to the root).
     """
-    names = _collect_leaf_names(expr)
+    leaves = _leaves(expr)
+    names = [leaf.name for leaf in leaves]
     duplicates = {n for n in names if names.count(n) > 1}
     if duplicates:
         raise ComposabilityError(f"duplicate leaf names in expression: {sorted(duplicates)}")
-    return _build(expr, relax, path="")
+    labels = _core.label_table(*(leaf.component for leaf in leaves))
+    return _build(expr, relax, "", labels)
 
 
-def _collect_leaf_names(expr: SystemExpr) -> list[str]:
+def _leaves(expr: SystemExpr) -> list[Leaf]:
     if isinstance(expr, Leaf):
-        return [expr.name]
-    return _collect_leaf_names(expr.left) + _collect_leaf_names(expr.right)
+        return [expr]
+    return _leaves(expr.left) + _leaves(expr.right)
 
 
-def _build(expr: SystemExpr, relax: bool, path: str) -> SystemBuild:
+def _build(
+    expr: SystemExpr, relax: bool, path: str, labels: tuple[list[str], dict[str, int]]
+) -> SystemBuild:
     if isinstance(expr, Leaf):
-        decomps = {
-            t: frozenset([(Step(t.input, t.output),)]) for t in expr.component.transitions
-        }
-        return SystemBuild(
-            expr=expr,
-            component=expr.component,
-            leaves=(expr.name,),
-            decompositions=decomps,
-            reports=(),
-        )
-
-    left = _build(expr.left, relax, path + ("." if path else "") + "left")
-    right = _build(expr.right, relax, path + ("." if path else "") + "right")
+        return _leaf_build(expr, *labels)
+    left = _build(expr.left, relax, path + ("." if path else "") + "left", labels)
+    right = _build(expr.right, relax, path + ("." if path else "") + "right", labels)
     try:
-        pair = compose_pair(left.component, right.component, relax=relax)
+        return _compose(expr, left, right, relax, path or "root")
     except ComposabilityError as exc:
         raise ComposabilityError(str(exc), path=path or "root") from None
 
-    n_left = len(left.leaves)
-    n_right = len(right.leaves)
-    left_silent: Decomposition = (None,) * n_left
-    right_silent: Decomposition = (None,) * n_right
 
-    decomps: dict[Transition, set[Decomposition]] = {}
-    for t, provs in pair.provenance.items():
-        ls, rs = pair.left_states[t.source], pair.right_states[t.source]
-        lt, rt = pair.left_states[t.target], pair.right_states[t.target]
-        ways = decomps.setdefault(t, set())
-        for rule, mid in provs:
-            if rule == _core.LEFT_ONLY:
-                inner = Transition(ls, t.input, t.output, lt)
-                for d in left.decompositions[inner]:
-                    ways.add(d + right_silent)
-            elif rule == _core.RIGHT_ONLY:
-                inner = Transition(rs, t.input, t.output, rt)
-                for d in right.decompositions[inner]:
-                    ways.add(left_silent + d)
-            elif rule == _core.LEFT_FEEDS_RIGHT:
-                inner_l = Transition(ls, t.input, mid, lt)
-                inner_r = Transition(rs, mid, t.output, rt)
-                for dl in left.decompositions[inner_l]:
-                    for dr in right.decompositions[inner_r]:
-                        ways.add(dl + dr)
-            else:  # RIGHT_FEEDS_LEFT
-                inner_r = Transition(rs, t.input, mid, rt)
-                inner_l = Transition(ls, mid, t.output, lt)
-                for dl in left.decompositions[inner_l]:
-                    for dr in right.decompositions[inner_r]:
-                        ways.add(dl + dr)
+def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -> SystemBuild:
+    """A leaf on integer ids: its encoding, each step its own single way."""
+    machine = _core.EncodedComponent.of(expr.component, label_names, label_ids)
+    ways: dict[TransitionIds, frozenset[WayIds]] = {}
+    for s, steps in enumerate(machine.step_targets):
+        for io, targets in steps.items():
+            for t in _core.bits(targets):
+                ways[(s, *io, t)] = frozenset([(io,)])
+    return SystemBuild(expr, (expr.name,), (), machine, ways)
 
-    reports = left.reports + right.reports + ((path or "root", pair.report),)
+
+def _compose(
+    expr: Par, left: SystemBuild, right: SystemBuild, relax: bool, node: str
+) -> SystemBuild:
+    """Compose two built sides over their shared label table."""
+    report = signature_check(left, right)
+    if not report.synchronizable and not relax:
+        names = left.machine.name, right.machine.name
+        raise ComposabilityError(
+            f"components '{names[0]}' and '{names[1]}' cannot synchronize in both "
+            f"directions (outputs1&inputs2={sorted(report.o1_cap_i2)}, "
+            f"outputs2&inputs1={sorted(report.o2_cap_i1)}); pass relax to force"
+        )
+
+    inputs, outputs = composed_alphabets(left, right)
+    # number both sides as a component's states are numbered, so that a
+    # nested node discovers its pairs in the order it would if decoded
+    enc1, ids1 = left.machine.by_sorted_name()
+    enc2, ids2 = right.machine.by_sorted_name()
+    label_ids = enc1.label_ids
+    pairs, raw = _core.product_closure(enc1, enc2, frozenset(label_ids[x] for x in inputs))
+
+    state_names: list[str] = []
+    taken: set[str] = set()
+    for (s1, s2) in pairs:
+        sname = _pair_name(taken, enc1.state_names[s1], enc2.state_names[s2])
+        taken.add(sname)
+        state_names.append(sname)
+
+    left_ways, right_ways = left.ways, right.ways
+    left_silent: WayIds = (None,) * len(left.leaves)
+    right_silent: WayIds = (None,) * len(right.leaves)
+    ways: dict[TransitionIds, frozenset[WayIds]] = {}
+    for (src, i, o, dst, rule, mid) in raw:
+        a, b = pairs[src]
+        c, d = pairs[dst]
+        ls, lt, rs, rt = ids1[a], ids1[c], ids2[b], ids2[d]
+        if rule == _core.LEFT_ONLY:
+            found = [w + right_silent for w in left_ways[(ls, i, o, lt)]]
+        elif rule == _core.RIGHT_ONLY:
+            found = [left_silent + w for w in right_ways[(rs, i, o, rt)]]
+        elif rule == _core.LEFT_FEEDS_RIGHT:
+            found = [
+                wl + wr
+                for wl in left_ways[(ls, i, mid, lt)]
+                for wr in right_ways[(rs, mid, o, rt)]
+            ]
+        else:  # RIGHT_FEEDS_LEFT
+            found = [
+                wl + wr
+                for wl in left_ways[(ls, mid, o, lt)]
+                for wr in right_ways[(rs, i, mid, rt)]
+            ]
+        key = (src, i, o, dst)
+        known = ways.get(key)
+        ways[key] = frozenset(found) if known is None else known.union(found)
+
+    step_targets: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
+    for (s, i, o, t) in ways:
+        steps = step_targets[s]
+        steps[(i, o)] = steps.get((i, o), 0) | (1 << t)
+
+    machine = _core.EncodedComponent(
+        f"({enc1.name}*{enc2.name})",
+        state_names,
+        0,
+        enc1.label_names,
+        label_ids,
+        frozenset(label_ids[x] for x in inputs),
+        frozenset(label_ids[x] for x in outputs),
+        step_targets,
+    )
     return SystemBuild(
         expr=expr,
-        component=pair.component,
         leaves=left.leaves + right.leaves,
-        decompositions={t: frozenset(w) for t, w in decomps.items()},
-        reports=reports,
+        reports=left.reports + right.reports + ((node, report),),
+        machine=machine,
+        ways=ways,
     )
 
 

@@ -160,10 +160,35 @@ def check_cioco_exact(iut: Component, spec: Component, unspecified: str = "allow
     after them.
     """
     _require_same_signature(iut, spec)
+    enc_iut, enc_spec, _, _ = _core.encode_pair(iut, spec)
+    return _exact_verdict(iut, enc_iut, enc_spec, unspecified)
+
+
+def _check_against_projection(iut: Component, spec: _core.EncodedComponent) -> Verdict:
+    """Strict ``check_cioco_exact`` against an in-context projection on ids.
+
+    ``iut`` is encoded over the projection's label table, which must hold
+    all of its labels, and must have the projection's signature. The
+    verdict is ``check_cioco_exact(iut, spec.decode(), "forbid")``.
+    """
+    enc_iut = _core.EncodedComponent.of(iut, spec.label_names, spec.label_ids)
+    return _exact_verdict(iut, enc_iut, spec, "forbid")
+
+
+def _exact_verdict(
+    iut: Component,
+    enc_iut: _core.EncodedComponent,
+    enc_spec: _core.EncodedComponent,
+    unspecified: str,
+) -> Verdict:
+    """Run the subset-pair search on two encodings over one label table.
+
+    The verdict does not depend on how either side numbers its states,
+    and label ids sort as their names, so any such pair of encodings of
+    the same machines gives the same verdict.
+    """
     strict = _mode_strict(unspecified)
     warnings = _input_enabled_warnings(iut)
-
-    enc_iut, enc_spec, label_names, _ = _core.encode_pair(iut, spec)
     raw, (explored, max_depth) = _core.cioco_bfs(enc_iut, enc_spec, strict)
     stats = CheckStats(explored, max_depth)
 
@@ -172,7 +197,7 @@ def check_cioco_exact(iut: Component, spec: Component, unspecified: str = "allow
     return Verdict(
         "fail",
         "exact",
-        counterexample=_decode_counterexample(raw, label_names),
+        counterexample=_decode_counterexample(raw, enc_spec.label_names),
         stats=stats,
         warnings=warnings,
     )

@@ -10,15 +10,16 @@ target component performed.
 The component-in-context is the machine whose traces are exactly the
 projections of all composed traces. Two constructions are provided: a
 finite one (relabel composed transitions to target contributions, then
-eliminate silent steps by forward closure) and a depth-bounded
-trace-tree whose states literally are projected histories. The tree is
-the oracle for the finite construction.
+eliminate silent steps by forward closure, on the build's integer ids)
+and a depth-bounded trace-tree whose states literally are projected
+histories. The tree is the oracle for the finite construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._core import EncodedComponent, bits
 from .compose import Leaf, SystemBuild, SystemExpr, build_system_full
 from .errors import NotATraceError, TraceLimitError, UnknownTargetError
 from .machine import Component, Step, Trace, DEFAULT_TRACE_GUARD
@@ -74,7 +75,8 @@ def project_trace(
     j = _leaf_index(build, target)
     index = _replay_index(build)
 
-    frontier: set[tuple[str, Trace]] = {(build.component.initial, ())}
+    start = build.machine.state_names[build.machine.initial]
+    frontier: set[tuple[str, Trace]] = {(start, ())}
     for n, s in enumerate(tr):
         key = (s.input, s.output)
         nxt: set[tuple[str, Trace]] = set()
@@ -103,7 +105,8 @@ def paired_projections(
     n_leaves = len(build.leaves)
     index = _replay_index(build)
     empty: tuple[Trace, ...] = ((),) * n_leaves
-    frontier: set[tuple[str, tuple[Trace, ...]]] = {(build.component.initial, empty)}
+    start = build.machine.state_names[build.machine.initial]
+    frontier: set[tuple[str, tuple[Trace, ...]]] = {(start, empty)}
     for n, s in enumerate(tr):
         key = (s.input, s.output)
         nxt: set[tuple[str, tuple[Trace, ...]]] = set()
@@ -123,26 +126,94 @@ def paired_projections(
     return frozenset(projs for (_, projs) in frontier)
 
 
-def _relabelled_edges(build: SystemBuild, j: int):
-    """Split composed transitions into target-labelled and silent edges."""
-    labelled: dict[str, dict[Step, set[str]]] = {}
-    silent: dict[str, set[str]] = {}
-    for t, ways in build.decompositions.items():
+def _relabel(build: SystemBuild, j: int):
+    """Split composed transitions into steps of leaf ``j`` and silent edges.
+
+    Per composed state: the leaf's (input, output) steps mapped to the
+    bitmask of their targets, and the targets reached without the leaf
+    moving.
+    """
+    n = len(build.machine.state_names)
+    labelled: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    silent: list[set[int]] = [set() for _ in range(n)]
+    for (s, _, _, t), ways in build.ways.items():
         for way in ways:
             contributed = way[j]
             if contributed is None:
-                silent.setdefault(t.source, set()).add(t.target)
+                silent[s].add(t)
             else:
-                labelled.setdefault(t.source, {}).setdefault(contributed, set()).add(t.target)
+                steps = labelled[s]
+                steps[contributed] = steps.get(contributed, 0) | (1 << t)
     return labelled, silent
 
 
-def _silent_closure(states, silent: dict[str, set[str]]) -> frozenset[str]:
+def _closed_steps(labelled, silent) -> list[dict[tuple[int, int], int]]:
+    """Each state's steps merged over every state it reaches silently.
+
+    One iterative Tarjan pass over the silent edges: the states of a
+    strongly connected component share one step map, the union of their
+    own steps and of the maps of the components they reach. Tarjan
+    completes a component only after every component it reaches, so
+    those maps are ready when it is merged.
+    """
+    n = len(labelled)
+    index = [-1] * n
+    low = [0] * n
+    closed: list[dict | None] = [None] * n
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(silent[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(silent[w])))
+                    break
+                if closed[w] is None and index[w] < low[v]:  # w is on the stack
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] != index[v]:
+                    continue
+                members = [stack.pop()]
+                while members[-1] != v:
+                    members.append(stack.pop())
+                if len(members) == 1 and not silent[v]:
+                    closed[v] = labelled[v]
+                    continue
+                merged: dict[tuple[int, int], int] = {}
+                for m in members:
+                    for step, targets in labelled[m].items():
+                        merged[step] = merged.get(step, 0) | targets
+                    for w in silent[m]:
+                        below = closed[w]
+                        if below is not None:
+                            for step, targets in below.items():
+                                merged[step] = merged.get(step, 0) | targets
+                for m in members:
+                    closed[m] = merged
+    return closed
+
+
+def _silent_closure(states, silent: list[set[int]]) -> frozenset[int]:
     seen = set(states)
-    stack = list(states)
+    stack = list(seen)
     while stack:
         s = stack.pop()
-        for t in silent.get(s, ()):
+        for t in silent[s]:
             if t not in seen:
                 seen.add(t)
                 stack.append(t)
@@ -164,41 +235,32 @@ def component_in_context(
         if build.expr.name != target:
             raise UnknownTargetError(f"'{target}' is not a leaf of the expression")
         return ContextComponent(build.expr.component, "finite")
+    return ContextComponent(_encoded_in_context(build, target).decode(), "finite")
+
+
+def _encoded_in_context(build: SystemBuild, target: str) -> EncodedComponent:
+    """``component_in_context`` of a composed build, on the build's ids.
+
+    Its steps are the per-state ``{(input, output): target mask}`` maps
+    the subset-pair search reads, so certification checks against it
+    without decoding.
+    """
     j = _leaf_index(build, target)
     leaf = build.leaf_component(target)
-    labelled, silent = _relabelled_edges(build, j)
-
     # forward closure: anything reachable silently can act on our behalf
-    new_arrows: dict[str, dict[Step, set[str]]] = {}
-    for s in build.component.states:
-        merged: dict[Step, set[str]] = {}
-        for u in _silent_closure([s], silent):
-            for stp, targets in labelled.get(u, {}).items():
-                merged.setdefault(stp, set()).update(targets)
-        if merged:
-            new_arrows[s] = merged
-
-    initial = build.component.initial
-    reachable = {initial}
-    stack = [initial]
-    transitions = []
-    while stack:
-        s = stack.pop()
-        for stp, targets in new_arrows.get(s, {}).items():
-            for t in sorted(targets):
-                transitions.append((s, stp.input, stp.output, t))
-                if t not in reachable:
-                    reachable.add(t)
-                    stack.append(t)
-
-    component = Component.build(
-        name=f"{build.component.name}.at.{target}",
-        initial=initial,
-        transitions=transitions,
-        inputs=leaf.inputs,
-        outputs=leaf.outputs,
+    steps = _closed_steps(*_relabel(build, j))
+    m = build.machine
+    ids = m.label_ids
+    return EncodedComponent(
+        f"{m.name}.at.{target}",
+        m.state_names,
+        m.initial,
+        m.label_names,
+        ids,
+        frozenset(ids[x] for x in leaf.inputs),
+        frozenset(ids[x] for x in leaf.outputs),
+        steps,
     )
-    return ContextComponent(component, "finite")
 
 
 def component_in_context_tree(
@@ -220,35 +282,35 @@ def component_in_context_tree(
     build = _as_build(system, relax)
     j = _leaf_index(build, target)
     leaf = build.leaf_component(target)
-    labelled, silent = _relabelled_edges(build, j)
+    labelled, silent = _relabel(build, j)
+    labels = build.machine.label_names
 
-    initial_set = _silent_closure([build.component.initial], silent)
-    histories: dict[Trace, frozenset[str]] = {(): initial_set}
+    initial_set = _silent_closure([build.machine.initial], silent)
+    histories: dict[Trace, frozenset[int]] = {(): initial_set}
     names: dict[Trace, str] = {(): "h0"}
     transitions: list[tuple[str, str, str, str]] = []
     level: list[Trace] = [()]
     for _ in range(k):
         nxt: list[Trace] = []
         for h in level:
-            sources = histories[h]
-            steps: dict[Step, set[str]] = {}
-            for s in sources:
-                for stp, targets in labelled.get(s, {}).items():
-                    steps.setdefault(stp, set()).update(targets)
-            for stp in sorted(steps):
-                extended = h + (stp,)
-                histories[extended] = _silent_closure(steps[stp], silent)
+            steps: dict[tuple[int, int], int] = {}
+            for s in histories[h]:
+                for io, targets in labelled[s].items():
+                    steps[io] = steps.get(io, 0) | targets
+            for (i, o) in sorted(steps):  # label ids sort as their names
+                extended = h + (Step(labels[i], labels[o]),)
+                histories[extended] = _silent_closure(bits(steps[(i, o)]), silent)
                 if len(histories) > guard:
                     raise TraceLimitError(guard, f"context tree for '{target}' at depth {k}")
                 names[extended] = f"h{len(names)}"
-                transitions.append((names[h], stp.input, stp.output, names[extended]))
+                transitions.append((names[h], labels[i], labels[o], names[extended]))
                 nxt.append(extended)
         level = nxt
         if not level:
             break
 
     component = Component.build(
-        name=f"{build.component.name}.tree.{target}",
+        name=f"{build.machine.name}.tree.{target}",
         initial="h0",
         transitions=transitions,
         inputs=leaf.inputs,

@@ -3,7 +3,9 @@
 Everything here recomputes semantics from first principles (explicit run
 enumeration, literal rule application on full state products, leaf-state
 vector simulation) without touching the package's search kernels or
-provenance records, so agreement is meaningful.
+provenance records, so agreement is meaningful. The one exception is
+``naive_component_in_context``, which checks the projection step alone:
+it starts from a build's named decompositions.
 """
 
 from __future__ import annotations
@@ -145,6 +147,71 @@ def agrees_with_naive_inclusion(verdict, c1: Component, c2: Component) -> bool:
         return naive_trace_inclusion(c1, c2, len(full)) == full
     k = max(verdict.stats.max_depth + 1, 6)
     return verdict.passed and naive_trace_inclusion(c1, c2, k) is None
+
+
+def naive_context_edges(build, target: str):
+    """A build's composed transitions relabelled for one leaf, by name.
+
+    Returns ``(labelled, silent)``: state -> target step -> successor
+    states, and state -> successors reached while the target does not
+    move. Reads the named ``build.decompositions``.
+    """
+    j = build.leaves.index(target)
+    labelled: dict[str, dict[Step, set[str]]] = {}
+    silent: dict[str, set[str]] = {}
+    for t, ways in build.decompositions.items():
+        for way in ways:
+            if way[j] is None:
+                silent.setdefault(t.source, set()).add(t.target)
+            else:
+                labelled.setdefault(t.source, {}).setdefault(way[j], set()).add(t.target)
+    return labelled, silent
+
+
+def naive_component_in_context(build, target: str) -> Component:
+    """The projection of a built system on one leaf, state by state.
+
+    Every composed state gets the target steps of every state it reaches
+    silently, found by a depth-first search from that state alone; the
+    result is the part reachable from the initial state. Uses neither
+    the integer form of the build nor any strongly connected components.
+    """
+    labelled, silent = naive_context_edges(build, target)
+    composed = build.component
+    merged: dict[str, dict[Step, set[str]]] = {}
+    for s in composed.states:
+        closure = {s}
+        stack = [s]
+        while stack:
+            for u in silent.get(stack.pop(), ()):
+                if u not in closure:
+                    closure.add(u)
+                    stack.append(u)
+        steps: dict[Step, set[str]] = {}
+        for u in closure:
+            for stp, targets in labelled.get(u, {}).items():
+                steps.setdefault(stp, set()).update(targets)
+        merged[s] = steps
+
+    reachable = {composed.initial}
+    stack = [composed.initial]
+    transitions = []
+    while stack:
+        s = stack.pop()
+        for stp, targets in merged[s].items():
+            for t in targets:
+                transitions.append((s, stp.input, stp.output, t))
+                if t not in reachable:
+                    reachable.add(t)
+                    stack.append(t)
+    leaf = build.leaf_component(target)
+    return Component.build(
+        f"{composed.name}.at.{target}",
+        composed.initial,
+        transitions,
+        inputs=leaf.inputs,
+        outputs=leaf.outputs,
+    )
 
 
 def reassembles(c1: Component, c2: Component, tr: Trace, tr1: Trace, tr2: Trace) -> bool:

@@ -296,10 +296,23 @@ def test_criterion_09_inclusion_conformance_bridges():
         if not inclusion.passed or not agrees_with_naive_inclusion(inclusion, iut, spec):
             violations += 1
 
+    # failing verdicts: a conformance violation is a trace the spec lacks
+    part3 = 0
+    while part3 < 300:
+        spec = random_component(rng, "S", ["a", "b"], ["x", "y"], n_states=(2, 4))
+        iut = mutate(rng, spec, name="I")
+        if check_cioco_exact(iut, spec).passed:
+            continue
+        part3 += 1
+        inclusion = check_trace_inclusion(iut, spec)
+        if inclusion.passed or not agrees_with_naive_inclusion(inclusion, iut, spec):
+            violations += 1
+
     elapsed = time.monotonic() - started
     report(9, "trace inclusion implies conformance; conformance against "
-              "input-enabled specs implies trace inclusion", violations == 0,
-           f"{part1}+{part2} instances, {violations} violations, {elapsed:.1f}s")
+              "input-enabled specs implies trace inclusion; failing conformance "
+              "implies failing inclusion", violations == 0,
+           f"{part1}+{part2}+{part3} instances, {violations} violations, {elapsed:.1f}s")
 
 
 def test_criterion_10_oracle_agreements():

@@ -9,6 +9,7 @@ from fsmcheck import (
     Par,
     ShapeMismatchError,
     build_system,
+    build_system_full,
     check_cioco_exact,
     certify_by_parts,
     certify_in_context,
@@ -31,8 +32,10 @@ from fsmcheck.fixtures import (
 from fsmcheck.randgen import (
     alphabets_for_pair,
     conforming_iut,
+    mutate,
     prune,
     random_component,
+    random_composable_pair,
     random_input_enabled_spec,
 )
 
@@ -190,6 +193,23 @@ class TestInContext:
 
         report = certify_in_context(iut1, spec1, iut2, spec2, relax=True)
         assert report.global_conclusion == SOUND_FAIL
+
+
+def test_in_context_local_verdicts_are_checks_against_the_decoded_projection():
+    rng = random.Random(139)
+    failed = 0
+    for k in range(80):
+        spec1, spec2 = random_composable_pair(rng, names=("L", "R"), n_states=(2, 4))
+        iut1 = prune(rng, spec1) if k % 2 == 0 else mutate(rng, spec1)
+        iut2 = prune(rng, spec2) if k // 2 % 2 == 0 else mutate(rng, spec2)
+        report = certify_in_context(iut1, spec1, iut2, spec2, relax=True)
+        build = build_system_full(Par(Leaf("L", spec1), Leaf("R", spec2)), relax=True)
+        for name, iut in (("L", iut1), ("R", iut2)):
+            projection = component_in_context(build, name).component
+            expected = check_cioco_exact(iut, projection, unspecified="forbid")
+            assert report.local_verdicts[name].to_dict() == expected.to_dict()
+            failed += expected.failed
+    assert 40 <= failed <= 120
 
 
 def test_global_failure_implies_a_failing_in_context_local():

@@ -127,6 +127,10 @@ class TestTraces:
         assert "guard must be non-negative" in err
         assert "exceeded" not in err
 
+    def test_seed_is_not_an_option(self, capsys):
+        err = rejected_at_parsing(capsys, "traces", "-k", "1", "--seed", "1", COFFEE / "drink.fsm")
+        assert "unrecognized arguments: --seed" in err
+
 
 class TestCheck:
     def test_local_coffee_checks_pass(self):
@@ -280,6 +284,7 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     run("compose", "(par M D)", COFFEE / "iut_money.fsm", COFFEE / "drink.fsm", "-o", iut)
     run("compose", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm", "-o", spec)
     written = tmp_path / "written.fsm"
+    nested = (COFFEE / "spec_money.fsm", COFFEE / "drink.fsm", RELAY / "right.fsm")
     invocations = [
         ("check", "--json", iut, spec),
         ("check", "--method", "bounded", "-k", "4", "--json", iut, spec),
@@ -288,6 +293,10 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         ("project", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
          "--target", "M", "-o", written, "--oracle-depth", "4", "--json"),
         ("compose", "(par M D)", COFFEE / "iut_money.fsm", COFFEE / "drink.fsm", "-o", written),
+        # a nested node is renumbered before it is composed again
+        ("compose", "(par B (par M D))", *nested, "--relax", "-o", written),
+        ("project", "(par B (par M D))", *nested, "--relax", "--target", "D", "-o", written,
+         "--oracle-depth", "3", "--json"),
     ]
     for argv in invocations:
         results = set()

@@ -26,9 +26,10 @@ from fsmcheck.fixtures import (
     coffee_spec_money,
     coffee_spec_money_revised,
 )
-from fsmcheck.randgen import random_composable_pair
+from fsmcheck.compose import composed_alphabets
+from fsmcheck.randgen import random_component, random_composable_pair
 
-from oracles import vector_projections
+from oracles import naive_component_in_context, naive_context_edges, vector_projections
 
 
 def feeding_expr():
@@ -126,7 +127,52 @@ class TestProjectTrace:
                 assert has_trace(build.component, tr)
 
 
+def random_three_leaf_system(rng):
+    """Two random leaves composed with a third that reads one of the pair's
+    outputs and answers on one of its inputs, nested on either side."""
+    a, b = random_composable_pair(rng, names=("A", "B"), n_states=(2, 3))
+    inputs, outputs = composed_alphabets(a, b)
+    c = random_component(
+        rng, "C", [sorted(outputs)[-1], "c0"], ["z0", sorted(inputs)[-1]], n_states=(2, 3)
+    )
+    pair = Par(Leaf("A", a), Leaf("B", b))
+    return Par(pair, Leaf("C", c)) if rng.random() < 0.5 else Par(Leaf("C", c), pair)
+
+
+def has_silent_cycle(build, target) -> bool:
+    """Can some composed state return to itself while ``target`` stays put?"""
+    _, silent = naive_context_edges(build, target)
+    for start in silent:
+        seen = set()
+        stack = list(silent[start])
+        while stack:
+            s = stack.pop()
+            if s == start:
+                return True
+            if s not in seen:
+                seen.add(s)
+                stack.extend(silent.get(s, ()))
+    return False
+
+
 class TestComponentInContext:
+    def test_equals_the_state_by_state_closure_on_random_systems(self):
+        rng = random.Random(137)
+        with_cycles = 0
+        for n in range(60):
+            if n % 2:
+                expr = random_three_leaf_system(rng)
+            else:
+                c1, c2 = random_composable_pair(rng, names=("L", "R"), n_states=(2, 4))
+                expr = Par(Leaf("L", c1), Leaf("R", c2))
+            build = build_system_full(expr, relax=True)
+            for target in build.leaves:
+                assert component_in_context(build, target).component == (
+                    naive_component_in_context(build, target)
+                )
+                with_cycles += has_silent_cycle(build, target)
+        assert with_cycles >= 30
+
     def test_single_leaf_is_identity(self):
         c = Component.build("c", "s0", [("s0", "a", "x", "s0")])
         ctx = component_in_context(Leaf("C", c), "C")
