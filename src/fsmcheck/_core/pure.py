@@ -1,7 +1,8 @@
 """Pure-Python search kernels.
 
 All iteration orders are sorted, so results are deterministic and do not
-depend on the hash seed.
+depend on the hash seed. Memoization lives inside one call: no result
+is kept from one search to the next.
 """
 
 from __future__ import annotations
@@ -88,13 +89,59 @@ def _moves(enc: EncodedComponent) -> list[list[tuple[int, int, int]]]:
     ]
 
 
-def _aggregate(enc: EncodedComponent, mask: int):
-    """Union of per-state step maps over a subset: {(i, o): target mask}."""
-    steps = {}
-    for s in bits(mask):
-        for io, targets in enc.step_targets[s].items():
-            steps[io] = steps.get(io, 0) | targets
-    return steps
+#: States per block of a subset mask (see ``_subset_steps``).
+BLOCK = 8
+_CHUNK = (1 << BLOCK) - 1
+
+
+def _subset_steps(enc: EncodedComponent):
+    """Lookup of the union of step maps over a non-empty state subset.
+
+    The returned function maps a subset mask to {(i, o): target mask}.
+    It splits the mask into BLOCK-state chunks and memoizes the union of
+    each distinct chunk, keyed by the chunk and its offset, for the life
+    of the lookup; only a mask with states in several blocks merges
+    chunk unions into a new map. Whole masks are not memoized: a search
+    seldom meets the same specification subset twice, and the 2^n
+    family never does. A state's own step map, or a memoized chunk
+    union, is returned as it is, so callers must not modify the result.
+    """
+    step_targets = enc.step_targets
+    memo: dict[int, dict] = {}
+
+    def union(mask: int) -> dict:
+        if not mask & (mask - 1):
+            return step_targets[mask.bit_length() - 1]
+        merged = None
+        shared = True  # merged is a state's or a memoized map
+        offset = 0
+        while mask:
+            chunk = mask & _CHUNK
+            if chunk:
+                key = offset << BLOCK | chunk
+                part = memo.get(key)
+                if part is None:
+                    if not chunk & (chunk - 1):
+                        part = step_targets[offset + chunk.bit_length() - 1]
+                    else:
+                        part = {}
+                        for s in bits(chunk):
+                            for io, targets in step_targets[offset + s].items():
+                                part[io] = part.get(io, 0) | targets
+                    memo[key] = part
+                if merged is None:
+                    merged = part
+                else:
+                    if shared:
+                        merged = dict(merged)
+                        shared = False
+                    for io, targets in part.items():
+                        merged[io] = merged.get(io, 0) | targets
+            mask >>= BLOCK
+            offset += BLOCK
+        return merged
+
+    return union
 
 
 def _witness(seen, key):
@@ -123,7 +170,14 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
     Returns (counterexample | None, stats) where the counterexample is
     (witness_steps, input, offending_output, iut_outputs, spec_outputs)
     over label ids and stats is (explored_pairs, max_depth).
+
+    Step-map unions come from per-search lookups (``_subset_steps``). The
+    implementation's sorted steps are also kept per distinct subset: its
+    subsets recur across pairs far more than the specification's do.
     """
+    spec_union = _subset_steps(enc_spec)
+    iut_union = _subset_steps(enc_iut)
+    iut_sorted: dict[int, list] = {}
     start = (1 << enc_iut.initial, 1 << enc_spec.initial)
     seen = {start: None}
     queue = deque([(start, 0)])
@@ -136,8 +190,10 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
         if depth > max_depth:
             max_depth = depth
 
-        spec_steps = _aggregate(enc_spec, qs)
-        iut_steps = sorted(_aggregate(enc_iut, qi).items())
+        spec_steps = spec_union(qs)
+        iut_steps = iut_sorted.get(qi)
+        if iut_steps is None:
+            iut_steps = iut_sorted[qi] = sorted(iut_union(qi).items())
         for io, targets in iut_steps:
             spec_targets = spec_steps.get(io)
             if spec_targets is None:

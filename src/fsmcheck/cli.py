@@ -15,6 +15,7 @@ or not-applicable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -341,9 +342,18 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of ``main`` and reused after.
+
+    Parsing does not modify it, so one process may call ``main`` many
+    times.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
     except (ParseError, SignatureMismatchError, UnknownTargetError, TraceLimitError) as exc:

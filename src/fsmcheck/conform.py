@@ -132,10 +132,8 @@ def _mode_strict(unspecified: str) -> bool:
     return unspecified == "forbid"
 
 
-def _input_enabled_warnings(iut: Component) -> tuple[str, ...]:
-    if is_input_enabled(iut):
-        return ()
-    return (f"implementation '{iut.name}' is not input-enabled",)
+def _input_enabled_warnings(name: str, enabled: bool) -> tuple[str, ...]:
+    return () if enabled else (f"implementation '{name}' is not input-enabled",)
 
 
 def _decode_counterexample(raw, label_names) -> Counterexample:
@@ -161,7 +159,7 @@ def check_cioco_exact(iut: Component, spec: Component, unspecified: str = "allow
     """
     _require_same_signature(iut, spec)
     enc_iut, enc_spec, _, _ = _core.encode_pair(iut, spec)
-    return _exact_verdict(iut, enc_iut, enc_spec, unspecified)
+    return _exact_verdict(enc_iut, enc_spec, unspecified)
 
 
 def _check_against_projection(iut: Component, spec: _core.EncodedComponent) -> Verdict:
@@ -172,11 +170,10 @@ def _check_against_projection(iut: Component, spec: _core.EncodedComponent) -> V
     verdict is ``check_cioco_exact(iut, spec.decode(), "forbid")``.
     """
     enc_iut = _core.EncodedComponent.of(iut, spec.label_names, spec.label_ids)
-    return _exact_verdict(iut, enc_iut, spec, "forbid")
+    return _exact_verdict(enc_iut, spec, "forbid")
 
 
 def _exact_verdict(
-    iut: Component,
     enc_iut: _core.EncodedComponent,
     enc_spec: _core.EncodedComponent,
     unspecified: str,
@@ -185,10 +182,14 @@ def _exact_verdict(
 
     The verdict does not depend on how either side numbers its states,
     and label ids sort as their names, so any such pair of encodings of
-    the same machines gives the same verdict.
+    the same machines gives the same verdict. Input-enabledness is read
+    from the implementation's encoding, which holds all of its states:
+    the warning is the one ``is_input_enabled`` would give.
     """
     strict = _mode_strict(unspecified)
-    warnings = _input_enabled_warnings(iut)
+    inputs = enc_iut.input_ids
+    enabled = all(inputs <= {i for (i, _) in steps} for steps in enc_iut.step_targets)
+    warnings = _input_enabled_warnings(enc_iut.name, enabled)
     raw, (explored, max_depth) = _core.cioco_bfs(enc_iut, enc_spec, strict)
     stats = CheckStats(explored, max_depth)
 
@@ -278,7 +279,7 @@ def check_cioco_bounded(
     """
     _require_same_signature(iut, spec)
     strict = _mode_strict(unspecified)
-    warnings = _input_enabled_warnings(iut)
+    warnings = _input_enabled_warnings(iut.name, is_input_enabled(iut))
     if k < 0:
         raise ValueError("depth bound must be non-negative")
 

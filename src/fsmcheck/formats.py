@@ -125,20 +125,43 @@ def component_to_dict(c: Component) -> dict:
 
 
 def component_from_dict(data: dict, path: str | None = None) -> Component:
-    try:
-        return _assemble(
-            data["name"],
-            data["initial"],
-            [
-                (t["from"], t["input"], t["output"], t["to"])
-                for t in data.get("transitions", ())
-            ],
-            data.get("inputs", ()),
-            data.get("outputs", ()),
-            data.get("states", ()),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed component object: {exc}", None, path) from None
+    """Build a component from its JSON object.
+
+    ``name`` and ``initial`` must be strings; ``states``, ``inputs`` and
+    ``outputs``, where present, lists of strings; ``transitions`` a list
+    of objects whose ``from``, ``input``, ``output`` and ``to`` are
+    strings. Anything else is a ParseError.
+    """
+
+    def malformed(why: str) -> ParseError:
+        return ParseError(f"malformed component object: {why}", None, path)
+
+    def string(obj: dict, key: str) -> str:
+        if key not in obj:
+            raise malformed(f"missing {key!r}")
+        if not isinstance(obj[key], str):
+            raise malformed(f"{key!r} must be a string")
+        return obj[key]
+
+    def strings(key: str) -> list[str]:
+        value = data.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+            raise malformed(f"{key!r} must be a list of strings")
+        return value
+
+    if not isinstance(data, dict):
+        raise malformed("expected an object")
+    transitions = data.get("transitions", [])
+    if not isinstance(transitions, list) or not all(isinstance(t, dict) for t in transitions):
+        raise malformed("'transitions' must be a list of objects")
+    return _assemble(
+        string(data, "name"),
+        string(data, "initial"),
+        [tuple(string(t, key) for key in ("from", "input", "output", "to")) for t in transitions],
+        strings("inputs"),
+        strings("outputs"),
+        strings("states"),
+    )
 
 
 def component_to_json(c: Component) -> str:
@@ -150,6 +173,9 @@ def component_from_json(text: str, path: str | None = None) -> Component:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", exc.lineno, path) from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal too long to convert, or nesting too deep
+        raise ParseError(f"invalid JSON: {exc}", None, path) from None
     return component_from_dict(data, path)
 
 
@@ -160,6 +186,8 @@ def load_component(path: str) -> Component:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc.strerror}", None, path) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", None, path) from None
     if str(path).endswith(".json"):
         return component_from_json(text, path)
     return component_from_text(text, path)
@@ -204,7 +232,10 @@ def parse_system_expr(text: str, components: dict[str, Component]) -> SystemExpr
             )
         return Leaf(tok, components[tok])
 
-    expr = parse()
+    try:
+        expr = parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if pos != len(tokens):
         raise ParseError(f"trailing tokens after expression: {' '.join(tokens[pos:])}")
     return expr

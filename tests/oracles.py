@@ -3,13 +3,15 @@
 Everything here recomputes semantics from first principles (explicit run
 enumeration, literal rule application on full state products, leaf-state
 vector simulation) without touching the package's search kernels or
-provenance records, so agreement is meaningful. The one exception is
-``naive_component_in_context``, which checks the projection step alone:
-it starts from a build's named decompositions.
+provenance records, so agreement is meaningful. Two exceptions check one
+step alone: ``naive_component_in_context`` starts from a build's named
+decompositions, and ``naive_subset_pair_search`` from the integer
+encodings the subset-pair search reads.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product as iproduct
 
 from fsmcheck.compose import Leaf, SystemExpr
@@ -122,6 +124,53 @@ def naive_cioco_bounded(iut, spec, k, strict=False):
             if extra:
                 return (tr, i, min(extra)), examined
     return None, examined
+
+
+def naive_subset_pair_search(enc_iut, enc_spec, strict: bool):
+    """The subset-pair search with the union of step maps rebuilt per pair.
+
+    The reference for ``_core.cioco_bfs``: the same breadth-first order
+    over (implementation subset, specification subset) masks, the same
+    raw result and the same (explored, max_depth), but every pair unions
+    the step maps of its states afresh, state by state.
+    """
+
+    def union(enc, mask):
+        steps = {}
+        for s in range(len(enc.step_targets)):
+            if mask >> s & 1:
+                for io, targets in enc.step_targets[s].items():
+                    steps[io] = steps.get(io, 0) | targets
+        return steps
+
+    start = (1 << enc_iut.initial, 1 << enc_spec.initial)
+    seen = {start: None}
+    queue = deque([(start, 0)])
+    explored = max_depth = 0
+    while queue:
+        (qi, qs), depth = queue.popleft()
+        explored += 1
+        max_depth = max(max_depth, depth)
+        spec_steps = union(enc_spec, qs)
+        iut_steps = sorted(union(enc_iut, qi).items())
+        for io, targets in iut_steps:
+            if io not in spec_steps:
+                i, o = io
+                spec_outputs = frozenset(b for (a, b) in spec_steps if a == i)
+                if strict or spec_outputs:
+                    iut_outputs = frozenset(b for ((a, b), _) in iut_steps if a == i)
+                    witness, key = [], (qi, qs)
+                    while seen[key] is not None:
+                        key, step = seen[key]
+                        witness.append(step)
+                    witness.reverse()
+                    return (witness, i, o, iut_outputs, spec_outputs), (explored, max_depth)
+                continue
+            nxt = (targets, spec_steps[io])
+            if nxt not in seen:
+                seen[nxt] = ((qi, qs), io)
+                queue.append((nxt, depth + 1))
+    return None, (explored, max_depth)
 
 
 def naive_trace_inclusion(c1: Component, c2: Component, k: int) -> Trace | None:

@@ -56,6 +56,41 @@ class TestValidate:
     def test_unreadable_path_exits_two(self):
         assert run("validate", "/no/such/file.fsm")[0] == 2
 
+    def test_file_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.fsm"
+        bad.write_bytes("component café\ninitial s0\n".encode("latin-1"))
+        code = main(["validate", str(bad)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"states": "qr"},
+            {"name": 7},
+            {"initial": 0},
+            {"inputs": [1]},
+            {"outputs": "xy"},
+            {"states": None},
+            {"transitions": {"from": "q", "input": "a", "output": "x", "to": "q"}},
+            {"transitions": [{"from": "q", "input": "a", "output": "x", "to": 1}]},
+            {"transitions": [["q", "a", "x", "q"]]},
+        ],
+    )
+    def test_json_fields_of_the_wrong_type_exit_two(self, tmp_path, capsys, fields):
+        data = {"name": "c", "states": ["q"], "inputs": ["a"], "outputs": ["x"],
+                "initial": "q",
+                "transitions": [{"from": "q", "input": "a", "output": "x", "to": "q"}]}
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(data))
+        assert run("validate", good)[0] == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**data, **fields}))
+        assert run("validate", bad)[0] == 2
+        err = capsys.readouterr().err
+        assert "malformed component object" in err and "Traceback" not in err
+
     def test_json_output(self, capsys):
         code, out = run("validate", "--json", COFFEE / "drink.fsm", capsys=capsys)
         assert code == 0
@@ -312,3 +347,31 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
             file_text = written.read_text(encoding="utf-8") if written.exists() else None
             results.add((done.returncode, done.stdout, file_text))
         assert len(results) == 1, argv
+
+
+def test_repeated_in_process_calls_match_single_calls(tmp_path, capsys):
+    # main builds its parser once per process; a call must not depend on
+    # the calls made before it, a usage error among them
+    invocations = [
+        ("check", "--json", COFFEE / "iut_money.fsm", COFFEE / "spec_money.fsm"),
+        ("check", "-k", "-1", COFFEE / "drink.fsm", COFFEE / "drink.fsm"),
+        ("compositional", "--theorem", "2", "--json",
+         RELAY / "iut_left.fsm", RELAY / "spec_left.fsm", RELAY / "right.fsm", RELAY / "right.fsm"),
+    ]
+    in_turn = []
+    for argv in invocations:
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exited:
+            code = exited.code
+        captured = capsys.readouterr()
+        in_turn.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_turn] == [0, 2, 1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for argv, seen in zip(invocations, in_turn):
+        alone = subprocess.run(
+            [sys.executable, "-m", "fsmcheck.cli", *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (alone.returncode, alone.stdout, alone.stderr) == seen, argv

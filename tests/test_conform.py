@@ -8,6 +8,7 @@ from fsmcheck import (
     Component,
     SignatureMismatchError,
     TraceLimitError,
+    Transition,
     check_cioco_bounded,
     check_cioco_exact,
     check_trace_inclusion,
@@ -19,6 +20,8 @@ from fsmcheck import (
     trace,
     traces_up_to,
 )
+from fsmcheck._core import cioco_bfs, encode_pair
+from fsmcheck._core.pure import BLOCK
 from fsmcheck.randgen import conforming_iut, mutate, prune, random_component
 
 from oracles import (
@@ -26,6 +29,7 @@ from oracles import (
     naive_cioco_bounded,
     naive_out_after,
     naive_states_after,
+    naive_subset_pair_search,
 )
 
 
@@ -80,6 +84,36 @@ class TestExact:
         v = check_cioco_exact(iut, spec)
         assert v.passed
         assert any("not input-enabled" in w for w in v.warnings)
+
+    def test_input_enabled_warning_agrees_with_is_input_enabled(self):
+        # the exact check reads input-enabledness from its encoding; it must
+        # count unreachable states and declared inputs no transition uses
+        rng = random.Random(613)
+        kinds = set()
+        for k in range(240):
+            c = random_component(
+                rng, "I", ["a", "b"], ["x", "y"], n_states=(1, 5), density=(0.5, 1.0)
+            )
+            if k % 2:
+                c = complete(c, "loop", label="x")
+            kind = k // 2 % 4
+            if kind == 1:  # an unreachable dead end
+                c = Component(c.name, c.states | {"u"}, c.initial, c.inputs, c.outputs,
+                              c.transitions)
+            elif kind == 2:  # an unreachable state looping on every input
+                loops = {Transition("u", i, "x", "u") for i in c.inputs}
+                c = Component(c.name, c.states | {"u"}, c.initial, c.inputs, c.outputs,
+                              c.transitions | loops)
+            elif kind == 3:  # a declared input no transition uses
+                c = Component(c.name, c.states, c.initial, c.inputs | {"z"}, c.outputs,
+                              c.transitions)
+            enabled = is_input_enabled(c)
+            kinds.add((kind, enabled))
+            expected = () if enabled else ("implementation 'I' is not input-enabled",)
+            for v in (check_cioco_exact(c, c), check_cioco_exact(c, c, "forbid")):
+                assert v.warnings == expected
+            assert check_cioco_bounded(c, c, 1).warnings == expected
+        assert kinds == {(0, False), (0, True), (1, False), (2, False), (2, True), (3, False)}
 
     def test_counterexample_invariants(self):
         rng = random.Random(41)
@@ -350,3 +384,70 @@ def test_masks_beyond_64_states():
         )
         wide += max(map(numbering.index, reached)) >= 64
     assert failures >= 5 and wide >= 3
+
+
+def nth_from_end(n):
+    """Traces whose n-th step from the end is ``a|x``: 2^n reachable subsets."""
+    transitions = [("q0", "a", "x", "q0"), ("q0", "a", "y", "q0"), ("q0", "a", "x", "q1")]
+    for k in range(1, n):
+        transitions += [(f"q{k}", "a", "x", f"q{k + 1}"), (f"q{k}", "a", "y", f"q{k + 1}")]
+    return Component.build(f"nth{n}", "q0", transitions, states=[f"q{k}" for k in range(n + 1)])
+
+
+class TestSubsetPairSearch:
+    """``cioco_bfs`` against the search that unions step maps per pair."""
+
+    @staticmethod
+    def assert_same_search(iut, spec):
+        enc_iut, enc_spec, _, _ = encode_pair(iut, spec)
+        for strict in (False, True):
+            got = cioco_bfs(enc_iut, enc_spec, strict)
+            assert got == naive_subset_pair_search(enc_iut, enc_spec, strict)
+
+    @staticmethod
+    def crosses_blocks(spec):
+        """Does the subset construction of ``spec`` reach a subset whose
+        states lie in several blocks, some block holding two or more?"""
+        enc, _, _, _ = encode_pair(spec, spec)
+        low = (1 << BLOCK) - 1
+        start = 1 << enc.initial
+        seen, stack = {start}, [start]
+        while stack:
+            mask = stack.pop()
+            chunks = [mask >> k & low for k in range(0, len(enc.step_targets), BLOCK)]
+            chunks = [c for c in chunks if c]
+            if len(chunks) > 1 and any(c & (c - 1) for c in chunks):
+                return True
+            steps = {}
+            for s in range(len(enc.step_targets)):
+                if mask >> s & 1:
+                    for io, targets in enc.step_targets[s].items():
+                        steps[io] = steps.get(io, 0) | targets
+            for targets in steps.values():
+                if targets not in seen:
+                    seen.add(targets)
+                    stack.append(targets)
+        return False
+
+    def test_nondeterministic_pairs_across_block_boundaries(self):
+        rng = random.Random(503)
+        crossing = 0
+        for _ in range(120):
+            spec = random_component(
+                rng, "S", ["a", "b"], ["x", "y"], n_states=(6, 40), density=(0.6, 1.0)
+            )
+            others = random_component(rng, "I", ["a", "b"], ["x", "y"], n_states=(6, 40))
+            for iut in (spec, prune(rng, spec, name="I"), mutate(rng, spec, name="I"), others):
+                self.assert_same_search(iut, spec)
+            crossing += self.crosses_blocks(spec)
+        assert crossing >= 30
+
+    def test_nth_from_end_family(self):
+        loop = Component.build("loop", "i0", [("i0", "a", "x", "i0"), ("i0", "a", "y", "i0")])
+        for n in range(6, 13):
+            spec = nth_from_end(n)
+            self.assert_same_search(loop, spec)
+            # two members of the family pair up two subset constructions
+            self.assert_same_search(spec, nth_from_end(n - 1))
+            v = check_cioco_exact(loop, spec)
+            assert v.passed and v.stats.explored_pairs == 2 ** n
