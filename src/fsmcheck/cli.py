@@ -75,12 +75,20 @@ _depth_bound = _non_negative("depth bound")
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output on stdout")
+
+
+def _add_guard(p: argparse.ArgumentParser, used_by: str) -> None:
+    """``--guard``, only on the commands that run a bounded enumeration."""
     p.add_argument(
         "--guard",
         type=_non_negative("guard"),
-        default=DEFAULT_TRACE_GUARD,
-        help="cardinality guard for bounded enumerations",
+        default=None,
+        help=f"cardinality guard for {used_by} (default {DEFAULT_TRACE_GUARD})",
     )
+
+
+def _guard(args) -> int:
+    return DEFAULT_TRACE_GUARD if args.guard is None else args.guard
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("traces", help="enumerate traces up to a depth bound")
     p.add_argument("path", metavar="FILE")
     p.add_argument("-k", "--depth", type=_depth_bound, required=True)
+    _add_guard(p, "the enumeration")
     _add_common(p)
 
     p = sub.add_parser("check", help="conformance of an implementation against a specification")
@@ -119,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="allow",
         help="whether inputs the specification leaves unconstrained permit any output",
     )
+    _add_guard(p, "--method bounded")
     _add_common(p)
 
     p = sub.add_parser("project", help="project a composed system onto one component")
@@ -130,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also build the trace-tree construction and compare up to this depth")
     p.add_argument("--relax", action="store_true")
     p.add_argument("--dot", help="also write a Graphviz rendering here")
+    _add_guard(p, "--oracle-depth")
     _add_common(p)
 
     p = sub.add_parser("compositional", help="certify a composition from local checks")
@@ -139,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec1", metavar="SPEC1_FILE")
     p.add_argument("iut2", metavar="IUT2_FILE")
     p.add_argument("spec2", metavar="SPEC2_FILE")
-    p.add_argument("--relax", action="store_true")
+    p.add_argument("--relax", action="store_true", help="with --theorem 2: compose even if "
+                   "the pair cannot synchronize")
     _add_common(p)
 
     return parser
@@ -221,7 +233,7 @@ def cmd_compose(args) -> int:
 
 def cmd_traces(args) -> int:
     c = load_component(args.path)
-    result = sorted_traces(traces_up_to(c, args.depth, guard=args.guard))
+    result = sorted_traces(traces_up_to(c, args.depth, guard=_guard(args)))
     if args.json:
         print(json.dumps([trace_to_list(tr) for tr in result], indent=2))
     else:
@@ -259,17 +271,21 @@ def cmd_check(args) -> int:
         if args.depth is None:
             raise ParseError("--method bounded requires --depth")
         verdict = check_cioco_bounded(
-            iut, spec, args.depth, unspecified=args.unspecified, guard=args.guard
+            iut, spec, args.depth, unspecified=args.unspecified, guard=_guard(args)
         )
     else:
         if args.depth is not None:
             raise ParseError("--depth requires --method bounded")
+        if args.guard is not None:
+            raise ParseError("--guard requires --method bounded")
         verdict = check_cioco_exact(iut, spec, unspecified=args.unspecified)
     _emit(args, verdict.to_dict(), _verdict_human(verdict))
     return _verdict_exit(verdict)
 
 
 def cmd_project(args) -> int:
+    if args.guard is not None and args.oracle_depth is None:
+        raise ParseError("--guard requires --oracle-depth")
     components = _load_named(args.paths)
     expr = parse_system_expr(args.expr, components)
     build = build_system_full(expr, relax=args.relax)
@@ -286,10 +302,11 @@ def cmd_project(args) -> int:
 
     exit_code = EXIT_OK
     if args.oracle_depth is not None:
-        tree = component_in_context_tree(build, args.target, args.oracle_depth, guard=args.guard)
+        guard = _guard(args)
+        tree = component_in_context_tree(build, args.target, args.oracle_depth, guard=guard)
         k = args.oracle_depth
-        finite_traces = traces_up_to(ctx.component, k, guard=args.guard)
-        tree_traces = traces_up_to(tree.component, k, guard=args.guard)
+        finite_traces = traces_up_to(ctx.component, k, guard=guard)
+        tree_traces = traces_up_to(tree.component, k, guard=guard)
         agree = finite_traces == tree_traces
         payload["oracle"] = {"depth": k, "agree": agree}
         human.append(f"oracle comparison at depth {k}: {'agree' if agree else 'MISMATCH'}")
@@ -300,6 +317,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_compositional(args) -> int:
+    if args.relax and args.theorem == "1":
+        raise ParseError("--relax requires --theorem 2")
     iut1 = load_component(args.iut1)
     spec1 = load_component(args.spec1)
     iut2 = load_component(args.iut2)

@@ -7,14 +7,17 @@ with the second reaction observed. Synchronized intermediates are hidden.
 
 Only the reachable part of the state product is materialized. A system
 expression is built on integer ids over one label table for the whole
-expression, and every composed transition records all the ways it
-decomposes into leaf steps, hidden intermediates included; projection
-is built on those records. Names are decoded only when read.
+expression. Every composed node keeps its children and the
+rule-tagged transitions of the product closure, from which projection
+reads each leaf's part. The table of all the ways each composed
+transition decomposes into leaf steps, hidden intermediates included,
+is derived from them on first read, and names are decoded only when
+read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import _core
@@ -115,6 +118,10 @@ TransitionIds = tuple[int, int, int, int]
 #: A Decomposition on integer ids: each moving leaf's (input, output).
 WayIds = tuple[tuple[int, int] | None, ...]
 
+#: A transition of a product closure: (source, input, output, target,
+#: rule, intermediate), source and target indexing the node's pairs.
+RawTransition = tuple[int, int, int, int, int, int]
+
 
 @dataclass(frozen=True)
 class SystemBuild:
@@ -123,17 +130,22 @@ class SystemBuild:
     ``machine`` is the composed component encoded over the sorted label
     table of the whole expression: a leaf's states are numbered in sorted
     name order, a composed node's in discovery order from the initial
-    state. ``ways`` maps every composed transition ``(source, input,
-    output, target)`` on those ids to all the ways it can be attributed
-    to leaf steps. ``component`` and ``decompositions`` are the same
-    machine and map with names, decoded on first read.
+    state. A composed node keeps its two built ``parts``, its ``pairs``
+    (each state as the pair of the parts' own state ids) and the ``raw``
+    transitions of the product closure between them. ``ways`` maps every
+    composed transition ``(source, input, output, target)`` on those ids
+    to all the ways it can be attributed to leaf steps; ``component``
+    and ``decompositions`` are the same machine and map with names. All
+    three are derived on first read.
     """
 
     expr: SystemExpr
     leaves: tuple[str, ...]
     reports: tuple[tuple[str, CompositionReport], ...]  # (node path, report)
     machine: _core.EncodedComponent
-    ways: dict[TransitionIds, frozenset[WayIds]]
+    parts: tuple[SystemBuild, SystemBuild] | tuple[()] = ()
+    pairs: list[tuple[int, int]] = field(default_factory=list)
+    raw: list[RawTransition] = field(default_factory=list)
 
     @property
     def inputs(self) -> frozenset[str]:
@@ -148,6 +160,46 @@ class SystemBuild:
         if isinstance(self.expr, Leaf):
             return self.expr.component
         return self.machine.decode()  # every composed state is reachable
+
+    @cached_property
+    def ways(self) -> dict[TransitionIds, frozenset[WayIds]]:
+        """Every composed transition mapped to all its decompositions, on ids."""
+        if not self.parts:  # a leaf: each step is its own single way
+            return {
+                (s, *io, t): frozenset([(io,)])
+                for s, steps in enumerate(self.machine.step_targets)
+                for io, targets in steps.items()
+                for t in _core.bits(targets)
+            }
+        left, right = self.parts
+        left_ways, right_ways = left.ways, right.ways
+        left_silent: WayIds = (None,) * len(left.leaves)
+        right_silent: WayIds = (None,) * len(right.leaves)
+        pairs = self.pairs
+        ways: dict[TransitionIds, frozenset[WayIds]] = {}
+        for (src, i, o, dst, rule, mid) in self.raw:
+            ls, rs = pairs[src]
+            lt, rt = pairs[dst]
+            if rule == _core.LEFT_ONLY:
+                found = [w + right_silent for w in left_ways[(ls, i, o, lt)]]
+            elif rule == _core.RIGHT_ONLY:
+                found = [left_silent + w for w in right_ways[(rs, i, o, rt)]]
+            elif rule == _core.LEFT_FEEDS_RIGHT:
+                found = [
+                    wl + wr
+                    for wl in left_ways[(ls, i, mid, lt)]
+                    for wr in right_ways[(rs, mid, o, rt)]
+                ]
+            else:  # RIGHT_FEEDS_LEFT
+                found = [
+                    wl + wr
+                    for wl in left_ways[(ls, mid, o, lt)]
+                    for wr in right_ways[(rs, i, mid, rt)]
+                ]
+            key = (src, i, o, dst)
+            known = ways.get(key)
+            ways[key] = frozenset(found) if known is None else known.union(found)
+        return ways
 
     @cached_property
     def decompositions(self) -> dict[Transition, frozenset[Decomposition]]:
@@ -218,14 +270,9 @@ def _build(
 
 
 def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -> SystemBuild:
-    """A leaf on integer ids: its encoding, each step its own single way."""
+    """A leaf on integer ids: its encoding."""
     machine = _core.EncodedComponent.of(expr.component, label_names, label_ids)
-    ways: dict[TransitionIds, frozenset[WayIds]] = {}
-    for s, steps in enumerate(machine.step_targets):
-        for io, targets in steps.items():
-            for t in _core.bits(targets):
-                ways[(s, *io, t)] = frozenset([(io,)])
-    return SystemBuild(expr, (expr.name,), (), machine, ways)
+    return SystemBuild(expr, (expr.name,), (), machine)
 
 
 def _compose(
@@ -256,38 +303,10 @@ def _compose(
         taken.add(sname)
         state_names.append(sname)
 
-    left_ways, right_ways = left.ways, right.ways
-    left_silent: WayIds = (None,) * len(left.leaves)
-    right_silent: WayIds = (None,) * len(right.leaves)
-    ways: dict[TransitionIds, frozenset[WayIds]] = {}
-    for (src, i, o, dst, rule, mid) in raw:
-        a, b = pairs[src]
-        c, d = pairs[dst]
-        ls, lt, rs, rt = ids1[a], ids1[c], ids2[b], ids2[d]
-        if rule == _core.LEFT_ONLY:
-            found = [w + right_silent for w in left_ways[(ls, i, o, lt)]]
-        elif rule == _core.RIGHT_ONLY:
-            found = [left_silent + w for w in right_ways[(rs, i, o, rt)]]
-        elif rule == _core.LEFT_FEEDS_RIGHT:
-            found = [
-                wl + wr
-                for wl in left_ways[(ls, i, mid, lt)]
-                for wr in right_ways[(rs, mid, o, rt)]
-            ]
-        else:  # RIGHT_FEEDS_LEFT
-            found = [
-                wl + wr
-                for wl in left_ways[(ls, mid, o, lt)]
-                for wr in right_ways[(rs, i, mid, rt)]
-            ]
-        key = (src, i, o, dst)
-        known = ways.get(key)
-        ways[key] = frozenset(found) if known is None else known.union(found)
-
     step_targets: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
-    for (s, i, o, t) in ways:
-        steps = step_targets[s]
-        steps[(i, o)] = steps.get((i, o), 0) | (1 << t)
+    for (src, i, o, dst, _, _) in raw:
+        steps = step_targets[src]
+        steps[(i, o)] = steps.get((i, o), 0) | (1 << dst)
 
     machine = _core.EncodedComponent(
         f"({enc1.name}*{enc2.name})",
@@ -304,7 +323,9 @@ def _compose(
         leaves=left.leaves + right.leaves,
         reports=left.reports + right.reports + ((node, report),),
         machine=machine,
-        ways=ways,
+        parts=(left, right),
+        pairs=[(ids1[s1], ids2[s2]) for (s1, s2) in pairs],
+        raw=raw,
     )
 
 

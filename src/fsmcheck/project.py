@@ -19,7 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._core import EncodedComponent, bits
+from ._core import (
+    LEFT_FEEDS_RIGHT,
+    LEFT_ONLY,
+    RIGHT_FEEDS_LEFT,
+    RIGHT_ONLY,
+    EncodedComponent,
+    bits,
+)
 from .compose import Leaf, SystemBuild, SystemExpr, build_system_full
 from .errors import NotATraceError, TraceLimitError, UnknownTargetError
 from .machine import Component, Step, Trace, DEFAULT_TRACE_GUARD
@@ -136,15 +143,61 @@ def _relabel(build: SystemBuild, j: int):
     n = len(build.machine.state_names)
     labelled: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     silent: list[set[int]] = [set() for _ in range(n)]
-    for (s, _, _, t), ways in build.ways.items():
-        for way in ways:
-            contributed = way[j]
-            if contributed is None:
-                silent[s].add(t)
-            else:
-                steps = labelled[s]
-                steps[contributed] = steps.get(contributed, 0) | (1 << t)
+    for (s, _, _, t, step) in _parts(build, j):
+        if step is None:
+            silent[s].add(t)
+        else:
+            steps = labelled[s]
+            steps[step] = steps.get(step, 0) | (1 << t)
     return labelled, silent
+
+
+def _parts(build: SystemBuild, j: int):
+    """Leaf ``j``'s part in every transition of ``build``.
+
+    Yields ``(source, input, output, target, step)`` once per transition
+    of the product closure (per step of a leaf) and per distinct step
+    leaf ``j`` may take in it; ``step`` is None where the leaf does not
+    move. The moving side's own part is read off the rule: a side moving
+    alone takes the composed ``(input, output)``, a side feeding the
+    other ``(input, intermediate)``, a side fed by the other
+    ``(intermediate, output)``. A composed side's parts are looked up in
+    a table built from its own transitions, once per call.
+    """
+    if not build.parts:
+        for s, steps in enumerate(build.machine.step_targets):
+            for io, targets in steps.items():
+                for t in bits(targets):
+                    yield s, io[0], io[1], t, io
+        return
+    left, right = build.parts
+    if j < len(left.leaves):
+        side, child, jj = 0, left, j
+        alone, other, feeds = LEFT_ONLY, RIGHT_ONLY, LEFT_FEEDS_RIGHT
+    else:
+        side, child, jj = 1, right, j - len(left.leaves)
+        alone, other, feeds = RIGHT_ONLY, LEFT_ONLY, RIGHT_FEEDS_LEFT
+    table: dict[tuple[int, int, int, int], set] | None = None
+    if child.parts:
+        table = {}
+        for (s, i, o, t, step) in _parts(child, jj):
+            table.setdefault((s, i, o, t), set()).add(step)
+    pairs = build.pairs
+    for (src, i, o, dst, rule, mid) in build.raw:
+        if rule == other:
+            yield src, i, o, dst, None
+            continue
+        if rule == alone:
+            io = (i, o)
+        elif rule == feeds:
+            io = (i, mid)
+        else:  # fed by the other side
+            io = (mid, o)
+        if table is None:
+            yield src, i, o, dst, io
+        else:
+            for step in table[(pairs[src][side], *io, pairs[dst][side])]:
+                yield src, i, o, dst, step
 
 
 def _closed_steps(labelled, silent) -> list[dict[tuple[int, int], int]]:
@@ -208,18 +261,6 @@ def _closed_steps(labelled, silent) -> list[dict[tuple[int, int], int]]:
     return closed
 
 
-def _silent_closure(states, silent: list[set[int]]) -> frozenset[int]:
-    seen = set(states)
-    stack = list(seen)
-    while stack:
-        s = stack.pop()
-        for t in silent[s]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return frozenset(seen)
-
-
 def component_in_context(
     system: SystemExpr | SystemBuild, target: str, relax: bool = False
 ) -> ContextComponent:
@@ -263,6 +304,18 @@ def _encoded_in_context(build: SystemBuild, target: str) -> EncodedComponent:
     )
 
 
+def _silent_closure(states, silent: list[set[int]]) -> frozenset[int]:
+    seen = set(states)
+    stack = list(seen)
+    while stack:
+        s = stack.pop()
+        for t in silent[s]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return frozenset(seen)
+
+
 def component_in_context_tree(
     system: SystemExpr | SystemBuild,
     target: str,
@@ -282,7 +335,17 @@ def component_in_context_tree(
     build = _as_build(system, relax)
     j = _leaf_index(build, target)
     leaf = build.leaf_component(target)
-    labelled, silent = _relabel(build, j)
+    # relabelled from the joint decomposition table, not by ``_relabel``,
+    # so that the oracle shares no code with the construction it checks
+    n = len(build.machine.state_names)
+    labelled: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    silent: list[set[int]] = [set() for _ in range(n)]
+    for (s, _, _, t), ways in build.ways.items():
+        for way in ways:
+            if way[j] is None:
+                silent[s].add(t)
+            else:
+                labelled[s][way[j]] = labelled[s].get(way[j], 0) | (1 << t)
     labels = build.machine.label_names
 
     initial_set = _silent_closure([build.machine.initial], silent)

@@ -227,8 +227,22 @@ def naive_component_in_context(build, target: str) -> Component:
     """
     labelled, silent = naive_context_edges(build, target)
     composed = build.component
+    return _closed_context(
+        labelled,
+        silent,
+        composed.states,
+        composed.initial,
+        f"{composed.name}.at.{target}",
+        build.leaf_component(target),
+    )
+
+
+def _closed_context(labelled, silent, states, initial, name, leaf) -> Component:
+    """Every state gets the steps of every state it reaches silently, by
+    depth-first search from that state alone; the part reachable from
+    ``initial`` over the leaf's alphabets."""
     merged: dict[str, dict[Step, set[str]]] = {}
-    for s in composed.states:
+    for s in states:
         closure = {s}
         stack = [s]
         while stack:
@@ -242,8 +256,8 @@ def naive_component_in_context(build, target: str) -> Component:
                 steps.setdefault(stp, set()).update(targets)
         merged[s] = steps
 
-    reachable = {composed.initial}
-    stack = [composed.initial]
+    reachable = {initial}
+    stack = [initial]
     transitions = []
     while stack:
         s = stack.pop()
@@ -253,10 +267,9 @@ def naive_component_in_context(build, target: str) -> Component:
                 if t not in reachable:
                     reachable.add(t)
                     stack.append(t)
-    leaf = build.leaf_component(target)
     return Component.build(
-        f"{composed.name}.at.{target}",
-        composed.initial,
+        name,
+        initial,
         transitions,
         inputs=leaf.inputs,
         outputs=leaf.outputs,
@@ -407,3 +420,42 @@ def vector_projections(expr: SystemExpr, tr: Trace, target: str) -> frozenset[Tr
         if not frontier:
             return frozenset()
     return frozenset(p for (_, p) in frontier)
+
+
+def vector_component_in_context(expr: SystemExpr, target: str) -> Component:
+    """The projection of a system on one leaf, by leaf-vector simulation.
+
+    The composed states are the reachable leaf-state vectors, and each
+    composed step is relabelled by the move the target makes in it, or
+    is silent when the target does not move. No build is involved.
+    """
+    leaves = _leaves(expr)
+    j = [leaf.name for leaf in leaves].index(target)
+
+    def name(vector) -> str:
+        return "(" + ",".join(vector) + ")"
+
+    start = vector_initial(expr)
+    labelled: dict[str, dict[Step, set[str]]] = {}
+    silent: dict[str, set[str]] = {}
+    seen = {start}
+    stack = [start]
+    while stack:
+        vector = stack.pop()
+        for (_, _, nxt, moves) in vector_steps(expr, vector):
+            move = moves.get(j)
+            if move is None:
+                silent.setdefault(name(vector), set()).add(name(nxt))
+            else:
+                labelled.setdefault(name(vector), {}).setdefault(move, set()).add(name(nxt))
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return _closed_context(
+        labelled,
+        silent,
+        [name(v) for v in seen],
+        name(start),
+        f"vector.at.{target}",
+        leaves[j].component,
+    )

@@ -291,6 +291,67 @@ class TestCompositional:
         )
         assert code == 2
 
+    def test_relax_by_parts_exits_two(self, capsys):
+        # by parts composes nothing, so there is nothing to relax
+        quadruple = (
+            COFFEE / "iut_money.fsm", COFFEE / "spec_money.fsm",
+            COFFEE / "drink.fsm", COFFEE / "drink.fsm",
+        )
+        assert run("compositional", "--theorem", "1", "--relax", *quadruple) == (2, "")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--relax requires --theorem 2" in captured.err
+        assert run("compositional", "--theorem", "2", "--relax", *quadruple)[0] == 1
+
+
+class TestGuard:
+    """``--guard`` is accepted only where a bounded enumeration reads it."""
+
+    def test_commands_without_an_enumeration_refuse_it(self, tmp_path, capsys):
+        out = tmp_path / "out.fsm"
+        drink, money = COFFEE / "drink.fsm", COFFEE / "spec_money.fsm"
+        for argv in (
+            ("validate", drink),
+            ("compose", "(par M D)", money, drink, "-o", out),
+            ("compositional", "--theorem", "2", money, money, drink, drink),
+        ):
+            err = rejected_at_parsing(capsys, *argv, "--guard", "0")
+            assert "unrecognized arguments: --guard" in err
+        assert not out.exists()
+
+    def test_exact_check_exits_two(self, capsys):
+        right = RELAY / "right.fsm"
+        for method in ((), ("--method", "exact")):
+            assert run("check", *method, "--guard", "0", right, right) == (2, "")
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--guard requires --method bounded" in captured.err
+
+    def test_project_without_oracle_depth_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "proj.fsm"
+        code = run(
+            "project", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
+            "--target", "M", "-o", out, "--guard", "5",
+        )
+        assert code == (2, "")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--guard requires --oracle-depth" in captured.err
+        assert not out.exists()
+
+    def test_bounded_enumerations_read_it(self, tmp_path, capsys):
+        drink = COFFEE / "drink.fsm"
+        # a bounded check never reports a pass: inconclusive when nothing fails
+        assert run("check", "--method", "bounded", "-k", "3", "--guard", "100", drink, drink)[0] == 3
+        assert run("check", "--method", "bounded", "-k", "3", "--guard", "1", drink, drink)[0] == 2
+        out = tmp_path / "proj.fsm"
+        project = (
+            "project", "(par M D)", COFFEE / "spec_money_revised.fsm", drink,
+            "--target", "M", "-o", out, "--oracle-depth", "4",
+        )
+        assert run(*project, "--guard", "1000")[0] == 0
+        assert run(*project, "--guard", "1")[0] == 2
+
 
 def test_byte_identical_json_between_runs(tmp_path, capsys):
     args = ("check", "--json", COFFEE / "iut_money.fsm", COFFEE / "spec_money.fsm")

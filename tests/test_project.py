@@ -26,10 +26,18 @@ from fsmcheck.fixtures import (
     coffee_spec_money,
     coffee_spec_money_revised,
 )
-from fsmcheck.compose import composed_alphabets
+from fsmcheck.compose import composed_alphabets, subcomponents
+from fsmcheck._core import bits
+from fsmcheck.machine import Step
+from fsmcheck.project import _encoded_in_context, _relabel
 from fsmcheck.randgen import random_component, random_composable_pair
 
-from oracles import naive_component_in_context, naive_context_edges, vector_projections
+from oracles import (
+    naive_component_in_context,
+    naive_context_edges,
+    vector_component_in_context,
+    vector_projections,
+)
 
 
 def feeding_expr():
@@ -139,6 +147,31 @@ def random_three_leaf_system(rng):
     return Par(pair, Leaf("C", c)) if rng.random() < 0.5 else Par(Leaf("C", c), pair)
 
 
+def random_four_leaf_system(rng, shape: str):
+    """A random pair, a third leaf wired to it as in the three-leaf systems
+    and a fourth that feeds the third and reads its answer, nested
+    ``balanced``, ``left-deep`` or ``right-deep``."""
+    dense = (0.6, 0.95)  # sparser leaves rarely get past the nested nodes
+    a, b = random_composable_pair(rng, names=("A", "B"), n_states=(2, 3), density=dense)
+    inputs, outputs = composed_alphabets(a, b)
+    c = random_component(
+        rng, "C", [sorted(outputs)[-1], "e0"], ["f0", sorted(inputs)[-1]],
+        n_states=(2, 3), density=dense,
+    )
+    d = random_component(rng, "D", ["f0", "e1"], ["e0", "z1"], n_states=(2, 3), density=dense)
+    A, B, C, D = (Leaf(n, x) for n, x in zip("ABCD", (a, b, c, d)))
+    if shape == "balanced":
+        return Par(Par(A, B), Par(C, D))
+    if shape == "left-deep":
+        return Par(Par(Par(A, B), C), D)
+    return Par(D, Par(C, Par(A, B)))
+
+
+def build_nodes(build):
+    """A build and every build it was composed from."""
+    return [build] + [node for part in build.parts for node in build_nodes(part)]
+
+
 def has_silent_cycle(build, target) -> bool:
     """Can some composed state return to itself while ``target`` stays put?"""
     _, silent = naive_context_edges(build, target)
@@ -172,6 +205,56 @@ class TestComponentInContext:
                 )
                 with_cycles += has_silent_cycle(build, target)
         assert with_cycles >= 30
+
+    def test_four_leaf_systems_of_every_shape(self):
+        # the target's steps are looked up in a composed part's own
+        # transitions, one or two levels down
+        rng = random.Random(139)
+        through_composed = 0
+        for n in range(30):
+            expr = random_four_leaf_system(rng, ("balanced", "left-deep", "right-deep")[n % 3])
+            build = build_system_full(expr, relax=True)
+            for target in build.leaves:
+                finite = component_in_context(build, target).component
+                assert finite == naive_component_in_context(build, target)
+                assert traces_up_to(finite, 4) == traces_up_to(
+                    vector_component_in_context(expr, target), 4
+                )
+                part = expr.left if target in subcomponents(expr.left) else expr.right
+                through_composed += isinstance(part, Par) and bool(finite.transitions)
+        assert through_composed >= 20
+
+    def test_certification_path_leaves_the_decomposition_table_unbuilt(self):
+        rng = random.Random(151)
+        for n in range(20):
+            if n % 2:
+                expr = random_three_leaf_system(rng)
+            else:
+                c1, c2 = random_composable_pair(rng, names=("L", "R"), n_states=(2, 4))
+                expr = Par(Leaf("L", c1), Leaf("R", c2))
+            build = build_system_full(expr, relax=True)
+            relabelled = {}
+            for j, target in enumerate(build.leaves):
+                _encoded_in_context(build, target)
+                relabelled[target] = _relabel(build, j)
+            for node in build_nodes(build):
+                assert "ways" not in vars(node)
+                assert "decompositions" not in vars(node)
+
+            fresh = build_system_full(expr, relax=True)
+            assert build.decompositions == fresh.decompositions
+            names, labels = build.machine.state_names, build.machine.label_names
+            for target, (labelled, silent) in relabelled.items():
+                steps = {
+                    names[s]: {
+                        Step(labels[i], labels[o]): {names[t] for t in bits(mask)}
+                        for (i, o), mask in by_step.items()
+                    }
+                    for s, by_step in enumerate(labelled)
+                    if by_step
+                }
+                quiet = {names[s]: {names[t] for t in ts} for s, ts in enumerate(silent) if ts}
+                assert (steps, quiet) == naive_context_edges(build, target)
 
     def test_single_leaf_is_identity(self):
         c = Component.build("c", "s0", [("s0", "a", "x", "s0")])
