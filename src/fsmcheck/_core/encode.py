@@ -8,6 +8,7 @@ are bitmask integers.
 
 from __future__ import annotations
 
+from ..errors import InvalidComponentError
 from ..machine import Component, Transition
 
 
@@ -54,22 +55,33 @@ class EncodedComponent:
 
     @classmethod
     def of(cls, c: Component, label_names: list[str], label_ids: dict[str, int]):
-        """Encode ``c`` over the given label table, states in sorted name order."""
+        """Encode ``c`` over the given label table, states in sorted name order.
+
+        Raises ``InvalidComponentError`` when the initial state or a
+        transition falls outside the component's own declared states,
+        inputs or outputs.
+        """
         state_names = sorted(c.states)
         state_ids = {s: n for n, s in enumerate(state_names)}
+        input_ids = {x: label_ids[x] for x in c.inputs}
+        output_ids = {x: label_ids[x] for x in c.outputs}
         step_targets: list[dict[tuple[int, int], int]] = [{} for _ in state_names]
-        for t in c.transitions:
-            steps = step_targets[state_ids[t.source]]
-            io = (label_ids[t.input], label_ids[t.output])
-            steps[io] = steps.get(io, 0) | (1 << state_ids[t.target])
+        try:
+            for t in c.transitions:
+                steps = step_targets[state_ids[t.source]]
+                io = (input_ids[t.input], output_ids[t.output])
+                steps[io] = steps.get(io, 0) | (1 << state_ids[t.target])
+            initial = state_ids[c.initial]
+        except KeyError:
+            raise InvalidComponentError(_undeclared(c)) from None
         return cls(
             c.name,
             state_names,
-            state_ids[c.initial],
+            initial,
             label_names,
             label_ids,
-            frozenset(label_ids[x] for x in c.inputs),
-            frozenset(label_ids[x] for x in c.outputs),
+            frozenset(input_ids.values()),
+            frozenset(output_ids.values()),
             step_targets,
         )
 
@@ -130,6 +142,21 @@ class EncodedComponent:
             outputs=frozenset(labels[x] for x in self.output_ids),
             transitions=frozenset(transitions),
         )
+
+
+def _undeclared(c: Component) -> str:
+    """What the first of ``c``'s transitions in sorted order, or its
+    initial state, uses without declaring it."""
+    where = f"component '{c.name}'"
+    for t in c.sorted_transitions():
+        for state in (t.source, t.target):
+            if state not in c.states:
+                return f"{where}: transition {t} uses undeclared state '{state}'"
+        if t.input not in c.inputs:
+            return f"{where}: transition {t} uses input '{t.input}' not in its input alphabet"
+        if t.output not in c.outputs:
+            return f"{where}: transition {t} uses output '{t.output}' not in its output alphabet"
+    return f"{where}: initial state '{c.initial}' is not declared"
 
 
 def label_table(*components: Component) -> tuple[list[str], dict[str, int]]:

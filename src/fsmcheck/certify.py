@@ -37,7 +37,7 @@ from .compose import (
 from .conform import Counterexample, Verdict, _check_against_projection, check_cioco_exact
 from .errors import ShapeMismatchError, SignatureMismatchError
 from .machine import Component, Trace, is_input_enabled, out_after
-from .project import _encoded_in_context, component_in_context, project_trace
+from .project import _encoded_projections, component_in_context, project_trace
 
 SOUND_PASS = "sound-pass"
 SOUND_FAIL = "sound-fail"
@@ -182,10 +182,11 @@ def certify_in_context(
     if not root_report.synchronizable:
         notes.append("pair cannot synchronize in both directions; composed with relax")
 
-    locals_ = {}
-    for name, iut in ((n1, iut1), (n2, iut2)):
-        projection = _encoded_in_context(build, name)
-        locals_[name] = _check_against_projection(iut, projection)
+    projections = _encoded_projections(build)
+    locals_ = {
+        name: _check_against_projection(iut, projection)
+        for name, iut, projection in zip(build.leaves, (iut1, iut2), projections)
+    }
 
     conclusion = _conclude(assumptions, locals_)
     if conclusion == NOT_APPLICABLE:

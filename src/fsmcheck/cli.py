@@ -41,6 +41,7 @@ from .formats import (
 )
 from .machine import (
     DEFAULT_TRACE_GUARD,
+    Component,
     format_trace,
     is_input_enabled,
     sorted_traces,
@@ -174,6 +175,20 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+def _save(c: Component, out: str, dot: str | None) -> None:
+    """Write ``c`` to ``out`` and, when ``dot`` is given, its Graphviz
+    rendering there; a path that cannot be written is a usage error."""
+    path = out
+    try:
+        save_component(c, out)
+        if dot:
+            path = dot
+            with open(dot, "w", encoding="utf-8") as fh:
+                fh.write(to_dot(c))
+    except OSError as exc:
+        raise FsmCheckError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def cmd_validate(args) -> int:
     all_ok = True
     results = []
@@ -207,10 +222,7 @@ def cmd_compose(args) -> int:
     components = _load_named(args.paths)
     expr = parse_system_expr(args.expr, components)
     build = build_system_full(expr, relax=args.relax)
-    save_component(build.component, args.out)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(build.component))
+    _save(build.component, args.out, args.dot)
     payload = {
         "component": component_to_dict(build.component),
         "reports": [{"node": path, **rep.to_dict()} for path, rep in build.reports],
@@ -290,10 +302,7 @@ def cmd_project(args) -> int:
     expr = parse_system_expr(args.expr, components)
     build = build_system_full(expr, relax=args.relax)
     ctx = component_in_context(build, args.target)
-    save_component(ctx.component, args.out)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(ctx.component))
+    _save(ctx.component, args.out, args.dot)
     payload = {
         "component": component_to_dict(ctx.component),
         "provenance": ctx.provenance,

@@ -9,7 +9,8 @@ Only the reachable part of the state product is materialized. A system
 expression is built on integer ids over one label table for the whole
 expression. Every composed node keeps its children and the
 rule-tagged transitions of the product closure, from which projection
-reads each leaf's part. The table of all the ways each composed
+reads every leaf's part and the node's step map is derived on first
+read. The table of all the ways each composed
 transition decomposes into leaf steps, hidden intermediates included,
 is derived from them on first read, and names are decoded only when
 read.
@@ -132,7 +133,8 @@ class SystemBuild:
     name order, a composed node's in discovery order from the initial
     state. A composed node keeps its two built ``parts``, its ``pairs``
     (each state as the pair of the parts' own state ids) and the ``raw``
-    transitions of the product closure between them. ``ways`` maps every
+    transitions of the product closure between them; its machine derives
+    its step map from ``raw`` on first read. ``ways`` maps every
     composed transition ``(source, input, output, target)`` on those ids
     to all the ways it can be attributed to leaf steps; ``component``
     and ``decompositions`` are the same machine and map with names. All
@@ -275,6 +277,33 @@ def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -
     return SystemBuild(expr, (expr.name,), (), machine)
 
 
+class _ComposedMachine(_core.EncodedComponent):
+    """A composed node's machine, its step map derived on first read.
+
+    Certification reads the transitions of the product closure, not the
+    root's step map: only decoding and the next composition up read it.
+    """
+
+    __slots__ = ("raw",)
+
+    def __init__(self, name, state_names, initial, label_names, label_ids,
+                 input_ids, output_ids, raw: list[RawTransition]):
+        super().__init__(name, state_names, initial, label_names, label_ids,
+                         input_ids, output_ids, None)
+        del self.step_targets  # unset, so that the first read reaches __getattr__
+        self.raw = raw
+
+    def __getattr__(self, name: str):
+        if name != "step_targets":
+            raise AttributeError(name)
+        step_targets: list[dict[tuple[int, int], int]] = [{} for _ in self.state_names]
+        for (src, i, o, dst, _, _) in self.raw:
+            steps = step_targets[src]
+            steps[(i, o)] = steps.get((i, o), 0) | (1 << dst)
+        self.step_targets = step_targets
+        return step_targets
+
+
 def _compose(
     expr: Par, left: SystemBuild, right: SystemBuild, relax: bool, node: str
 ) -> SystemBuild:
@@ -303,12 +332,7 @@ def _compose(
         taken.add(sname)
         state_names.append(sname)
 
-    step_targets: list[dict[tuple[int, int], int]] = [{} for _ in pairs]
-    for (src, i, o, dst, _, _) in raw:
-        steps = step_targets[src]
-        steps[(i, o)] = steps.get((i, o), 0) | (1 << dst)
-
-    machine = _core.EncodedComponent(
+    machine = _ComposedMachine(
         f"({enc1.name}*{enc2.name})",
         state_names,
         0,
@@ -316,7 +340,7 @@ def _compose(
         label_ids,
         frozenset(label_ids[x] for x in inputs),
         frozenset(label_ids[x] for x in outputs),
-        step_targets,
+        raw,
     )
     return SystemBuild(
         expr=expr,

@@ -59,6 +59,11 @@ class ShapeMismatchError(FsmCheckError):
     """Two system expressions do not have matching leaf sets."""
 
 
+class InvalidComponentError(FsmCheckError):
+    """A component's initial state or a transition is outside its declared
+    states or alphabets, so it cannot be checked or composed."""
+
+
 class ParseError(FsmCheckError):
     """A component file or system expression could not be parsed."""
 

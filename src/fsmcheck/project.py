@@ -18,11 +18,11 @@ histories. The tree is the oracle for the finite construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from ._core import (
     LEFT_FEEDS_RIGHT,
     LEFT_ONLY,
-    RIGHT_FEEDS_LEFT,
     RIGHT_ONLY,
     EncodedComponent,
     bits,
@@ -133,71 +133,118 @@ def paired_projections(
     return frozenset(projs for (_, projs) in frontier)
 
 
-def _relabel(build: SystemBuild, j: int):
-    """Split composed transitions into steps of leaf ``j`` and silent edges.
+def _relabel(build: SystemBuild):
+    """Split composed transitions into every leaf's steps and silent edges.
 
-    Per composed state: the leaf's (input, output) steps mapped to the
-    bitmask of their targets, and the targets reached without the leaf
-    moving.
+    Returns, aligned with ``build.leaves``, ``(leaf, order, labelled,
+    silent)`` per leaf, ``leaf`` being its build. ``order`` lists the
+    composed states by the leaf's own state, ties by composed id, and
+    numbers the other two. Per state so numbered, ``labelled`` maps the
+    leaf's (input, output) steps to the bitmask of their targets and
+    ``silent`` lists the targets reached without the leaf moving. A
+    silent step leaves the leaf's state as it is, so every silent
+    closure stays within one run of equal leaf states.
     """
     n = len(build.machine.state_names)
-    labelled: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-    silent: list[set[int]] = [set() for _ in range(n)]
-    for (s, _, _, t, step) in _parts(build, j):
-        if step is None:
-            silent[s].add(t)
-        else:
-            steps = labelled[s]
-            steps[step] = steps.get(step, 0) | (1 << t)
-    return labelled, silent
+    raw = build.raw
+    relabelled = []
+    for (leaf, states), (column, extra) in zip(_leaf_states(build), _leaf_parts(build)):
+        order = sorted(range(n), key=states.__getitem__)
+        mask = [0] * n
+        rank = [0] * n
+        for r, s in enumerate(order):
+            mask[s] = 1 << r
+            rank[s] = r
+        labelled: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+        silent: list[list[int]] = [[] for _ in range(n)]
+        for (src, _, _, dst, _, _), step in chain(zip(raw, column), extra):
+            if step is None:
+                silent[src].append(rank[dst])
+            else:
+                steps = labelled[src]
+                steps[step] = steps.get(step, 0) | mask[dst]
+        relabelled.append(
+            (leaf, order, [labelled[s] for s in order], [silent[s] for s in order])
+        )
+    return relabelled
 
 
-def _parts(build: SystemBuild, j: int):
-    """Leaf ``j``'s part in every transition of ``build``.
-
-    Yields ``(source, input, output, target, step)`` once per transition
-    of the product closure (per step of a leaf) and per distinct step
-    leaf ``j`` may take in it; ``step`` is None where the leaf does not
-    move. The moving side's own part is read off the rule: a side moving
-    alone takes the composed ``(input, output)``, a side feeding the
-    other ``(input, intermediate)``, a side fed by the other
-    ``(intermediate, output)``. A composed side's parts are looked up in
-    a table built from its own transitions, once per call.
-    """
+def _leaf_states(build: SystemBuild) -> list[tuple[SystemBuild, list[int]]]:
+    """Each leaf's build with the leaf's own state in every state of ``build``."""
     if not build.parts:
-        for s, steps in enumerate(build.machine.step_targets):
-            for io, targets in steps.items():
-                for t in bits(targets):
-                    yield s, io[0], io[1], t, io
-        return
+        return [(build, list(range(len(build.machine.state_names))))]
     left, right = build.parts
-    if j < len(left.leaves):
-        side, child, jj = 0, left, j
-        alone, other, feeds = LEFT_ONLY, RIGHT_ONLY, LEFT_FEEDS_RIGHT
-    else:
-        side, child, jj = 1, right, j - len(left.leaves)
-        alone, other, feeds = RIGHT_ONLY, LEFT_ONLY, RIGHT_FEEDS_LEFT
-    table: dict[tuple[int, int, int, int], set] | None = None
-    if child.parts:
-        table = {}
-        for (s, i, o, t, step) in _parts(child, jj):
-            table.setdefault((s, i, o, t), set()).add(step)
     pairs = build.pairs
-    for (src, i, o, dst, rule, mid) in build.raw:
-        if rule == other:
-            yield src, i, o, dst, None
-            continue
-        if rule == alone:
-            io = (i, o)
-        elif rule == feeds:
-            io = (i, mid)
-        else:  # fed by the other side
-            io = (mid, o)
-        if table is None:
-            yield src, i, o, dst, io
+    return [
+        (leaf, [states[ls] for (ls, _) in pairs]) for leaf, states in _leaf_states(left)
+    ] + [
+        (leaf, [states[rs] for (_, rs) in pairs]) for leaf, states in _leaf_states(right)
+    ]
+
+
+def _leaf_parts(build: SystemBuild):
+    """Every leaf's part in every transition of a composed ``build``.
+
+    Returns ``(column, extra)`` per leaf, aligned with ``build.leaves``:
+    ``column[k]`` is a step the leaf takes in ``build.raw[k]``, None where
+    it does not move, and ``extra`` lists ``(transition, step)`` for every
+    further step it may take in one transition. One pass over the
+    transitions reads each side's part off the rule: a side moving alone
+    takes the composed ``(input, output)``, a side feeding the other
+    ``(input, intermediate)``, a side fed by the other ``(intermediate,
+    output)``. A composed side's part is then split among its leaves.
+    """
+    left, right = build.parts
+    left_steps: list[tuple[int, int] | None] = []
+    right_steps: list[tuple[int, int] | None] = []
+    add_left, add_right = left_steps.append, right_steps.append
+    for (_, i, o, _, rule, mid) in build.raw:
+        if rule == LEFT_ONLY:
+            add_left((i, o))
+            add_right(None)
+        elif rule == RIGHT_ONLY:
+            add_left(None)
+            add_right((i, o))
+        elif rule == LEFT_FEEDS_RIGHT:
+            add_left((i, mid))
+            add_right((mid, o))
+        else:  # RIGHT_FEEDS_LEFT
+            add_left((mid, o))
+            add_right((i, mid))
+    return _split(build, 0, left_steps) + _split(build, 1, right_steps)
+
+
+def _split(build: SystemBuild, side: int, steps: list):
+    """``_leaf_parts`` of the leaves of ``build.parts[side]``.
+
+    ``steps`` holds the side's step in each transition of ``build``. A
+    composed side's steps are looked up in one table built from its own
+    transitions: every step each of its leaves may take in them.
+    """
+    part = build.parts[side]
+    if not part.parts:
+        return [(steps, [])]
+    table: dict[tuple[int, int, int, int], list[set]] = {}
+    for j, (column, extra) in enumerate(_leaf_parts(part)):
+        for (s, i, o, t, _, _), step in chain(zip(part.raw, column), extra):
+            per_leaf = table.get((s, i, o, t))
+            if per_leaf is None:
+                per_leaf = table[(s, i, o, t)] = [set() for _ in part.leaves]
+            per_leaf[j].add(step)
+    quiet = [(None,)] * len(part.leaves)
+    split = [([], []) for _ in part.leaves]
+    pairs = build.pairs
+    for transition, step in zip(build.raw, steps):
+        if step is None:
+            per_leaf = quiet
         else:
-            for step in table[(pairs[src][side], *io, pairs[dst][side])]:
-                yield src, i, o, dst, step
+            src, _, _, dst, _, _ = transition
+            per_leaf = table[(pairs[src][side], *step, pairs[dst][side])]
+        for (column, extra), taken in zip(split, per_leaf):
+            first, *more = taken
+            column.append(first)
+            extra.extend((transition, x) for x in more)
+    return split
 
 
 def _closed_steps(labelled, silent) -> list[dict[tuple[int, int], int]]:
@@ -247,10 +294,11 @@ def _closed_steps(labelled, silent) -> list[dict[tuple[int, int], int]]:
                 if len(members) == 1 and not silent[v]:
                     closed[v] = labelled[v]
                     continue
-                merged: dict[tuple[int, int], int] = {}
+                merged = dict(labelled[v])
                 for m in members:
-                    for step, targets in labelled[m].items():
-                        merged[step] = merged.get(step, 0) | targets
+                    if m != v:
+                        for step, targets in labelled[m].items():
+                            merged[step] = merged.get(step, 0) | targets
                     for w in silent[m]:
                         below = closed[w]
                         if below is not None:
@@ -276,32 +324,35 @@ def component_in_context(
         if build.expr.name != target:
             raise UnknownTargetError(f"'{target}' is not a leaf of the expression")
         return ContextComponent(build.expr.component, "finite")
-    return ContextComponent(_encoded_in_context(build, target).decode(), "finite")
-
-
-def _encoded_in_context(build: SystemBuild, target: str) -> EncodedComponent:
-    """``component_in_context`` of a composed build, on the build's ids.
-
-    Its steps are the per-state ``{(input, output): target mask}`` maps
-    the subset-pair search reads, so certification checks against it
-    without decoding.
-    """
     j = _leaf_index(build, target)
-    leaf = build.leaf_component(target)
-    # forward closure: anything reachable silently can act on our behalf
-    steps = _closed_steps(*_relabel(build, j))
+    return ContextComponent(_encoded_projections(build)[j].decode(), "finite")
+
+
+def _encoded_projections(build: SystemBuild) -> list[EncodedComponent]:
+    """``component_in_context`` of a composed build onto every leaf, on ids.
+
+    Aligned with ``build.leaves``. Each projection keeps the build's
+    labels and states, the states numbered by the leaf's own state (see
+    ``_relabel``). Its steps are the per-state ``{(input, output): target
+    mask}`` maps the subset-pair search reads, so certification checks
+    against it without decoding.
+    """
     m = build.machine
-    ids = m.label_ids
-    return EncodedComponent(
-        f"{m.name}.at.{target}",
-        m.state_names,
-        m.initial,
-        m.label_names,
-        ids,
-        frozenset(ids[x] for x in leaf.inputs),
-        frozenset(ids[x] for x in leaf.outputs),
-        steps,
-    )
+    names = m.state_names
+    projections = []
+    for leaf, order, labelled, silent in _relabel(build):
+        projections.append(EncodedComponent(
+            f"{m.name}.at.{leaf.leaves[0]}",
+            [names[s] for s in order],
+            order.index(m.initial),
+            m.label_names,
+            m.label_ids,
+            leaf.machine.input_ids,
+            leaf.machine.output_ids,
+            # forward closure: anything reachable silently can act on our behalf
+            _closed_steps(labelled, silent),
+        ))
+    return projections
 
 
 def _silent_closure(states, silent: list[set[int]]) -> frozenset[int]:

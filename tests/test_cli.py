@@ -304,6 +304,76 @@ class TestCompositional:
         assert run("compositional", "--theorem", "2", "--relax", *quadruple)[0] == 1
 
 
+#: One component A over the alphabets of fixtures/relay/spec_left.fsm,
+#: broken three ways. ``i2`` is declared by relay/right.fsm (component
+#: B), so in a composition with B only A's own alphabet rules it out.
+INVALID_COMPONENTS = {
+    "undeclared state": (
+        "initial a0\ntrans a0 i1|m a9\n",
+        "transition a0 -i1|m-> a9 uses undeclared state 'a9'",
+    ),
+    "label of another leaf": (
+        "initial a0\ntrans a0 i1|m a1\ntrans a1 i2|o5 a0\n",
+        "transition a1 -i2|o5-> a0 uses input 'i2' not in its input alphabet",
+    ),
+    "undeclared initial": (
+        "initial a7\ntrans a0 i1|m a1\n",
+        "initial state 'a7' is not declared",
+    ),
+}
+
+
+class TestInvalidComponent:
+    @pytest.fixture(params=sorted(INVALID_COMPONENTS))
+    def invalid(self, request, tmp_path):
+        body, message = INVALID_COMPONENTS[request.param]
+        path = tmp_path / "bad.fsm"
+        path.write_text("component A\nstates a0 a1\ninputs i1 x\noutputs m o5\n" + body)
+        return path, f"error: component 'A': {message}"
+
+    @pytest.mark.parametrize("command", ["check", "compose", "project", "compositional"])
+    def test_exits_two_naming_the_component(self, invalid, command, tmp_path, capsys):
+        bad, message = invalid
+        out = tmp_path / "out.fsm"
+        argv = {
+            "check": ["check", bad, bad],
+            "compose": ["compose", "--relax", "(par A B)", bad, RELAY / "right.fsm", "-o", out],
+            "project": ["project", "--relax", "(par A B)", bad, RELAY / "right.fsm",
+                        "--target", "B", "-o", out],
+            "compositional": ["compositional", "--theorem", "2",
+                              bad, bad, RELAY / "right.fsm", RELAY / "right.fsm"],
+        }[command]
+        assert main([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_validate_and_traces_still_read_it(self, invalid, capsys):
+        bad, _ = invalid
+        assert run("validate", bad)[0] == 1
+        assert "INVALID" in capsys.readouterr().out
+        assert run("traces", "-k", "2", bad)[0] == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("option", ["-o", "--dot"])
+    @pytest.mark.parametrize("command", ["compose", "project"])
+    def test_missing_directory_exits_two(self, command, option, tmp_path, capsys):
+        missing = tmp_path / "no" / "such" / "out.fsm"
+        written = tmp_path / "out.fsm"
+        out, dot = (missing, written) if option == "-o" else (written, missing)
+        argv = [command, "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
+                "-o", out, "--dot", dot]
+        if command == "project":
+            argv += ["--target", "M"]
+        assert main([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {missing}: No such file or directory\n"
+        assert captured.out == ""
+
+
 class TestGuard:
     """``--guard`` is accepted only where a bounded enumeration reads it."""
 

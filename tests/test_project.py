@@ -27,10 +27,11 @@ from fsmcheck.fixtures import (
     coffee_spec_money_revised,
 )
 from fsmcheck.compose import composed_alphabets, subcomponents
-from fsmcheck._core import bits
+from fsmcheck.conform import _exact_verdict
+from fsmcheck._core import EncodedComponent, bits, encode_pair
 from fsmcheck.machine import Step
-from fsmcheck.project import _encoded_in_context, _relabel
-from fsmcheck.randgen import random_component, random_composable_pair
+from fsmcheck.project import _encoded_projections, _relabel
+from fsmcheck.randgen import mutate, prune, random_component, random_composable_pair
 
 from oracles import (
     naive_component_in_context,
@@ -172,6 +173,29 @@ def build_nodes(build):
     return [build] + [node for part in build.parts for node in build_nodes(part)]
 
 
+def step_map_built(machine) -> bool:
+    """Has the composed machine's step map been built? Reads the slot
+    without the first read that would build it."""
+    try:
+        EncodedComponent.step_targets.__get__(machine)
+    except AttributeError:
+        return False
+    return True
+
+
+def leaf_state_names(build):
+    """Per leaf, the name of its own state in each composed state, found
+    through the pairs of every node."""
+    if not build.parts:
+        return [build.machine.state_names]
+    left, right = build.parts
+    return [
+        [states[ls] for (ls, _) in build.pairs] for states in leaf_state_names(left)
+    ] + [
+        [states[rs] for (_, rs) in build.pairs] for states in leaf_state_names(right)
+    ]
+
+
 def has_silent_cycle(build, target) -> bool:
     """Can some composed state return to itself while ``target`` stays put?"""
     _, silent = naive_context_edges(build, target)
@@ -224,36 +248,80 @@ class TestComponentInContext:
                 through_composed += isinstance(part, Par) and bool(finite.transitions)
         assert through_composed >= 20
 
+    def test_nested_part_with_several_intermediates(self):
+        # one transition of the inner pair, (s0,t0) -a|y-> (s1,t1), passes
+        # through m1 or m2; read from the outer node, both leaf steps count
+        c1 = Component.build(
+            "C1", "s0", [("s0", "a", "m1", "s1"), ("s0", "a", "m2", "s1"),
+                         ("s1", "w", "q", "s0")],
+        )
+        c2 = Component.build(
+            "C2", "t0", [("t0", "m1", "y", "t1"), ("t0", "m2", "y", "t1"),
+                         ("t1", "b", "w", "t0")],
+        )
+        c3 = Component.build("C3", "u0", [("u0", "c", "z", "u0")])
+        for expr in (
+            Par(Par(Leaf("C1", c1), Leaf("C2", c2)), Leaf("C3", c3)),
+            Par(Leaf("C3", c3), Par(Leaf("C1", c1), Leaf("C2", c2))),
+        ):
+            build = build_system_full(expr, relax=True)
+            for target, steps in (("C1", "a|m1 a|m2"), ("C2", "m1|y m2|y")):
+                finite = component_in_context(build, target).component
+                assert finite == naive_component_in_context(build, target)
+                assert {(s,) for s in trace(steps)} <= traces_up_to(finite, 1)
+
     def test_certification_path_leaves_the_decomposition_table_unbuilt(self):
         rng = random.Random(151)
-        for n in range(20):
-            if n % 2:
-                expr = random_three_leaf_system(rng)
-            else:
+        shapes = ("balanced", "left-deep", "right-deep")
+        for n in range(30):
+            if n % 3 == 0:
                 c1, c2 = random_composable_pair(rng, names=("L", "R"), n_states=(2, 4))
                 expr = Par(Leaf("L", c1), Leaf("R", c2))
+            elif n % 3 == 1:
+                expr = random_three_leaf_system(rng)
+            else:
+                expr = random_four_leaf_system(rng, shapes[n // 3 % 3])
             build = build_system_full(expr, relax=True)
-            relabelled = {}
-            for j, target in enumerate(build.leaves):
-                _encoded_in_context(build, target)
-                relabelled[target] = _relabel(build, j)
+            _encoded_projections(build)
+            relabelled = _relabel(build)
             for node in build_nodes(build):
                 assert "ways" not in vars(node)
                 assert "decompositions" not in vars(node)
+            assert not step_map_built(build.machine)
+
+            names, labels = build.machine.state_names, build.machine.label_names
+            eager = [{} for _ in names]
+            for (s, i, o, t, _, _) in build.raw:
+                eager[s][(i, o)] = eager[s].get((i, o), 0) | (1 << t)
+            assert build.machine.step_targets == eager
+            assert {
+                (names[s], labels[i], labels[o], names[t])
+                for s, steps in enumerate(build.machine.step_targets)
+                for (i, o), mask in steps.items()
+                for t in bits(mask)
+            } == {(t.source, t.input, t.output, t.target) for t in build.decompositions}
 
             fresh = build_system_full(expr, relax=True)
             assert build.decompositions == fresh.decompositions
-            names, labels = build.machine.state_names, build.machine.label_names
-            for target, (labelled, silent) in relabelled.items():
+            for target, states, (_, order, labelled, silent) in zip(
+                build.leaves, leaf_state_names(build), relabelled
+            ):
+                # numbered by the leaf's own state, ties by composed id
+                assert order == sorted(range(len(names)), key=states.__getitem__)
+                named = [names[s] for s in order]
                 steps = {
-                    names[s]: {
-                        Step(labels[i], labels[o]): {names[t] for t in bits(mask)}
+                    named[s]: {
+                        Step(labels[i], labels[o]): {named[t] for t in bits(mask)}
                         for (i, o), mask in by_step.items()
                     }
                     for s, by_step in enumerate(labelled)
                     if by_step
                 }
-                quiet = {names[s]: {names[t] for t in ts} for s, ts in enumerate(silent) if ts}
+                quiet = {
+                    named[s]: {named[t] for t in targets}
+                    for s, targets in enumerate(silent)
+                    if targets
+                }
                 assert (steps, quiet) == naive_context_edges(build, target)
 
     def test_single_leaf_is_identity(self):
@@ -307,6 +375,60 @@ class TestComponentInContext:
                         p for p in project_trace(build, tr, target).traces if len(p) <= k
                     }
                 assert collected <= proj_traces
+
+
+def renumbered(enc, rng):
+    """The same machine with its states numbered in a random order."""
+    n = len(enc.state_names)
+    new = list(range(n))
+    rng.shuffle(new)  # new[s] is the new id of state s
+    names = [""] * n
+    steps = [{}] * n
+    for s, by_step in enumerate(enc.step_targets):
+        names[new[s]] = enc.state_names[s]
+        steps[new[s]] = {
+            io: sum(1 << new[t] for t in bits(mask)) for io, mask in by_step.items()
+        }
+    return EncodedComponent(
+        enc.name, names, new[enc.initial], enc.label_names, enc.label_ids,
+        enc.input_ids, enc.output_ids, steps,
+    )
+
+
+def test_search_does_not_depend_on_the_specification_numbering():
+    # projections are numbered by the leaf's own state; the verdict, the
+    # counterexample and the search's counts must not see the numbering
+    rng = random.Random(163)
+    pairs = []
+    for n in range(40):
+        spec = random_component(rng, "S", ["a", "b"], ["x", "y"], n_states=(2, 6))
+        iut = prune(rng, spec, name="I") if n % 2 else mutate(rng, spec, name="I")
+        enc_iut, enc_spec, _, _ = encode_pair(iut, spec)
+        pairs.append((enc_iut, enc_spec))
+    shapes = ("balanced", "left-deep", "right-deep")
+    for n in range(36):
+        if n % 3 == 0:
+            c1, c2 = random_composable_pair(rng, names=("L", "R"), n_states=(2, 4))
+            expr = Par(Leaf("L", c1), Leaf("R", c2))
+        elif n % 3 == 1:
+            expr = random_three_leaf_system(rng)
+        else:
+            expr = random_four_leaf_system(rng, shapes[n // 3 % 3])
+        build = build_system_full(expr, relax=True)
+        for target, projection in zip(build.leaves, _encoded_projections(build)):
+            leaf = build.leaf_component(target)
+            iut = prune(rng, leaf) if rng.random() < 0.5 else mutate(rng, leaf)
+            enc_iut = EncodedComponent.of(iut, projection.label_names, projection.label_ids)
+            pairs.append((enc_iut, projection))
+    results = set()
+    for enc_iut, enc_spec in pairs:
+        for mode in ("allow", "forbid"):
+            expected = _exact_verdict(enc_iut, enc_spec, mode)
+            for _ in range(2):
+                assert _exact_verdict(enc_iut, renumbered(enc_spec, rng), mode) == expected
+            results.add(expected.result)
+    assert results == {"pass", "fail"}
+    assert len(pairs) >= 40 + 90
 
 
 def test_projection_traces_all_realized_by_some_composed_trace():
