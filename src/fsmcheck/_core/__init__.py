@@ -6,7 +6,7 @@ closure and the subset-pair conformance search, which also decides
 trace inclusion.
 """
 
-from .encode import EncodedComponent, bits, encode_pair, label_table
+from .encode import EncodedComponent, bits, encode_pair, label_table, slot_layout, slot_offsets
 from .pure import (
     LEFT_FEEDS_RIGHT,
     LEFT_ONLY,
@@ -23,6 +23,8 @@ __all__ = [
     "bits",
     "encode_pair",
     "label_table",
+    "slot_layout",
+    "slot_offsets",
     "product_closure",
     "cioco_bfs",
     "inclusion_bfs",

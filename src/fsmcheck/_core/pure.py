@@ -1,8 +1,12 @@
 """Pure-Python search kernels.
 
-All iteration orders are sorted, so results are deterministic and do not
-depend on the hash seed. Memoization lives inside one call: no result
-is kept from one search to the next.
+Both read the packed step rows of ``encode``: the product closure takes
+each state's transitions off its row, and the subset-pair search merges
+the steps of a state subset with ``|`` over its rows, then reads the
+targets of one step with one shift and mask. All iteration orders are
+sorted (slot order is sorted step order), so results are deterministic
+and do not depend on the hash seed. Memoization lives inside one call:
+no result is kept from one search to the next.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
     """
     in1 = enc1.input_ids
     in2 = enc2.input_ids
-    moves1 = _moves(enc1)
-    moves2 = _moves(enc2)
+    moves1 = enc1.moves()
+    moves2 = enc2.moves()
     start = (enc1.initial, enc2.initial)
     pair_index = {start: 0}
     pairs = [start]
@@ -81,65 +85,45 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
     return pairs, transitions
 
 
-def _moves(enc: EncodedComponent) -> list[list[tuple[int, int, int]]]:
-    """Per state, its transitions as (input, output, target) triples."""
-    return [
-        [(i, o, t) for (i, o), targets in steps.items() for t in bits(targets)]
-        for steps in enc.step_targets
-    ]
-
-
-#: States per block of a subset mask (see ``_subset_steps``).
+#: States per block of a subset mask (see ``_row_union``).
 BLOCK = 8
 _CHUNK = (1 << BLOCK) - 1
 
 
-def _subset_steps(enc: EncodedComponent):
-    """Lookup of the union of step maps over a non-empty state subset.
+def _row_union(rows: list[int]):
+    """Lookup of the union of ``rows`` over a non-empty state subset.
 
-    The returned function maps a subset mask to {(i, o): target mask}.
-    It splits the mask into BLOCK-state chunks and memoizes the union of
-    each distinct chunk, keyed by the chunk and its offset, for the life
-    of the lookup; only a mask with states in several blocks merges
-    chunk unions into a new map. Whole masks are not memoized: a search
-    seldom meets the same specification subset twice, and the 2^n
-    family never does. A state's own step map, or a memoized chunk
-    union, is returned as it is, so callers must not modify the result.
+    The returned function maps a subset mask to the ``|`` of its states'
+    rows, memoizing the union of each distinct BLOCK-state chunk of two
+    or more states, keyed by the chunk and its offset, for the life of
+    the lookup. Whole masks are not memoized: a search seldom meets the
+    same specification subset twice, and the 2^n family never does.
     """
-    step_targets = enc.step_targets
-    memo: dict[int, dict] = {}
+    memo: dict[int, int] = {}
 
-    def union(mask: int) -> dict:
+    def union(mask: int) -> int:
         if not mask & (mask - 1):
-            return step_targets[mask.bit_length() - 1]
-        merged = None
-        shared = True  # merged is a state's or a memoized map
-        offset = 0
+            return rows[mask.bit_length() - 1]
+        row = 0
+        offset = (mask & -mask).bit_length() - 1 & -BLOCK  # the lowest state's block
+        mask >>= offset
         while mask:
             chunk = mask & _CHUNK
             if chunk:
-                key = offset << BLOCK | chunk
-                part = memo.get(key)
-                if part is None:
-                    if not chunk & (chunk - 1):
-                        part = step_targets[offset + chunk.bit_length() - 1]
-                    else:
-                        part = {}
-                        for s in bits(chunk):
-                            for io, targets in step_targets[offset + s].items():
-                                part[io] = part.get(io, 0) | targets
-                    memo[key] = part
-                if merged is None:
-                    merged = part
+                if not chunk & (chunk - 1):
+                    row |= rows[offset + chunk.bit_length() - 1]
                 else:
-                    if shared:
-                        merged = dict(merged)
-                        shared = False
-                    for io, targets in part.items():
-                        merged[io] = merged.get(io, 0) | targets
+                    key = offset << BLOCK | chunk
+                    part = memo.get(key)
+                    if part is None:
+                        part = 0
+                        for s in bits(chunk):
+                            part |= rows[offset + s]
+                        memo[key] = part
+                    row |= part
             mask >>= BLOCK
             offset += BLOCK
-        return merged
+        return row
 
     return union
 
@@ -171,13 +155,21 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
     (witness_steps, input, offending_output, iut_outputs, spec_outputs)
     over label ids and stats is (explored_pairs, max_depth).
 
-    Step-map unions come from per-search lookups (``_subset_steps``). The
-    implementation's sorted steps are also kept per distinct subset: its
-    subsets recur across pairs far more than the specification's do.
+    Both machines must have the same slots. The implementation's steps
+    are kept per distinct subset: its subsets recur across pairs far more
+    than the specification's, whose rows are merged afresh per pair.
     """
-    spec_union = _subset_steps(enc_spec)
-    iut_union = _subset_steps(enc_iut)
-    iut_sorted: dict[int, list] = {}
+    slots = enc_iut.slots
+    if enc_spec.slots != slots:
+        raise ValueError(f"'{enc_iut.name}' and '{enc_spec.name}' have different step slots")
+    n_iut = len(enc_iut.state_names)
+    n_spec = len(enc_spec.state_names)
+    full_iut, full_spec = (1 << n_iut) - 1, (1 << n_spec) - 1
+    # each slot with its first bit in either machine's rows
+    slot_at = [(io, k * n_iut, k * n_spec) for k, io in enumerate(slots)]
+    spec_union = _row_union(enc_spec.rows)
+    iut_union = _row_union(enc_iut.rows)
+    iut_steps_of: dict[int, list] = {}
     start = (1 << enc_iut.initial, 1 << enc_spec.initial)
     seen = {start: None}
     queue = deque([(start, 0)])
@@ -190,17 +182,23 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
         if depth > max_depth:
             max_depth = depth
 
-        spec_steps = spec_union(qs)
-        iut_steps = iut_sorted.get(qi)
+        spec_row = spec_union(qs)
+        iut_steps = iut_steps_of.get(qi)
         if iut_steps is None:
-            iut_steps = iut_sorted[qi] = sorted(iut_union(qi).items())
-        for io, targets in iut_steps:
-            spec_targets = spec_steps.get(io)
-            if spec_targets is None:
+            row = iut_union(qi)
+            iut_steps = iut_steps_of[qi] = [
+                (io, t, spec_at) for io, iut_at, spec_at in slot_at
+                if (t := row >> iut_at & full_iut)
+            ]
+        for io, targets, at in iut_steps:
+            spec_targets = spec_row >> at & full_spec
+            if not spec_targets:
                 i, o = io
-                spec_outputs = frozenset(b for (a, b) in spec_steps if a == i)
+                spec_outputs = frozenset(
+                    b for (a, b), _, at in slot_at if a == i and spec_row >> at & full_spec
+                )
                 if strict or spec_outputs:
-                    iut_outputs = frozenset(b for ((a, b), _) in iut_steps if a == i)
+                    iut_outputs = frozenset(b for (a, b), _, _ in iut_steps if a == i)
                     witness = _witness(seen, (qi, qs))
                     return (witness, i, o, iut_outputs, spec_outputs), (explored, max_depth)
                 continue

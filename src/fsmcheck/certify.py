@@ -37,7 +37,8 @@ from .compose import (
 from .conform import Counterexample, Verdict, _check_against_projection, check_cioco_exact
 from .errors import ShapeMismatchError, SignatureMismatchError
 from .machine import Component, Trace, is_input_enabled, out_after
-from .project import _encoded_projections, component_in_context, project_trace
+# component_in_context is unused here: perfbench/spans.py wraps it by this name
+from .project import _encoded_projections, component_in_context, project_trace  # noqa: F401
 
 SOUND_PASS = "sound-pass"
 SOUND_FAIL = "sound-fail"
@@ -239,11 +240,15 @@ def localize_fault(
     iut_build = build_system_full(expr_iut, relax=relax)
     spec_build = build_system_full(expr_spec, relax=relax)
     full = ce.full_trace()
+    projections = {  # one pass projects the specification onto every leaf
+        name: projection.decode()
+        for name, projection in zip(spec_build.leaves, _encoded_projections(spec_build))
+    }
 
     located: dict[str, Counterexample | None] = {}
     for name in sorted(iut_leaves):
         projected = project_trace(iut_build, full, name).traces
-        projection = component_in_context(spec_build, name).component
+        projection = projections[name]
         candidates = []
         for tr in projected:
             found = _first_violation(tr, projection)

@@ -9,7 +9,7 @@ Only the reachable part of the state product is materialized. A system
 expression is built on integer ids over one label table for the whole
 expression. Every composed node keeps its children and the
 rule-tagged transitions of the product closure, from which projection
-reads every leaf's part and the node's step map is derived on first
+reads every leaf's part and the node's step rows are derived on first
 read. The table of all the ways each composed
 transition decomposes into leaf steps, hidden intermediates included,
 is derived from them on first read, and names are decoded only when
@@ -134,7 +134,7 @@ class SystemBuild:
     state. A composed node keeps its two built ``parts``, its ``pairs``
     (each state as the pair of the parts' own state ids) and the ``raw``
     transitions of the product closure between them; its machine derives
-    its step map from ``raw`` on first read. ``ways`` maps every
+    its step rows from ``raw`` on first read. ``ways`` maps every
     composed transition ``(source, input, output, target)`` on those ids
     to all the ways it can be attributed to leaf steps; ``component``
     and ``decompositions`` are the same machine and map with names. All
@@ -168,10 +168,8 @@ class SystemBuild:
         """Every composed transition mapped to all its decompositions, on ids."""
         if not self.parts:  # a leaf: each step is its own single way
             return {
-                (s, *io, t): frozenset([(io,)])
-                for s, steps in enumerate(self.machine.step_targets)
-                for io, targets in steps.items()
-                for t in _core.bits(targets)
+                (s, i, o, t): frozenset([((i, o),)])
+                for s, moves in enumerate(self.machine.moves()) for i, o, t in moves
             }
         left, right = self.parts
         left_ways, right_ways = left.ways, right.ways
@@ -278,10 +276,10 @@ def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -
 
 
 class _ComposedMachine(_core.EncodedComponent):
-    """A composed node's machine, its step map derived on first read.
+    """A composed node's machine, its rows derived on first read.
 
     Certification reads the transitions of the product closure, not the
-    root's step map: only decoding and the next composition up read it.
+    root's rows: only decoding and the next composition up read them.
     """
 
     __slots__ = ("raw",)
@@ -290,18 +288,18 @@ class _ComposedMachine(_core.EncodedComponent):
                  input_ids, output_ids, raw: list[RawTransition]):
         super().__init__(name, state_names, initial, label_names, label_ids,
                          input_ids, output_ids, None)
-        del self.step_targets  # unset, so that the first read reaches __getattr__
+        del self.rows  # unset, so that the first read reaches __getattr__
         self.raw = raw
 
     def __getattr__(self, name: str):
-        if name != "step_targets":
+        if name != "rows":
             raise AttributeError(name)
-        step_targets: list[dict[tuple[int, int], int]] = [{} for _ in self.state_names]
+        offset = _core.slot_offsets(self.slots, len(self.state_names))
+        rows = [0] * len(self.state_names)
         for (src, i, o, dst, _, _) in self.raw:
-            steps = step_targets[src]
-            steps[(i, o)] = steps.get((i, o), 0) | (1 << dst)
-        self.step_targets = step_targets
-        return step_targets
+            rows[src] |= 1 << (offset[(i, o)] + dst)
+        self.rows = rows
+        return rows
 
 
 def _compose(

@@ -187,9 +187,7 @@ def _exact_verdict(
     the warning is the one ``is_input_enabled`` would give.
     """
     strict = _mode_strict(unspecified)
-    inputs = enc_iut.input_ids
-    enabled = all(inputs <= {i for (i, _) in steps} for steps in enc_iut.step_targets)
-    warnings = _input_enabled_warnings(enc_iut.name, enabled)
+    warnings = _input_enabled_warnings(enc_iut.name, enc_iut.input_enabled())
     raw, (explored, max_depth) = _core.cioco_bfs(enc_iut, enc_spec, strict)
     stats = CheckStats(explored, max_depth)
 

@@ -21,7 +21,7 @@ import json
 
 from .compose import Leaf, Par, SystemExpr
 from .errors import ParseError
-from .machine import SEPARATOR, Component, Trace
+from .machine import SEPARATOR, Component, Trace, Transition
 
 
 def component_to_text(c: Component) -> str:
@@ -91,8 +91,6 @@ def _assemble(name, initial, transitions, inputs, outputs, states) -> Component:
     Keeping declared sets as-is lets validation flag transitions or
     initial states that reference something undeclared.
     """
-    from .machine import Transition
-
     trans = frozenset(Transition(*t) for t in transitions)
     if not states:
         states = {initial} | {t.source for t in trans} | {t.target for t in trans}

@@ -26,6 +26,8 @@ from ._core import (
     RIGHT_ONLY,
     EncodedComponent,
     bits,
+    slot_layout,
+    slot_offsets,
 )
 from .compose import Leaf, SystemBuild, SystemExpr, build_system_full
 from .errors import NotATraceError, TraceLimitError, UnknownTargetError
@@ -61,14 +63,32 @@ def _leaf_index(build: SystemBuild, target: str) -> int:
         ) from None
 
 
-def _replay_index(build: SystemBuild):
-    """source -> (input, output) -> [(target, decomposition ways)]."""
+def _replay(build: SystemBuild, tr: Trace, empty, extend) -> frozenset:
+    """Replay ``tr`` over every run and decomposition of the composed system.
+
+    Each run carries a record, ``empty`` at the start and ``extend(record,
+    way)`` after each step taken by way of a decomposition; returns the
+    records at the end of every run.
+    """
     index: dict[str, dict[tuple[str, str], list]] = {}
     for t, ways in build.decompositions.items():
         index.setdefault(t.source, {}).setdefault((t.input, t.output), []).append(
             (t.target, ways)
         )
-    return index
+    frontier = {(build.machine.state_names[build.machine.initial], empty)}
+    for n, s in enumerate(tr):
+        key = (s.input, s.output)
+        nxt = set()
+        for (state, record) in frontier:
+            for target_state, ways in index.get(state, {}).get(key, ()):
+                for way in ways:
+                    nxt.add((target_state, extend(record, way)))
+        if not nxt:
+            raise NotATraceError(
+                f"step {n} ({s}) is not executable by the composed system here"
+            )
+        frontier = nxt
+    return frozenset(record for (_, record) in frontier)
 
 
 def project_trace(
@@ -80,24 +100,11 @@ def project_trace(
     """All target-component step sequences a composed trace can exercise."""
     build = _as_build(system, relax)
     j = _leaf_index(build, target)
-    index = _replay_index(build)
 
-    start = build.machine.state_names[build.machine.initial]
-    frontier: set[tuple[str, Trace]] = {(start, ())}
-    for n, s in enumerate(tr):
-        key = (s.input, s.output)
-        nxt: set[tuple[str, Trace]] = set()
-        for (state, proj) in frontier:
-            for target_state, ways in index.get(state, {}).get(key, ()):
-                for way in ways:
-                    contributed = way[j]
-                    nxt.add((target_state, proj + (contributed,) if contributed else proj))
-        if not nxt:
-            raise NotATraceError(
-                f"step {n} ({s}) is not executable by the composed system here"
-            )
-        frontier = nxt
-    return ProjectedTraceSet(target=target, traces=frozenset(p for (_, p) in frontier))
+    def extend(proj: Trace, way) -> Trace:
+        return proj + (way[j],) if way[j] else proj
+
+    return ProjectedTraceSet(target=target, traces=_replay(build, tr, (), extend))
 
 
 def paired_projections(
@@ -109,28 +116,11 @@ def paired_projections(
     component traces it contains come from a single composed run.
     """
     build = _as_build(system, relax)
-    n_leaves = len(build.leaves)
-    index = _replay_index(build)
-    empty: tuple[Trace, ...] = ((),) * n_leaves
-    start = build.machine.state_names[build.machine.initial]
-    frontier: set[tuple[str, tuple[Trace, ...]]] = {(start, empty)}
-    for n, s in enumerate(tr):
-        key = (s.input, s.output)
-        nxt: set[tuple[str, tuple[Trace, ...]]] = set()
-        for (state, projs) in frontier:
-            for target_state, ways in index.get(state, {}).get(key, ()):
-                for way in ways:
-                    extended = tuple(
-                        projs[m] + (way[m],) if way[m] else projs[m]
-                        for m in range(n_leaves)
-                    )
-                    nxt.add((target_state, extended))
-        if not nxt:
-            raise NotATraceError(
-                f"step {n} ({s}) is not executable by the composed system here"
-            )
-        frontier = nxt
-    return frozenset(projs for (_, projs) in frontier)
+
+    def extend(projs: tuple[Trace, ...], way) -> tuple[Trace, ...]:
+        return tuple(proj + (step,) if step else proj for proj, step in zip(projs, way))
+
+    return _replay(build, tr, ((),) * len(build.leaves), extend)
 
 
 def _relabel(build: SystemBuild):
@@ -139,30 +129,28 @@ def _relabel(build: SystemBuild):
     Returns, aligned with ``build.leaves``, ``(leaf, order, labelled,
     silent)`` per leaf, ``leaf`` being its build. ``order`` lists the
     composed states by the leaf's own state, ties by composed id, and
-    numbers the other two. Per state so numbered, ``labelled`` maps the
-    leaf's (input, output) steps to the bitmask of their targets and
-    ``silent`` lists the targets reached without the leaf moving. A
-    silent step leaves the leaf's state as it is, so every silent
-    closure stays within one run of equal leaf states.
+    numbers the other two. Per state so numbered, ``labelled`` is the
+    row of the leaf's steps, in the leaf's slots, and ``silent`` lists
+    the targets reached without the leaf moving. A silent step leaves
+    the leaf's state as it is, so every silent closure stays within one
+    run of equal leaf states.
     """
     n = len(build.machine.state_names)
     raw = build.raw
     relabelled = []
     for (leaf, states), (column, extra) in zip(_leaf_states(build), _leaf_parts(build)):
         order = sorted(range(n), key=states.__getitem__)
-        mask = [0] * n
         rank = [0] * n
         for r, s in enumerate(order):
-            mask[s] = 1 << r
             rank[s] = r
-        labelled: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+        offset = slot_offsets(leaf.machine.slots, n)
+        labelled = [0] * n
         silent: list[list[int]] = [[] for _ in range(n)]
         for (src, _, _, dst, _, _), step in chain(zip(raw, column), extra):
             if step is None:
                 silent[src].append(rank[dst])
             else:
-                steps = labelled[src]
-                steps[step] = steps.get(step, 0) | mask[dst]
+                labelled[src] |= 1 << (offset[step] + rank[dst])
         relabelled.append(
             (leaf, order, [labelled[s] for s in order], [silent[s] for s in order])
         )
@@ -247,19 +235,19 @@ def _split(build: SystemBuild, side: int, steps: list):
     return split
 
 
-def _closed_steps(labelled, silent) -> list[dict[tuple[int, int], int]]:
-    """Each state's steps merged over every state it reaches silently.
+def _closed_steps(labelled: list[int], silent) -> list[int]:
+    """Each state's row merged over every state it reaches silently.
 
     One iterative Tarjan pass over the silent edges: the states of a
-    strongly connected component share one step map, the union of their
-    own steps and of the maps of the components they reach. Tarjan
+    strongly connected component share one row, the ``|`` of their own
+    rows and of the rows of the components they reach. Tarjan
     completes a component only after every component it reaches, so
-    those maps are ready when it is merged.
+    those rows are ready when it is merged.
     """
     n = len(labelled)
     index = [-1] * n
     low = [0] * n
-    closed: list[dict | None] = [None] * n
+    closed: list[int | None] = [None] * n
     stack: list[int] = []
     counter = 0
     for root in range(n):
@@ -294,16 +282,13 @@ def _closed_steps(labelled, silent) -> list[dict[tuple[int, int], int]]:
                 if len(members) == 1 and not silent[v]:
                     closed[v] = labelled[v]
                     continue
-                merged = dict(labelled[v])
+                merged = 0
                 for m in members:
-                    if m != v:
-                        for step, targets in labelled[m].items():
-                            merged[step] = merged.get(step, 0) | targets
+                    merged |= labelled[m]
                     for w in silent[m]:
                         below = closed[w]
                         if below is not None:
-                            for step, targets in below.items():
-                                merged[step] = merged.get(step, 0) | targets
+                            merged |= below
                 for m in members:
                     closed[m] = merged
     return closed
@@ -329,28 +314,25 @@ def component_in_context(
 
 
 def _encoded_projections(build: SystemBuild) -> list[EncodedComponent]:
-    """``component_in_context`` of a composed build onto every leaf, on ids.
+    """``component_in_context`` of a build onto every leaf, on ids.
 
     Aligned with ``build.leaves``. Each projection keeps the build's
     labels and states, the states numbered by the leaf's own state (see
-    ``_relabel``). Its steps are the per-state ``{(input, output): target
-    mask}`` maps the subset-pair search reads, so certification checks
-    against it without decoding.
+    ``_relabel``). Its rows are the ones the subset-pair search reads, so
+    certification checks against it without decoding. A basic component
+    is its own projection.
     """
     m = build.machine
-    names = m.state_names
+    if not build.parts:
+        return [m]
     projections = []
     for leaf, order, labelled, silent in _relabel(build):
+        # forward closure: anything reachable silently can act on our behalf
+        rows = _closed_steps(labelled, silent)
         projections.append(EncodedComponent(
-            f"{m.name}.at.{leaf.leaves[0]}",
-            [names[s] for s in order],
-            order.index(m.initial),
-            m.label_names,
-            m.label_ids,
-            leaf.machine.input_ids,
-            leaf.machine.output_ids,
-            # forward closure: anything reachable silently can act on our behalf
-            _closed_steps(labelled, silent),
+            f"{m.name}.at.{leaf.leaves[0]}", [m.state_names[s] for s in order],
+            order.index(m.initial), m.label_names, m.label_ids,
+            leaf.machine.input_ids, leaf.machine.output_ids, rows,
         ))
     return projections
 
@@ -389,14 +371,17 @@ def component_in_context_tree(
     # relabelled from the joint decomposition table, not by ``_relabel``,
     # so that the oracle shares no code with the construction it checks
     n = len(build.machine.state_names)
-    labelled: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    ids = build.machine.label_ids
+    slots = slot_layout({ids[x] for x in leaf.inputs}, {ids[x] for x in leaf.outputs})
+    offset, full = slot_offsets(slots, n), (1 << n) - 1
+    labelled = [0] * n
     silent: list[set[int]] = [set() for _ in range(n)]
     for (s, _, _, t), ways in build.ways.items():
         for way in ways:
             if way[j] is None:
                 silent[s].add(t)
             else:
-                labelled[s][way[j]] = labelled[s].get(way[j], 0) | (1 << t)
+                labelled[s] |= 1 << (offset[way[j]] + t)
     labels = build.machine.label_names
 
     initial_set = _silent_closure([build.machine.initial], silent)
@@ -407,13 +392,15 @@ def component_in_context_tree(
     for _ in range(k):
         nxt: list[Trace] = []
         for h in level:
-            steps: dict[tuple[int, int], int] = {}
+            row = 0
             for s in histories[h]:
-                for io, targets in labelled[s].items():
-                    steps[io] = steps.get(io, 0) | targets
-            for (i, o) in sorted(steps):  # label ids sort as their names
+                row |= labelled[s]
+            for k, (i, o) in enumerate(slots):  # label ids sort as their names
+                targets = row >> k * n & full
+                if not targets:
+                    continue
                 extended = h + (Step(labels[i], labels[o]),)
-                histories[extended] = _silent_closure(bits(steps[(i, o)]), silent)
+                histories[extended] = _silent_closure(bits(targets), silent)
                 if len(histories) > guard:
                     raise TraceLimitError(guard, f"context tree for '{target}' at depth {k}")
                 names[extended] = f"h{len(names)}"

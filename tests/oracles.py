@@ -6,7 +6,8 @@ vector simulation) without touching the package's search kernels or
 provenance records, so agreement is meaningful. Two exceptions check one
 step alone: ``naive_component_in_context`` starts from a build's named
 decompositions, and ``naive_subset_pair_search`` from the integer
-encodings the subset-pair search reads.
+encodings the subset-pair search reads, whose rows ``step_maps`` unpacks
+by the documented layout with no code from the package.
 """
 
 from __future__ import annotations
@@ -126,20 +127,46 @@ def naive_cioco_bounded(iut, spec, k, strict=False):
     return None, examined
 
 
+def row_steps(row: int, n: int, input_ids, output_ids) -> dict[tuple[int, int], int]:
+    """The steps packed in one row of an ``n``-state machine, as
+    {(input, output): target mask}.
+
+    The layout as documented: the slots are the (input, output) id pairs
+    sorted by input, then output, and the targets of slot k sit at bits
+    k*n to k*n + n - 1. No bit lies past the last slot.
+    """
+    slots = [(i, o) for i in sorted(input_ids) for o in sorted(output_ids)]
+    assert row >> len(slots) * n == 0, "a row has bits past its last slot"
+    steps = {}
+    for k, io in enumerate(slots):
+        targets = row >> k * n & ((1 << n) - 1)
+        if targets:
+            steps[io] = targets
+    return steps
+
+
+def step_maps(enc) -> list[dict[tuple[int, int], int]]:
+    """Every state's steps of an encoding, unpacked by ``row_steps``."""
+    n = len(enc.state_names)
+    return [row_steps(row, n, enc.input_ids, enc.output_ids) for row in enc.rows]
+
+
 def naive_subset_pair_search(enc_iut, enc_spec, strict: bool):
     """The subset-pair search with the union of step maps rebuilt per pair.
 
     The reference for ``_core.cioco_bfs``: the same breadth-first order
     over (implementation subset, specification subset) masks, the same
     raw result and the same (explored, max_depth), but every pair unions
-    the step maps of its states afresh, state by state.
+    the step maps of its states afresh, state by state, from the rows
+    unpacked into dicts.
     """
+    iut_maps, spec_maps = step_maps(enc_iut), step_maps(enc_spec)
 
-    def union(enc, mask):
+    def union(maps, mask):
         steps = {}
-        for s in range(len(enc.step_targets)):
+        for s, by_step in enumerate(maps):
             if mask >> s & 1:
-                for io, targets in enc.step_targets[s].items():
+                for io, targets in by_step.items():
                     steps[io] = steps.get(io, 0) | targets
         return steps
 
@@ -151,8 +178,8 @@ def naive_subset_pair_search(enc_iut, enc_spec, strict: bool):
         (qi, qs), depth = queue.popleft()
         explored += 1
         max_depth = max(max_depth, depth)
-        spec_steps = union(enc_spec, qs)
-        iut_steps = sorted(union(enc_iut, qi).items())
+        spec_steps = union(spec_maps, qs)
+        iut_steps = sorted(union(iut_maps, qi).items())
         for io, targets in iut_steps:
             if io not in spec_steps:
                 i, o = io

@@ -1,6 +1,7 @@
 """Certification workflows and fault localization."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,9 @@ from fsmcheck import (
     component_in_context,
     format_trace,
     localize_fault,
+    project_trace,
 )
+from fsmcheck import certify, project
 from fsmcheck.certify import NOT_APPLICABLE, SOUND_FAIL, SOUND_PASS
 from fsmcheck.fixtures import (
     coffee_drink,
@@ -38,6 +41,8 @@ from fsmcheck.randgen import (
     random_composable_pair,
     random_input_enabled_spec,
 )
+
+from test_project import random_four_leaf_system, random_three_leaf_system
 
 
 class TestByParts:
@@ -237,6 +242,33 @@ def test_global_failure_implies_a_failing_in_context_local():
     assert failing > 10
 
 
+def localize_by_leaf(expr_iut, expr_spec, ce, relax=False):
+    """``localize_fault`` projecting the specification once per leaf, with
+    ``component_in_context``: the maps one projection pass must give."""
+    iut_build = build_system_full(expr_iut, relax=relax)
+    spec_build = build_system_full(expr_spec, relax=relax)
+    full = ce.full_trace()
+    located = {}
+    for name in sorted(spec_build.leaves):
+        projection = component_in_context(spec_build, name).component
+        found = [
+            v for v in (
+                certify._first_violation(tr, projection)
+                for tr in project_trace(iut_build, full, name).traces
+            ) if v is not None
+        ]
+        located[name] = min(found, key=certify._ce_order) if found else None
+    return located
+
+
+def with_mutated_leaves(rng, expr):
+    """``expr`` with most leaves' components replaced by mutants."""
+    if isinstance(expr, Leaf):
+        keep = rng.random() < 0.4
+        return Leaf(expr.name, expr.component if keep else mutate(rng, expr.component))
+    return Par(with_mutated_leaves(rng, expr.left), with_mutated_leaves(rng, expr.right))
+
+
 class TestLocalizeFault:
     def test_pass_verdict_yields_empty_map(self):
         assert localize_fault(
@@ -268,6 +300,80 @@ class TestLocalizeFault:
         assert left is not None
         assert (left.input, left.offending_output) == ("x", "o5")
         assert format_trace(left.full_trace()) == "i1|m x|o5"
+
+    def test_projects_the_specification_once(self, monkeypatch):
+        calls = []
+        for module in (certify, project):
+            def counted(build, original=module._encoded_projections):
+                calls.append(build.leaves)
+                return original(build)
+
+            monkeypatch.setattr(module, "_encoded_projections", counted)
+        expr_iut = coffee_expr(coffee_iut_money(), coffee_drink())
+        expr_spec = coffee_expr(coffee_spec_money(), coffee_drink())
+        ce = check_cioco_exact(build_system(expr_iut), build_system(expr_spec)).counterexample
+        located = localize_fault(expr_iut, expr_spec, ce)
+        assert calls == [("M", "D")]
+        monkeypatch.undo()
+        assert located == localize_by_leaf(expr_iut, expr_spec, ce)
+
+    def test_fixtures_match_one_projection_per_leaf(self):
+        cases = [
+            (coffee_expr(coffee_iut_money(), coffee_drink()),
+             coffee_expr(coffee_spec_money(), coffee_drink()),
+             coffee_expr(coffee_spec_money_revised(), coffee_drink())),
+            (relay_expr(relay_iut_left(), relay_right()),
+             relay_expr(relay_spec_left(), relay_right()),
+             relay_expr(relay_spec_left(), relay_right())),
+        ]
+        for expr_iut, expr_spec, against in cases:
+            ce = check_cioco_exact(build_system(expr_iut), build_system(expr_spec)).counterexample
+            assert localize_fault(expr_iut, against, ce) == localize_by_leaf(expr_iut, against, ce)
+
+    def test_single_leaf_specification_is_its_own_projection(self):
+        rng = random.Random(241)
+        failing = 0
+        for _ in range(20):
+            spec = random_component(rng, "S", ["a", "b"], ["x", "y"], n_states=(2, 4))
+            iut = mutate(rng, spec, name="I")
+            ce = check_cioco_exact(iut, spec).counterexample
+            if ce is None:
+                continue
+            failing += 1
+            located = localize_fault(Leaf("P", iut), Leaf("P", spec), ce)
+            assert located == localize_by_leaf(Leaf("P", iut), Leaf("P", spec), ce)
+            local = located["P"]
+            assert (local.witness, local.input, local.offending_output) == (
+                ce.witness, ce.input, ce.offending_output
+            )
+            assert local.spec_outputs == ce.spec_outputs
+        assert failing >= 5
+
+    def test_random_systems_match_one_projection_per_leaf(self):
+        rng = random.Random(251)
+        shapes = ("balanced", "left-deep", "right-deep")
+        failing = Counter()
+        for n in range(360):
+            if n % 3 == 0:
+                c1, c2 = random_composable_pair(rng, names=("L", "R"), n_states=(2, 4))
+                expr_spec = Par(Leaf("L", c1), Leaf("R", c2))
+            elif n % 3 == 1:
+                expr_spec = random_three_leaf_system(rng)
+            else:
+                expr_spec = random_four_leaf_system(rng, shapes[n // 3 % 3])
+            expr_iut = with_mutated_leaves(rng, expr_spec)
+            ce = check_cioco_exact(
+                build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
+            ).counterexample
+            if ce is None:
+                continue
+            located = localize_fault(expr_iut, expr_spec, ce, relax=True)
+            assert located == localize_by_leaf(expr_iut, expr_spec, ce, relax=True)
+            failing[len(located)] += 1
+            failing["implicated"] += any(v is not None for v in located.values())
+        assert sum(failing[k] for k in (2, 3, 4)) >= 100
+        assert min(failing[k] for k in (2, 3, 4)) >= 20
+        assert failing["implicated"] >= 50
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeMismatchError):

@@ -9,6 +9,7 @@ from fsmcheck import (
     SignatureMismatchError,
     TraceLimitError,
     Transition,
+    build_system_full,
     check_cioco_bounded,
     check_cioco_exact,
     check_trace_inclusion,
@@ -20,8 +21,9 @@ from fsmcheck import (
     trace,
     traces_up_to,
 )
-from fsmcheck._core import cioco_bfs, encode_pair
+from fsmcheck._core import EncodedComponent, cioco_bfs, encode_pair
 from fsmcheck._core.pure import BLOCK
+from fsmcheck.project import _encoded_projections
 from fsmcheck.randgen import conforming_iut, mutate, prune, random_component
 
 from oracles import (
@@ -30,7 +32,9 @@ from oracles import (
     naive_out_after,
     naive_states_after,
     naive_subset_pair_search,
+    step_maps,
 )
+from test_project import random_four_leaf_system, random_three_leaf_system
 
 
 def spec_like(rng, n_states=(2, 5)):
@@ -399,7 +403,10 @@ class TestSubsetPairSearch:
 
     @staticmethod
     def assert_same_search(iut, spec):
-        enc_iut, enc_spec, _, _ = encode_pair(iut, spec)
+        TestSubsetPairSearch.assert_same_encoded_search(*encode_pair(iut, spec)[:2])
+
+    @staticmethod
+    def assert_same_encoded_search(enc_iut, enc_spec):
         for strict in (False, True):
             got = cioco_bfs(enc_iut, enc_spec, strict)
             assert got == naive_subset_pair_search(enc_iut, enc_spec, strict)
@@ -408,20 +415,24 @@ class TestSubsetPairSearch:
     def crosses_blocks(spec):
         """Does the subset construction of ``spec`` reach a subset whose
         states lie in several blocks, some block holding two or more?"""
-        enc, _, _, _ = encode_pair(spec, spec)
+        return TestSubsetPairSearch.encoding_crosses_blocks(encode_pair(spec, spec)[0])
+
+    @staticmethod
+    def encoding_crosses_blocks(enc):
+        maps = step_maps(enc)
         low = (1 << BLOCK) - 1
         start = 1 << enc.initial
         seen, stack = {start}, [start]
         while stack:
             mask = stack.pop()
-            chunks = [mask >> k & low for k in range(0, len(enc.step_targets), BLOCK)]
+            chunks = [mask >> k & low for k in range(0, len(maps), BLOCK)]
             chunks = [c for c in chunks if c]
             if len(chunks) > 1 and any(c & (c - 1) for c in chunks):
                 return True
             steps = {}
-            for s in range(len(enc.step_targets)):
+            for s in range(len(maps)):
                 if mask >> s & 1:
-                    for io, targets in enc.step_targets[s].items():
+                    for io, targets in maps[s].items():
                         steps[io] = steps.get(io, 0) | targets
             for targets in steps.values():
                 if targets not in seen:
@@ -441,6 +452,31 @@ class TestSubsetPairSearch:
                 self.assert_same_search(iut, spec)
             crossing += self.crosses_blocks(spec)
         assert crossing >= 30
+
+    def test_in_context_projections_of_nested_builds(self):
+        # projections span every composed state: several blocks, and
+        # beyond 64 states, with the leaf's slots
+        rng = random.Random(509)
+        shapes = ("balanced", "left-deep", "right-deep")
+        crossing = wide = 0
+        for n in range(30):
+            if n % 2:
+                expr = random_three_leaf_system(rng, n_states=(3, 5), density=(0.7, 1.0))
+            else:
+                expr = random_four_leaf_system(
+                    rng, shapes[n // 2 % 3], n_states=(3, 4), dense=(0.7, 1.0)
+                )
+            build = build_system_full(expr, relax=True)
+            for target, projection in zip(build.leaves, _encoded_projections(build)):
+                leaf = build.leaf_component(target)
+                for iut in (leaf, prune(rng, leaf), mutate(rng, leaf)):
+                    enc_iut = EncodedComponent.of(
+                        iut, projection.label_names, projection.label_ids
+                    )
+                    self.assert_same_encoded_search(enc_iut, projection)
+                crossing += self.encoding_crosses_blocks(projection)
+                wide += len(projection.state_names) > 64
+        assert crossing >= 40 and wide >= 5
 
     def test_nth_from_end_family(self):
         loop = Component.build("loop", "i0", [("i0", "a", "x", "i0"), ("i0", "a", "y", "i0")])

@@ -36,6 +36,8 @@ from fsmcheck.randgen import mutate, prune, random_component, random_composable_
 from oracles import (
     naive_component_in_context,
     naive_context_edges,
+    row_steps,
+    step_maps,
     vector_component_in_context,
     vector_projections,
 )
@@ -136,30 +138,31 @@ class TestProjectTrace:
                 assert has_trace(build.component, tr)
 
 
-def random_three_leaf_system(rng):
+def random_three_leaf_system(rng, n_states=(2, 3), **density):
     """Two random leaves composed with a third that reads one of the pair's
     outputs and answers on one of its inputs, nested on either side."""
-    a, b = random_composable_pair(rng, names=("A", "B"), n_states=(2, 3))
+    a, b = random_composable_pair(rng, names=("A", "B"), n_states=n_states, **density)
     inputs, outputs = composed_alphabets(a, b)
     c = random_component(
-        rng, "C", [sorted(outputs)[-1], "c0"], ["z0", sorted(inputs)[-1]], n_states=(2, 3)
+        rng, "C", [sorted(outputs)[-1], "c0"], ["z0", sorted(inputs)[-1]], n_states=n_states,
+        **density,
     )
     pair = Par(Leaf("A", a), Leaf("B", b))
     return Par(pair, Leaf("C", c)) if rng.random() < 0.5 else Par(Leaf("C", c), pair)
 
 
-def random_four_leaf_system(rng, shape: str):
+def random_four_leaf_system(rng, shape: str, n_states=(2, 3), dense=(0.6, 0.95)):
     """A random pair, a third leaf wired to it as in the three-leaf systems
     and a fourth that feeds the third and reads its answer, nested
-    ``balanced``, ``left-deep`` or ``right-deep``."""
-    dense = (0.6, 0.95)  # sparser leaves rarely get past the nested nodes
-    a, b = random_composable_pair(rng, names=("A", "B"), n_states=(2, 3), density=dense)
+    ``balanced``, ``left-deep`` or ``right-deep``. Sparser leaves than
+    ``dense`` rarely get past the nested nodes."""
+    a, b = random_composable_pair(rng, names=("A", "B"), n_states=n_states, density=dense)
     inputs, outputs = composed_alphabets(a, b)
     c = random_component(
         rng, "C", [sorted(outputs)[-1], "e0"], ["f0", sorted(inputs)[-1]],
-        n_states=(2, 3), density=dense,
+        n_states=n_states, density=dense,
     )
-    d = random_component(rng, "D", ["f0", "e1"], ["e0", "z1"], n_states=(2, 3), density=dense)
+    d = random_component(rng, "D", ["f0", "e1"], ["e0", "z1"], n_states=n_states, density=dense)
     A, B, C, D = (Leaf(n, x) for n, x in zip("ABCD", (a, b, c, d)))
     if shape == "balanced":
         return Par(Par(A, B), Par(C, D))
@@ -173,11 +176,11 @@ def build_nodes(build):
     return [build] + [node for part in build.parts for node in build_nodes(part)]
 
 
-def step_map_built(machine) -> bool:
-    """Has the composed machine's step map been built? Reads the slot
-    without the first read that would build it."""
+def rows_built(machine) -> bool:
+    """Have the composed machine's rows been built? Reads the slot
+    without the first read that would build them."""
     try:
-        EncodedComponent.step_targets.__get__(machine)
+        EncodedComponent.rows.__get__(machine)
     except AttributeError:
         return False
     return True
@@ -284,38 +287,41 @@ class TestComponentInContext:
             build = build_system_full(expr, relax=True)
             _encoded_projections(build)
             relabelled = _relabel(build)
+            for target in build.leaves:
+                component_in_context(build, target)
             for node in build_nodes(build):
                 assert "ways" not in vars(node)
                 assert "decompositions" not in vars(node)
-            assert not step_map_built(build.machine)
+            assert not rows_built(build.machine)
 
             names, labels = build.machine.state_names, build.machine.label_names
             eager = [{} for _ in names]
             for (s, i, o, t, _, _) in build.raw:
                 eager[s][(i, o)] = eager[s].get((i, o), 0) | (1 << t)
-            assert build.machine.step_targets == eager
+            assert step_maps(build.machine) == eager
             assert {
                 (names[s], labels[i], labels[o], names[t])
-                for s, steps in enumerate(build.machine.step_targets)
+                for s, steps in enumerate(step_maps(build.machine))
                 for (i, o), mask in steps.items()
                 for t in bits(mask)
             } == {(t.source, t.input, t.output, t.target) for t in build.decompositions}
 
             fresh = build_system_full(expr, relax=True)
             assert build.decompositions == fresh.decompositions
-            for target, states, (_, order, labelled, silent) in zip(
+            for target, states, (leaf, order, labelled, silent) in zip(
                 build.leaves, leaf_state_names(build), relabelled
             ):
                 # numbered by the leaf's own state, ties by composed id
                 assert order == sorted(range(len(names)), key=states.__getitem__)
                 named = [names[s] for s in order]
+                ids = leaf.machine.input_ids, leaf.machine.output_ids
                 steps = {
                     named[s]: {
                         Step(labels[i], labels[o]): {named[t] for t in bits(mask)}
-                        for (i, o), mask in by_step.items()
+                        for (i, o), mask in row_steps(row, len(names), *ids).items()
                     }
-                    for s, by_step in enumerate(labelled)
-                    if by_step
+                    for s, row in enumerate(labelled)
+                    if row
                 }
                 quiet = {
                     named[s]: {named[t] for t in targets}
@@ -383,15 +389,15 @@ def renumbered(enc, rng):
     new = list(range(n))
     rng.shuffle(new)  # new[s] is the new id of state s
     names = [""] * n
-    steps = [{}] * n
-    for s, by_step in enumerate(enc.step_targets):
+    rows = [0] * n
+    for s, row in enumerate(enc.rows):
         names[new[s]] = enc.state_names[s]
-        steps[new[s]] = {
-            io: sum(1 << new[t] for t in bits(mask)) for io, mask in by_step.items()
-        }
+        # a slot's targets move within the slot: bit k*n + t goes to k*n + new[t]
+        for b in bits(row):
+            rows[new[s]] |= 1 << (b - b % n + new[b % n])
     return EncodedComponent(
         enc.name, names, new[enc.initial], enc.label_names, enc.label_ids,
-        enc.input_ids, enc.output_ids, steps,
+        enc.input_ids, enc.output_ids, rows,
     )
 
 
