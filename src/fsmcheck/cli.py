@@ -48,7 +48,7 @@ from .machine import (
     traces_up_to,
     validate_component,
 )
-from .project import component_in_context, component_in_context_tree
+from .project import component_in_context
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -137,11 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+", metavar="FILE")
     p.add_argument("--target", required=True, help="leaf component name")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--oracle-depth", type=_depth_bound, default=None,
-                   help="also build the trace-tree construction and compare up to this depth")
     p.add_argument("--relax", action="store_true")
     p.add_argument("--dot", help="also write a Graphviz rendering here")
-    _add_guard(p, "--oracle-depth")
     _add_common(p)
 
     p = sub.add_parser("compositional", help="certify a composition from local checks")
@@ -296,8 +293,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_project(args) -> int:
-    if args.guard is not None and args.oracle_depth is None:
-        raise ParseError("--guard requires --oracle-depth")
     components = _load_named(args.paths)
     expr = parse_system_expr(args.expr, components)
     build = build_system_full(expr, relax=args.relax)
@@ -307,22 +302,8 @@ def cmd_project(args) -> int:
         "component": component_to_dict(ctx.component),
         "provenance": ctx.provenance,
     }
-    human = [f"wrote projection onto '{args.target}' to {args.out}"]
-
-    exit_code = EXIT_OK
-    if args.oracle_depth is not None:
-        guard = _guard(args)
-        tree = component_in_context_tree(build, args.target, args.oracle_depth, guard=guard)
-        k = args.oracle_depth
-        finite_traces = traces_up_to(ctx.component, k, guard=guard)
-        tree_traces = traces_up_to(tree.component, k, guard=guard)
-        agree = finite_traces == tree_traces
-        payload["oracle"] = {"depth": k, "agree": agree}
-        human.append(f"oracle comparison at depth {k}: {'agree' if agree else 'MISMATCH'}")
-        if not agree:
-            exit_code = EXIT_FAIL
-    _emit(args, payload, "\n".join(human))
-    return exit_code
+    _emit(args, payload, f"wrote projection onto '{args.target}' to {args.out}")
+    return EXIT_OK
 
 
 def cmd_compositional(args) -> int:

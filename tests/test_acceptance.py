@@ -28,17 +28,6 @@ from fsmcheck import (
 )
 from fsmcheck.certify import NOT_APPLICABLE, SOUND_FAIL
 from fsmcheck.errors import TraceLimitError
-from fsmcheck.fixtures import (
-    coffee_drink,
-    coffee_expr,
-    coffee_iut_money,
-    coffee_spec_money,
-    coffee_spec_money_revised,
-    relay_expr,
-    relay_iut_left,
-    relay_right,
-    relay_spec_left,
-)
 from fsmcheck.formats import component_from_json, component_from_text, component_to_json, component_to_text
 from fsmcheck.randgen import (
     alphabets_for_pair,
@@ -49,6 +38,7 @@ from fsmcheck.randgen import (
     random_input_enabled_spec,
 )
 
+from demos import coffee_expr, demo, relay_expr
 from oracles import agrees_with_naive_inclusion, reassembles
 
 
@@ -64,8 +54,8 @@ WITNESS = trace("coinC|preparing abs|coffee coinC|preparing")
 
 def test_criterion_01_coffee_global_failure():
     started = time.monotonic()
-    iut = build_system(coffee_expr(coffee_iut_money(), coffee_drink()))
-    spec = build_system(coffee_expr(coffee_spec_money(), coffee_drink()))
+    iut = build_system(coffee_expr(demo("coffee/iut_money"), demo("coffee/drink")))
+    spec = build_system(coffee_expr(demo("coffee/spec_money"), demo("coffee/drink")))
     verdict = check_cioco_exact(iut, spec)
     elapsed = time.monotonic() - started
     ce = verdict.counterexample
@@ -82,8 +72,8 @@ def test_criterion_01_coffee_global_failure():
 
 def test_criterion_02_coffee_local_passes():
     started = time.monotonic()
-    money = check_cioco_exact(coffee_iut_money(), coffee_spec_money())
-    drink = check_cioco_exact(coffee_drink(), coffee_drink())
+    money = check_cioco_exact(demo("coffee/iut_money"), demo("coffee/spec_money"))
+    drink = check_cioco_exact(demo("coffee/drink"), demo("coffee/drink"))
     elapsed = time.monotonic() - started
     ok = money.passed and drink.passed and elapsed < 1.0
     report(2, "both coffee components pass their local checks", ok, f"{elapsed:.3f}s")
@@ -91,15 +81,16 @@ def test_criterion_02_coffee_local_passes():
 
 def test_criterion_03_by_parts_not_applicable_on_coffee():
     rep = certify_by_parts(
-        coffee_iut_money(), coffee_spec_money(), coffee_drink(), coffee_drink()
+        demo("coffee/iut_money"), demo("coffee/spec_money"),
+        demo("coffee/drink"), demo("coffee/drink"),
     )
     enabledness = {
         a.name: a.holds for a in rep.assumptions if a.name.endswith("input-enabled")
     }
     locals_pass = all(v.passed for v in rep.local_verdicts.values())
     global_fails = check_cioco_exact(
-        build_system(coffee_expr(coffee_iut_money(), coffee_drink())),
-        build_system(coffee_expr(coffee_spec_money(), coffee_drink())),
+        build_system(coffee_expr(demo("coffee/iut_money"), demo("coffee/drink"))),
+        build_system(coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))),
     ).failed
     ok = (
         rep.global_conclusion == NOT_APPLICABLE
@@ -111,14 +102,14 @@ def test_criterion_03_by_parts_not_applicable_on_coffee():
 
 
 def test_criterion_04_in_context_on_revised_coffee():
-    revised = coffee_spec_money_revised()
-    build = build_system_full(coffee_expr(revised, coffee_drink()))
+    revised = demo("coffee/spec_money_revised")
+    build = build_system_full(coffee_expr(revised, demo("coffee/drink")))
     projection = component_in_context(build, "M").component
     equivalent = all(
         traces_up_to(projection, k) == traces_up_to(revised, k) for k in range(7)
     )
     rep = certify_in_context(
-        coffee_iut_money(), revised, coffee_drink(), coffee_drink()
+        demo("coffee/iut_money"), revised, demo("coffee/drink"), demo("coffee/drink")
     )
     money = rep.local_verdicts["M"]
     final_ok = False
@@ -137,11 +128,11 @@ def test_criterion_04_in_context_on_revised_coffee():
 
 
 def test_criterion_05_relay_counterexample():
-    local_left = check_cioco_exact(relay_iut_left(), relay_spec_left())
-    local_right = check_cioco_exact(relay_right(), relay_right())
+    local_left = check_cioco_exact(demo("relay/iut_left"), demo("relay/spec_left"))
+    local_right = check_cioco_exact(demo("relay/right"), demo("relay/right"))
     verdict = check_cioco_exact(
-        build_system(relay_expr(relay_iut_left(), relay_right())),
-        build_system(relay_expr(relay_spec_left(), relay_right())),
+        build_system(relay_expr(demo("relay/iut_left"), demo("relay/right"))),
+        build_system(relay_expr(demo("relay/spec_left"), demo("relay/right"))),
     )
     ce = verdict.counterexample
     ok = (

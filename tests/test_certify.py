@@ -21,17 +21,6 @@ from fsmcheck import (
 )
 from fsmcheck import certify, project
 from fsmcheck.certify import NOT_APPLICABLE, SOUND_FAIL, SOUND_PASS
-from fsmcheck.fixtures import (
-    coffee_drink,
-    coffee_expr,
-    coffee_iut_money,
-    coffee_spec_money,
-    coffee_spec_money_revised,
-    relay_expr,
-    relay_iut_left,
-    relay_right,
-    relay_spec_left,
-)
 from fsmcheck.randgen import (
     alphabets_for_pair,
     conforming_iut,
@@ -42,13 +31,15 @@ from fsmcheck.randgen import (
     random_input_enabled_spec,
 )
 
+from demos import coffee_expr, demo, relay_expr
 from test_project import random_four_leaf_system, random_three_leaf_system
 
 
 class TestByParts:
     def test_coffee_is_not_applicable_despite_local_passes(self):
         report = certify_by_parts(
-            coffee_iut_money(), coffee_spec_money(), coffee_drink(), coffee_drink()
+            demo("coffee/iut_money"), demo("coffee/spec_money"),
+        demo("coffee/drink"), demo("coffee/drink"),
         )
         assert report.global_conclusion == NOT_APPLICABLE
         assert all(v.passed for v in report.local_verdicts.values())
@@ -57,13 +48,14 @@ class TestByParts:
 
     def test_relay_is_not_applicable_and_the_composition_really_fails(self):
         report = certify_by_parts(
-            relay_iut_left(), relay_spec_left(), relay_right(), relay_right()
+            demo("relay/iut_left"), demo("relay/spec_left"),
+            demo("relay/right"), demo("relay/right"),
         )
         assert report.global_conclusion == NOT_APPLICABLE
         assert all(v.passed for v in report.local_verdicts.values())
         direct = check_cioco_exact(
-            build_system(relay_expr(relay_iut_left(), relay_right())),
-            build_system(relay_expr(relay_spec_left(), relay_right())),
+            build_system(relay_expr(demo("relay/iut_left"), demo("relay/right"))),
+            build_system(relay_expr(demo("relay/spec_left"), demo("relay/right"))),
         )
         assert direct.failed
 
@@ -99,10 +91,10 @@ class TestByParts:
 class TestInContext:
     def test_revised_coffee_fails_soundly_implicating_money(self):
         report = certify_in_context(
-            coffee_iut_money(),
-            coffee_spec_money_revised(),
-            coffee_drink(),
-            coffee_drink(),
+            demo("coffee/iut_money"),
+            demo("coffee/spec_money_revised"),
+            demo("coffee/drink"),
+            demo("coffee/drink"),
         )
         assert report.global_conclusion == SOUND_FAIL
         assert report.local_verdicts["D"].passed
@@ -116,10 +108,10 @@ class TestInContext:
         # the revised money spec's projection is itself, so the identical
         # quadruple passes even under the strict local checks
         report = certify_in_context(
-            coffee_spec_money_revised(),
-            coffee_spec_money_revised(),
-            coffee_drink(),
-            coffee_drink(),
+            demo("coffee/spec_money_revised"),
+            demo("coffee/spec_money_revised"),
+            demo("coffee/drink"),
+            demo("coffee/drink"),
         )
         assert report.global_conclusion == SOUND_PASS
 
@@ -272,18 +264,18 @@ def with_mutated_leaves(rng, expr):
 class TestLocalizeFault:
     def test_pass_verdict_yields_empty_map(self):
         assert localize_fault(
-            relay_expr(relay_iut_left(), relay_right()),
-            relay_expr(relay_spec_left(), relay_right()),
+            relay_expr(demo("relay/iut_left"), demo("relay/right")),
+            relay_expr(demo("relay/spec_left"), demo("relay/right")),
             None,
         ) == {}
 
     def test_coffee_failure_localizes_to_money_only(self):
-        expr_iut = coffee_expr(coffee_iut_money(), coffee_drink())
-        expr_spec_orig = coffee_expr(coffee_spec_money(), coffee_drink())
+        expr_iut = coffee_expr(demo("coffee/iut_money"), demo("coffee/drink"))
+        expr_spec_orig = coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))
         ce = check_cioco_exact(
             build_system(expr_iut), build_system(expr_spec_orig)
         ).counterexample
-        expr_spec_revised = coffee_expr(coffee_spec_money_revised(), coffee_drink())
+        expr_spec_revised = coffee_expr(demo("coffee/spec_money_revised"), demo("coffee/drink"))
         located = localize_fault(expr_iut, expr_spec_revised, ce)
         assert located["D"] is None
         money = located["M"]
@@ -292,8 +284,8 @@ class TestLocalizeFault:
         assert format_trace(money.witness) == "coinC|makeC coinC|makeC"
 
     def test_relay_failure_implicates_the_back_channel_reactor(self):
-        expr_iut = relay_expr(relay_iut_left(), relay_right())
-        expr_spec = relay_expr(relay_spec_left(), relay_right())
+        expr_iut = relay_expr(demo("relay/iut_left"), demo("relay/right"))
+        expr_spec = relay_expr(demo("relay/spec_left"), demo("relay/right"))
         ce = check_cioco_exact(build_system(expr_iut), build_system(expr_spec)).counterexample
         located = localize_fault(expr_iut, expr_spec, ce)
         left = located["A"]
@@ -309,22 +301,44 @@ class TestLocalizeFault:
                 return original(build)
 
             monkeypatch.setattr(module, "_encoded_projections", counted)
-        expr_iut = coffee_expr(coffee_iut_money(), coffee_drink())
-        expr_spec = coffee_expr(coffee_spec_money(), coffee_drink())
+        expr_iut = coffee_expr(demo("coffee/iut_money"), demo("coffee/drink"))
+        expr_spec = coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))
         ce = check_cioco_exact(build_system(expr_iut), build_system(expr_spec)).counterexample
         located = localize_fault(expr_iut, expr_spec, ce)
         assert calls == [("M", "D")]
         monkeypatch.undo()
         assert located == localize_by_leaf(expr_iut, expr_spec, ce)
 
+    def test_replays_the_trace_once(self, monkeypatch):
+        rng = random.Random(257)
+        while True:
+            expr_spec = random_three_leaf_system(rng)
+            expr_iut = with_mutated_leaves(rng, expr_spec)
+            ce = check_cioco_exact(
+                build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
+            ).counterexample
+            if ce is not None:
+                break
+        calls = []
+
+        def counted(build, *args, original=project._replay):
+            calls.append(build.leaves)
+            return original(build, *args)
+
+        monkeypatch.setattr(project, "_replay", counted)
+        located = localize_fault(expr_iut, expr_spec, ce, relax=True)
+        assert len(calls) == 1 and len(calls[0]) == 3
+        monkeypatch.undo()
+        assert located == localize_by_leaf(expr_iut, expr_spec, ce, relax=True)
+
     def test_fixtures_match_one_projection_per_leaf(self):
         cases = [
-            (coffee_expr(coffee_iut_money(), coffee_drink()),
-             coffee_expr(coffee_spec_money(), coffee_drink()),
-             coffee_expr(coffee_spec_money_revised(), coffee_drink())),
-            (relay_expr(relay_iut_left(), relay_right()),
-             relay_expr(relay_spec_left(), relay_right()),
-             relay_expr(relay_spec_left(), relay_right())),
+            (coffee_expr(demo("coffee/iut_money"), demo("coffee/drink")),
+             coffee_expr(demo("coffee/spec_money"), demo("coffee/drink")),
+             coffee_expr(demo("coffee/spec_money_revised"), demo("coffee/drink"))),
+            (relay_expr(demo("relay/iut_left"), demo("relay/right")),
+             relay_expr(demo("relay/spec_left"), demo("relay/right")),
+             relay_expr(demo("relay/spec_left"), demo("relay/right"))),
         ]
         for expr_iut, expr_spec, against in cases:
             ce = check_cioco_exact(build_system(expr_iut), build_system(expr_spec)).counterexample
@@ -378,11 +392,11 @@ class TestLocalizeFault:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeMismatchError):
             localize_fault(
-                relay_expr(relay_iut_left(), relay_right()),
-                coffee_expr(coffee_spec_money(), coffee_drink()),
+                relay_expr(demo("relay/iut_left"), demo("relay/right")),
+                coffee_expr(demo("coffee/spec_money"), demo("coffee/drink")),
                 check_cioco_exact(
-                    build_system(relay_expr(relay_iut_left(), relay_right())),
-                    build_system(relay_expr(relay_spec_left(), relay_right())),
+                    build_system(relay_expr(demo("relay/iut_left"), demo("relay/right"))),
+                    build_system(relay_expr(demo("relay/spec_left"), demo("relay/right"))),
                 ).counterexample,
             )
 

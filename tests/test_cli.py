@@ -12,7 +12,8 @@ from fsmcheck.cli import main
 from fsmcheck.formats import load_component, save_component
 from fsmcheck.machine import Component
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+from demos import FIXTURES
+
 COFFEE = FIXTURES / "coffee"
 RELAY = FIXTURES / "relay"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -223,7 +224,7 @@ class TestProject:
         code, _ = run(
             "project", "(par M D)",
             COFFEE / "spec_money_revised.fsm", COFFEE / "drink.fsm",
-            "--target", "M", "-o", out, "--oracle-depth", "4",
+            "--target", "M", "-o", out,
             capsys=capsys,
         )
         assert code == 0
@@ -244,13 +245,13 @@ class TestProject:
         )
         assert code == 2
 
-    def test_negative_oracle_depth_exits_two(self, tmp_path, capsys):
+    def test_oracle_depth_is_not_an_option(self, tmp_path, capsys):
         out = tmp_path / "proj.fsm"
         err = rejected_at_parsing(
             capsys, "project", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
-            "--target", "M", "-o", out, "--oracle-depth", "-1",
+            "--target", "M", "-o", out, "--oracle-depth", "4",
         )
-        assert "non-negative" in err
+        assert "unrecognized arguments: --oracle-depth 4" in err
         assert not out.exists()
 
 
@@ -385,8 +386,8 @@ class TestGuard:
             ("compose", "(par M D)", money, drink, "-o", out),
             ("compositional", "--theorem", "2", money, money, drink, drink),
         ):
-            err = rejected_at_parsing(capsys, *argv, "--guard", "0")
-            assert "unrecognized arguments: --guard" in err
+            err = rejected_at_parsing(capsys, *argv, "--guard", "5")
+            assert "unrecognized arguments: --guard 5" in err
         assert not out.exists()
 
     def test_exact_check_exits_two(self, capsys):
@@ -398,15 +399,13 @@ class TestGuard:
             assert "--guard requires --method bounded" in captured.err
 
     def test_project_without_oracle_depth_exits_two(self, tmp_path, capsys):
+        # project has no bounded oracle any more, so there is nothing for --guard to cap
         out = tmp_path / "proj.fsm"
-        code = run(
-            "project", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
+        err = rejected_at_parsing(
+            capsys, "project", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
             "--target", "M", "-o", out, "--guard", "5",
         )
-        assert code == (2, "")
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--guard requires --oracle-depth" in captured.err
+        assert "unrecognized arguments: --guard 5" in err
         assert not out.exists()
 
     def test_bounded_enumerations_read_it(self, tmp_path, capsys):
@@ -414,13 +413,14 @@ class TestGuard:
         # a bounded check never reports a pass: inconclusive when nothing fails
         assert run("check", "--method", "bounded", "-k", "3", "--guard", "100", drink, drink)[0] == 3
         assert run("check", "--method", "bounded", "-k", "3", "--guard", "1", drink, drink)[0] == 2
+        assert run("traces", "-k", "3", "--guard", "1000", drink)[0] == 0
+        assert run("traces", "-k", "3", "--guard", "1", drink)[0] == 2
         out = tmp_path / "proj.fsm"
         project = (
             "project", "(par M D)", COFFEE / "spec_money_revised.fsm", drink,
-            "--target", "M", "-o", out, "--oracle-depth", "4",
+            "--target", "M", "-o", out,
         )
-        assert run(*project, "--guard", "1000")[0] == 0
-        assert run(*project, "--guard", "1")[0] == 2
+        assert run(*project)[0] == 0
 
 
 def test_byte_identical_json_between_runs(tmp_path, capsys):
@@ -457,12 +457,12 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         ("compositional", "--theorem", "2", "--json",
          RELAY / "iut_left.fsm", RELAY / "spec_left.fsm", RELAY / "right.fsm", RELAY / "right.fsm"),
         ("project", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
-         "--target", "M", "-o", written, "--oracle-depth", "4", "--json"),
+         "--target", "M", "-o", written, "--json"),
         ("compose", "(par M D)", COFFEE / "iut_money.fsm", COFFEE / "drink.fsm", "-o", written),
         # a nested node is renumbered before it is composed again
         ("compose", "(par B (par M D))", *nested, "--relax", "-o", written),
         ("project", "(par B (par M D))", *nested, "--relax", "--target", "D", "-o", written,
-         "--oracle-depth", "3", "--json"),
+         "--json"),
     ]
     for argv in invocations:
         results = set()

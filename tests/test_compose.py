@@ -18,9 +18,9 @@ from fsmcheck import (
     trace,
     traces_up_to,
 )
-from fsmcheck.fixtures import coffee_drink, coffee_expr, coffee_iut_money
 from fsmcheck.randgen import random_composable_pair
 
+from demos import coffee_expr, demo
 from oracles import naive_full_product, naive_traces, vector_traces
 
 
@@ -94,7 +94,7 @@ def test_composed_alphabet_law():
 
 
 def test_coffee_composition_runs_the_refund_trace():
-    composed = build_system(coffee_expr(coffee_iut_money(), coffee_drink()))
+    composed = build_system(coffee_expr(demo("coffee/iut_money"), demo("coffee/drink")))
     assert has_trace(
         composed, trace("coinC|preparing abs|coffee coinC|preparing abs|refund")
     )
@@ -139,7 +139,7 @@ class TestSystemTrees:
         assert build_system(Leaf("C", c)) == c
 
     def test_pair_node_composes(self):
-        money, drink = coffee_iut_money(), coffee_drink()
+        money, drink = demo("coffee/iut_money"), demo("coffee/drink")
         expr = coffee_expr(money, drink)
         assert build_system(expr) == synchronous_parallel(money, drink)
 

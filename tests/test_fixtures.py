@@ -1,30 +1,49 @@
-"""Shipped fixture files: in sync with the builders, facts hold."""
+"""Shipped fixture files: valid, lossless in both formats, and the trace
+facts of fixtures/README.md hold."""
 
-from pathlib import Path
+from fsmcheck import build_system, check_cioco_exact, has_trace, out_after, trace
+from fsmcheck.formats import (
+    component_from_json,
+    component_from_text,
+    component_to_json,
+    component_to_text,
+    load_component,
+)
+from fsmcheck.machine import validate_component
 
-from fsmcheck import fixtures
-from fsmcheck.formats import load_component
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-FILE_TO_BUILDER = {
-    "coffee/spec_money.fsm": fixtures.coffee_spec_money,
-    "coffee/iut_money.fsm": fixtures.coffee_iut_money,
-    "coffee/drink.fsm": fixtures.coffee_drink,
-    "coffee/spec_money_revised.fsm": fixtures.coffee_spec_money_revised,
-    "relay/spec_left.fsm": fixtures.relay_spec_left,
-    "relay/iut_left.fsm": fixtures.relay_iut_left,
-    "relay/right.fsm": fixtures.relay_right,
-}
+from demos import FIXTURES, coffee_expr, demo, relay_expr
 
 
-def test_files_match_builders():
-    for rel, builder in FILE_TO_BUILDER.items():
-        assert load_component(str(FIXTURES / rel)) == builder(), rel
+def test_every_file_is_valid_and_round_trips():
+    paths = sorted(FIXTURES.glob("**/*.fsm"))
+    assert len(paths) == 7
+    for path in paths:
+        c = load_component(str(path))
+        assert validate_component(c).ok, path
+        assert component_from_text(component_to_text(c)) == c, path
+        assert component_from_json(component_to_json(c)) == c, path
 
 
-def test_selfcheck_facts_all_hold():
-    facts = fixtures.selfcheck()
-    assert facts
-    for name, holds, detail in facts:
-        assert holds, f"{name}: {detail}"
+def test_coffee_facts_hold():
+    spec = build_system(coffee_expr(demo("coffee/spec_money"), demo("coffee/drink")))
+    iut = build_system(coffee_expr(demo("coffee/iut_money"), demo("coffee/drink")))
+    witness = trace("coinC|preparing abs|coffee coinC|preparing")
+
+    # the composed implementation refunds where the composed specification may not
+    assert has_trace(iut, witness + trace("abs|refund"))
+    assert has_trace(spec, witness)
+    assert "refund" not in out_after(spec, witness, "abs")
+    # while each part conforms locally
+    assert check_cioco_exact(demo("coffee/iut_money"), demo("coffee/spec_money")).passed
+    assert check_cioco_exact(demo("coffee/drink"), demo("coffee/drink")).passed
+
+
+def test_relay_facts_hold():
+    spec = build_system(relay_expr(demo("relay/spec_left"), demo("relay/right")))
+    iut = build_system(relay_expr(demo("relay/iut_left"), demo("relay/right")))
+
+    assert has_trace(iut, trace("i1|o3 i2|o5"))
+    assert has_trace(spec, trace("i1|o3"))
+    assert "o5" not in out_after(spec, trace("i1|o3"), "i2")
+    assert check_cioco_exact(demo("relay/iut_left"), demo("relay/spec_left")).passed
+    assert check_cioco_exact(demo("relay/right"), demo("relay/right")).passed

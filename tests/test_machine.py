@@ -196,10 +196,10 @@ class TestInputEnabled:
         assert not is_input_enabled(c)
 
     def test_coffee_money_spec_is_not_input_enabled(self):
-        from fsmcheck.fixtures import coffee_drink, coffee_spec_money
+        from demos import demo
 
-        assert not is_input_enabled(coffee_spec_money())
-        assert not is_input_enabled(coffee_drink())
+        assert not is_input_enabled(demo("coffee/spec_money"))
+        assert not is_input_enabled(demo("coffee/drink"))
 
 
 class TestComplete:

@@ -20,12 +20,6 @@ from fsmcheck import (
     trace,
     traces_up_to,
 )
-from fsmcheck.fixtures import (
-    coffee_drink,
-    coffee_expr,
-    coffee_spec_money,
-    coffee_spec_money_revised,
-)
 from fsmcheck.compose import composed_alphabets, subcomponents
 from fsmcheck.conform import _exact_verdict
 from fsmcheck._core import EncodedComponent, bits, encode_pair
@@ -33,6 +27,7 @@ from fsmcheck.machine import Step
 from fsmcheck.project import _encoded_projections, _relabel
 from fsmcheck.randgen import mutate, prune, random_component, random_composable_pair
 
+from demos import coffee_expr, demo, relay_expr
 from oracles import (
     naive_component_in_context,
     naive_context_edges,
@@ -78,7 +73,7 @@ class TestProjectTrace:
         assert project_trace(expr, tr, "C2").traces == {trace("m|y")}
 
     def test_coffee_projection_of_the_brewing_prefix(self):
-        expr = coffee_expr(coffee_spec_money(), coffee_drink())
+        expr = coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))
         got = project_trace(expr, trace("coinC|preparing abs|coffee"), "M")
         assert got.traces == {trace("coinC|makeC")}
 
@@ -343,9 +338,9 @@ class TestComponentInContext:
         assert ctx.outputs == {"y", "w", "z"}
 
     def test_revised_coffee_projection_is_the_money_spec_itself(self):
-        expr = coffee_expr(coffee_spec_money_revised(), coffee_drink())
+        expr = coffee_expr(demo("coffee/spec_money_revised"), demo("coffee/drink"))
         proj = component_in_context(expr, "M").component
-        spec = coffee_spec_money_revised()
+        spec = demo("coffee/spec_money_revised")
         for k in range(7):
             assert traces_up_to(proj, k) == traces_up_to(spec, k)
 
@@ -470,10 +465,25 @@ class TestTreeConstruction:
         assert component_in_context_tree(expr, "C1", 3).provenance == "tree(3)"
 
     def test_revised_coffee_tree_matches_money_spec(self):
-        expr = coffee_expr(coffee_spec_money_revised(), coffee_drink())
+        expr = coffee_expr(demo("coffee/spec_money_revised"), demo("coffee/drink"))
         tree = component_in_context_tree(expr, "M", 3).component
-        spec = coffee_spec_money_revised()
+        spec = demo("coffee/spec_money_revised")
         assert traces_up_to(tree, 3) == traces_up_to(spec, 3)
+
+    def test_tree_equals_finite_construction_on_the_fixtures(self):
+        money = coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))
+        systems = [
+            (money, False),
+            (coffee_expr(demo("coffee/spec_money_revised"), demo("coffee/drink")), False),
+            (relay_expr(demo("relay/spec_left"), demo("relay/right")), False),
+            (Par(Leaf("B", demo("relay/right")), money), True),
+        ]
+        for expr, relax in systems:
+            build = build_system_full(expr, relax=relax)
+            for target in build.leaves:
+                finite = component_in_context(build, target).component
+                tree = component_in_context_tree(build, target, 4).component
+                assert traces_up_to(finite, 4) == traces_up_to(tree, 4), target
 
     def test_tree_equals_finite_construction_on_random_systems(self):
         rng = random.Random(127)
