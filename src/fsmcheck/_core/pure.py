@@ -2,18 +2,19 @@
 
 Both read the packed step rows of ``encode``: the product closure takes
 each state's transitions off its row, and the subset-pair search merges
-the steps of a state subset with ``|`` over its rows, then reads the
-targets of one step with one shift and mask. All iteration orders are
-sorted (slot order is sorted step order), so results are deterministic
-and do not depend on the hash seed. Memoization lives inside one call:
-no result is kept from one search to the next.
+the steps of a state subset with one ``|`` per member state's row, then
+reads the targets of one step with one shift and mask. All iteration
+orders are sorted (slot order is sorted step order), so results are
+deterministic and do not depend on the hash seed, nor on how states are
+numbered. Memoization lives inside one call: no result is kept from one
+search to the next.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .encode import EncodedComponent, bits
+from .encode import EncodedComponent
 
 # Composition rule tags.
 LEFT_ONLY = 1
@@ -85,47 +86,14 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
     return pairs, transitions
 
 
-#: States per block of a subset mask (see ``_row_union``).
-BLOCK = 8
-_CHUNK = (1 << BLOCK) - 1
-
-
-def _row_union(rows: list[int]):
-    """Lookup of the union of ``rows`` over a non-empty state subset.
-
-    The returned function maps a subset mask to the ``|`` of its states'
-    rows, memoizing the union of each distinct BLOCK-state chunk of two
-    or more states, keyed by the chunk and its offset, for the life of
-    the lookup. Whole masks are not memoized: a search seldom meets the
-    same specification subset twice, and the 2^n family never does.
-    """
-    memo: dict[int, int] = {}
-
-    def union(mask: int) -> int:
-        if not mask & (mask - 1):
-            return rows[mask.bit_length() - 1]
-        row = 0
-        offset = (mask & -mask).bit_length() - 1 & -BLOCK  # the lowest state's block
-        mask >>= offset
-        while mask:
-            chunk = mask & _CHUNK
-            if chunk:
-                if not chunk & (chunk - 1):
-                    row |= rows[offset + chunk.bit_length() - 1]
-                else:
-                    key = offset << BLOCK | chunk
-                    part = memo.get(key)
-                    if part is None:
-                        part = 0
-                        for s in bits(chunk):
-                            part |= rows[offset + s]
-                        memo[key] = part
-                    row |= part
-            mask >>= BLOCK
-            offset += BLOCK
-        return row
-
-    return union
+def _row_union(rows: list[int], mask: int) -> int:
+    """The ``|`` of ``rows`` over the states of a subset mask."""
+    row = 0
+    while mask:
+        low = mask & -mask
+        row |= rows[low.bit_length() - 1]
+        mask ^= low
+    return row
 
 
 def _witness(seen, key):
@@ -157,7 +125,8 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
 
     Both machines must have the same slots. The implementation's steps
     are kept per distinct subset: its subsets recur across pairs far more
-    than the specification's, whose rows are merged afresh per pair.
+    than the specification's, whose rows are merged afresh per pair with
+    one ``|`` per member state.
     """
     slots = enc_iut.slots
     if enc_spec.slots != slots:
@@ -167,8 +136,7 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
     full_iut, full_spec = (1 << n_iut) - 1, (1 << n_spec) - 1
     # each slot with its first bit in either machine's rows
     slot_at = [(io, k * n_iut, k * n_spec) for k, io in enumerate(slots)]
-    spec_union = _row_union(enc_spec.rows)
-    iut_union = _row_union(enc_iut.rows)
+    spec_rows, iut_rows = enc_spec.rows, enc_iut.rows
     iut_steps_of: dict[int, list] = {}
     start = (1 << enc_iut.initial, 1 << enc_spec.initial)
     seen = {start: None}
@@ -182,10 +150,10 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
         if depth > max_depth:
             max_depth = depth
 
-        spec_row = spec_union(qs)
+        spec_row = _row_union(spec_rows, qs)
         iut_steps = iut_steps_of.get(qi)
         if iut_steps is None:
-            row = iut_union(qi)
+            row = _row_union(iut_rows, qi)
             iut_steps = iut_steps_of[qi] = [
                 (io, t, spec_at) for io, iut_at, spec_at in slot_at
                 if (t := row >> iut_at & full_iut)

@@ -252,14 +252,14 @@ def localize_fault(
         projection = projections[name]
         candidates = []
         for tr in projected:
-            found = _first_violation(tr, projection)
+            found = _first_step_outside(tr, projection)
             if found is not None:
                 candidates.append(found)
         located[name] = min(candidates, key=_ce_order) if candidates else None
     return located
 
 
-def _first_violation(tr: Trace, projection: Component) -> Counterexample | None:
+def _first_step_outside(tr: Trace, projection: Component) -> Counterexample | None:
     """Earliest step of ``tr`` that leaves the projection's behaviour.
 
     The scanned prefix stays a trace of the projection until the first
@@ -267,13 +267,12 @@ def _first_violation(tr: Trace, projection: Component) -> Counterexample | None:
     counterexample invariants.
     """
     for n, s in enumerate(tr):
-        prefix = tr[:n]
         if s.input not in projection.inputs:
             return None
-        allowed = out_after(projection, prefix, s.input)
+        allowed = out_after(projection, tr[:n], s.input)
         if s.output not in allowed:
             return Counterexample(
-                witness=prefix,
+                witness=tr[:n],
                 input=s.input,
                 offending_output=s.output,
                 iut_outputs=frozenset([s.output]),

@@ -15,7 +15,7 @@ relation coincide with trace inclusion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from . import _core
@@ -53,13 +53,11 @@ class Counterexample:
         return self.witness + (Step(self.input, self.offending_output),)
 
     def to_dict(self) -> dict:
-        return {
-            "witness": [{"input": s.input, "output": s.output} for s in self.witness],
-            "input": self.input,
-            "offending_output": self.offending_output,
-            "iut_outputs": sorted(self.iut_outputs),
-            "spec_outputs": sorted(self.spec_outputs),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["witness"] = [{"input": s.input, "output": s.output} for s in self.witness]
+        out["iut_outputs"] = sorted(self.iut_outputs)
+        out["spec_outputs"] = sorted(self.spec_outputs)
+        return out
 
 
 @dataclass(frozen=True)
@@ -93,16 +91,13 @@ class Verdict:
 
     def to_dict(self) -> dict:
         ce = self.counterexample
+        found = (  # the counterexample's fields, all None when there is none
+            dict.fromkeys(f.name for f in fields(Counterexample)) if ce is None else ce.to_dict()
+        )
         out = {
             "result": self.result,
             "method": self.method,
-            "witness": None if ce is None else [
-                {"input": s.input, "output": s.output} for s in ce.witness
-            ],
-            "input": None if ce is None else ce.input,
-            "offending_output": None if ce is None else ce.offending_output,
-            "iut_outputs": None if ce is None else sorted(ce.iut_outputs),
-            "spec_outputs": None if ce is None else sorted(ce.spec_outputs),
+            **found,
             "stats": None
             if self.stats is None
             else {

@@ -205,6 +205,7 @@ def parse_system_expr(text: str, components: dict[str, Component]) -> SystemExpr
     """Parse ``(par A B)`` style expressions over named components."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
+    used: set[str] = set()
 
     def parse() -> SystemExpr:
         nonlocal pos
@@ -228,6 +229,9 @@ def parse_system_expr(text: str, components: dict[str, Component]) -> SystemExpr
             raise ParseError(
                 f"unknown component {tok!r} (loaded: {sorted(components)})"
             )
+        if tok in used:
+            raise ParseError(f"component {tok!r} appears twice in the expression")
+        used.add(tok)
         return Leaf(tok, components[tok])
 
     try:

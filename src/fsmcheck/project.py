@@ -126,48 +126,33 @@ def paired_projections(
 def _relabel(build: SystemBuild):
     """Split composed transitions into every leaf's steps and silent edges.
 
-    Returns, aligned with ``build.leaves``, ``(leaf, order, labelled,
-    silent)`` per leaf, ``leaf`` being its build. ``order`` lists the
-    composed states by the leaf's own state, ties by composed id, and
-    numbers the other two. Per state so numbered, ``labelled`` is the
-    row of the leaf's steps, in the leaf's slots, and ``silent`` lists
-    the targets reached without the leaf moving. A silent step leaves
-    the leaf's state as it is, so every silent closure stays within one
-    run of equal leaf states.
+    Returns, aligned with ``build.leaves``, ``(leaf, labelled, silent)``
+    per leaf, ``leaf`` being its build. Per composed state, ``labelled``
+    is the row of the leaf's steps, in the leaf's slots, and ``silent``
+    lists the targets reached without the leaf moving.
     """
     n = len(build.machine.state_names)
     raw = build.raw
     relabelled = []
-    for (leaf, states), (column, extra) in zip(_leaf_states(build), _leaf_parts(build)):
-        order = sorted(range(n), key=states.__getitem__)
-        rank = [0] * n
-        for r, s in enumerate(order):
-            rank[s] = r
+    for leaf, (column, extra) in zip(_leaf_builds(build), _leaf_parts(build)):
         offset = slot_offsets(leaf.machine.slots, n)
         labelled = [0] * n
         silent: list[list[int]] = [[] for _ in range(n)]
         for (src, _, _, dst, _, _), step in chain(zip(raw, column), extra):
             if step is None:
-                silent[src].append(rank[dst])
+                silent[src].append(dst)
             else:
-                labelled[src] |= 1 << (offset[step] + rank[dst])
-        relabelled.append(
-            (leaf, order, [labelled[s] for s in order], [silent[s] for s in order])
-        )
+                labelled[src] |= 1 << (offset[step] + dst)
+        relabelled.append((leaf, labelled, silent))
     return relabelled
 
 
-def _leaf_states(build: SystemBuild) -> list[tuple[SystemBuild, list[int]]]:
-    """Each leaf's build with the leaf's own state in every state of ``build``."""
+def _leaf_builds(build: SystemBuild) -> list[SystemBuild]:
+    """The builds of the leaves of ``build``, aligned with ``build.leaves``."""
     if not build.parts:
-        return [(build, list(range(len(build.machine.state_names))))]
+        return [build]
     left, right = build.parts
-    pairs = build.pairs
-    return [
-        (leaf, [states[ls] for (ls, _) in pairs]) for leaf, states in _leaf_states(left)
-    ] + [
-        (leaf, [states[rs] for (_, rs) in pairs]) for leaf, states in _leaf_states(right)
-    ]
+    return _leaf_builds(left) + _leaf_builds(right)
 
 
 def _leaf_parts(build: SystemBuild):
@@ -317,22 +302,20 @@ def _encoded_projections(build: SystemBuild) -> list[EncodedComponent]:
     """``component_in_context`` of a build onto every leaf, on ids.
 
     Aligned with ``build.leaves``. Each projection keeps the build's
-    labels and states, the states numbered by the leaf's own state (see
-    ``_relabel``). Its rows are the ones the subset-pair search reads, so
-    certification checks against it without decoding. A basic component
-    is its own projection.
+    labels, states and initial state. Its rows are the ones the
+    subset-pair search reads, so certification checks against it without
+    decoding. A basic component is its own projection.
     """
     m = build.machine
     if not build.parts:
         return [m]
     projections = []
-    for leaf, order, labelled, silent in _relabel(build):
+    for leaf, labelled, silent in _relabel(build):
         # forward closure: anything reachable silently can act on our behalf
         rows = _closed_steps(labelled, silent)
         projections.append(EncodedComponent(
-            f"{m.name}.at.{leaf.leaves[0]}", [m.state_names[s] for s in order],
-            order.index(m.initial), m.label_names, m.label_ids,
-            leaf.machine.input_ids, leaf.machine.output_ids, rows,
+            f"{m.name}.at.{leaf.leaves[0]}", m.state_names, m.initial, m.label_names,
+            m.label_ids, leaf.machine.input_ids, leaf.machine.output_ids, rows,
         ))
     return projections
 

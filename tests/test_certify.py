@@ -245,7 +245,7 @@ def localize_by_leaf(expr_iut, expr_spec, ce, relax=False):
         projection = component_in_context(spec_build, name).component
         found = [
             v for v in (
-                certify._first_violation(tr, projection)
+                certify._first_step_outside(tr, projection)
                 for tr in project_trace(iut_build, full, name).traces
             ) if v is not None
         ]

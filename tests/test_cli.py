@@ -121,6 +121,13 @@ class TestCompose:
         assert run("compose", "(par A B)", a, b, "-o", out)[0] == 1
         assert run("compose", "--relax", "(par A B)", a, b, "-o", out)[0] == 0
 
+    def test_repeated_leaf_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "x.fsm"
+        code, _ = run("compose", "(par M M)", COFFEE / "iut_money.fsm", "-o", out)
+        assert code == 2
+        assert "'M' appears twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dot_sidecar(self, tmp_path):
         out = tmp_path / "c.json"
         dot = tmp_path / "c.dot"
@@ -244,6 +251,16 @@ class TestProject:
             "--target", "Z", "-o", out,
         )
         assert code == 2
+
+    def test_repeated_leaf_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "proj.fsm"
+        code, _ = run(
+            "project", "(par (par M D) M)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
+            "--target", "M", "-o", out,
+        )
+        assert code == 2
+        assert "'M' appears twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oracle_depth_is_not_an_option(self, tmp_path, capsys):
         out = tmp_path / "proj.fsm"

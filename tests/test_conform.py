@@ -22,7 +22,6 @@ from fsmcheck import (
     traces_up_to,
 )
 from fsmcheck._core import EncodedComponent, cioco_bfs, encode_pair
-from fsmcheck._core.pure import BLOCK
 from fsmcheck.project import _encoded_projections
 from fsmcheck.randgen import conforming_iut, mutate, prune, random_component
 
@@ -396,6 +395,12 @@ def nth_from_end(n):
     for k in range(1, n):
         transitions += [(f"q{k}", "a", "x", f"q{k + 1}"), (f"q{k}", "a", "y", f"q{k + 1}")]
     return Component.build(f"nth{n}", "q0", transitions, states=[f"q{k}" for k in range(n + 1)])
+
+
+#: States per block of a subset mask. A subset whose states lie in
+#: several blocks, some holding two or more, merges rows far apart in
+#: its mask; the floors below count such subsets.
+BLOCK = 8
 
 
 class TestSubsetPairSearch:

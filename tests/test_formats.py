@@ -96,7 +96,7 @@ class TestExpressionParsing:
             parse_system_expr("(par M Z)", self.bound)
 
     def test_malformed(self):
-        for bad in ("(par M", "(par M D E)", ")", "(seq M D)"):
+        for bad in ("(par M", "(par M D E)", ")", "(seq M D)", "(par (par M D) M)"):
             with pytest.raises(ParseError):
                 parse_system_expr(bad, self.bound)
 

@@ -181,19 +181,6 @@ def rows_built(machine) -> bool:
     return True
 
 
-def leaf_state_names(build):
-    """Per leaf, the name of its own state in each composed state, found
-    through the pairs of every node."""
-    if not build.parts:
-        return [build.machine.state_names]
-    left, right = build.parts
-    return [
-        [states[ls] for (ls, _) in build.pairs] for states in leaf_state_names(left)
-    ] + [
-        [states[rs] for (_, rs) in build.pairs] for states in leaf_state_names(right)
-    ]
-
-
 def has_silent_cycle(build, target) -> bool:
     """Can some composed state return to itself while ``target`` stays put?"""
     _, silent = naive_context_edges(build, target)
@@ -280,7 +267,7 @@ class TestComponentInContext:
             else:
                 expr = random_four_leaf_system(rng, shapes[n // 3 % 3])
             build = build_system_full(expr, relax=True)
-            _encoded_projections(build)
+            projections = _encoded_projections(build)
             relabelled = _relabel(build)
             for target in build.leaves:
                 component_in_context(build, target)
@@ -303,23 +290,22 @@ class TestComponentInContext:
 
             fresh = build_system_full(expr, relax=True)
             assert build.decompositions == fresh.decompositions
-            for target, states, (leaf, order, labelled, silent) in zip(
-                build.leaves, leaf_state_names(build), relabelled
+            for target, projection, (leaf, labelled, silent) in zip(
+                build.leaves, projections, relabelled
             ):
-                # numbered by the leaf's own state, ties by composed id
-                assert order == sorted(range(len(names)), key=states.__getitem__)
-                named = [names[s] for s in order]
+                # the composed states and initial state, under their names
+                assert projection.decode() == naive_component_in_context(build, target)
                 ids = leaf.machine.input_ids, leaf.machine.output_ids
                 steps = {
-                    named[s]: {
-                        Step(labels[i], labels[o]): {named[t] for t in bits(mask)}
+                    names[s]: {
+                        Step(labels[i], labels[o]): {names[t] for t in bits(mask)}
                         for (i, o), mask in row_steps(row, len(names), *ids).items()
                     }
                     for s, row in enumerate(labelled)
                     if row
                 }
                 quiet = {
-                    named[s]: {named[t] for t in targets}
+                    names[s]: {names[t] for t in targets}
                     for s, targets in enumerate(silent)
                     if targets
                 }
