@@ -2,21 +2,12 @@
 
 ``encode`` maps components to dense integer ids and bitmask state
 subsets; ``pure`` holds the two searches: the synchronous product
-closure and the subset-pair conformance search, which also decides
-trace inclusion.
+closure, whose transitions carry the step each side takes, and the
+subset-pair conformance search, which also decides trace inclusion.
 """
 
 from .encode import EncodedComponent, bits, encode_pair, label_table, slot_layout, slot_offsets
-from .pure import (
-    LEFT_FEEDS_RIGHT,
-    LEFT_ONLY,
-    NO_LABEL,
-    RIGHT_FEEDS_LEFT,
-    RIGHT_ONLY,
-    cioco_bfs,
-    inclusion_bfs,
-    product_closure,
-)
+from .pure import cioco_bfs, inclusion_bfs, product_closure
 
 __all__ = [
     "EncodedComponent",
@@ -28,9 +19,4 @@ __all__ = [
     "product_closure",
     "cioco_bfs",
     "inclusion_bfs",
-    "LEFT_ONLY",
-    "RIGHT_ONLY",
-    "LEFT_FEEDS_RIGHT",
-    "RIGHT_FEEDS_LEFT",
-    "NO_LABEL",
 ]

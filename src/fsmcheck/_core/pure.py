@@ -16,22 +16,16 @@ from collections import deque
 
 from .encode import EncodedComponent
 
-# Composition rule tags.
-LEFT_ONLY = 1
-RIGHT_ONLY = 2
-LEFT_FEEDS_RIGHT = 3
-RIGHT_FEEDS_LEFT = 4
-
-NO_LABEL = -1
-
 
 def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inputs: frozenset):
     """Reachable synchronous product of two encoded components.
 
     Returns (pairs, transitions) where pairs is the list of discovered
     (s1, s2) state pairs in BFS order and each transition is a tuple
-    (src_pair_index, input, output, dst_pair_index, rule, intermediate).
-    The intermediate label is NO_LABEL except for the two feeding rules.
+    (src_pair_index, input, output, dst_pair_index, left, right): ``left``
+    and ``right`` are the (input, output) steps the two sides take, ``()``
+    for a side that does not move. A feeding rule's intermediate label is
+    the feeding side's output and the fed side's input.
 
     A transition is produced when one of the four composition rules
     applies and its trigger is a composed input (a label that is an input
@@ -57,23 +51,23 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
                 continue
             # left moves alone: its output is not consumable by the right
             if o not in in2:
-                found.append((i, o, t1, s2, LEFT_ONLY, NO_LABEL))
+                found.append((i, o, t1, s2, (i, o), ()))
             else:
                 # left output feeds the right, whose reaction is observed
                 for (i2, o2, t2) in moves2[s2]:
                     if i2 == o:
-                        found.append((i, o2, t1, t2, LEFT_FEEDS_RIGHT, o))
+                        found.append((i, o2, t1, t2, (i, o), (o, o2)))
         for (i, o, t2) in moves2[s2]:
             if i not in composed_inputs:
                 continue
             if o not in in1:
-                found.append((i, o, s1, t2, RIGHT_ONLY, NO_LABEL))
+                found.append((i, o, s1, t2, (), (i, o)))
             else:
                 for (i1, o1, t1) in moves1[s1]:
                     if i1 == o:
-                        found.append((i, o1, t1, t2, RIGHT_FEEDS_LEFT, o))
+                        found.append((i, o1, t1, t2, (o, o1), (i, o)))
 
-        for (i, o, t1, t2, rule, mid) in sorted(found):
+        for (i, o, t1, t2, left, right) in sorted(found):
             dst_pair = (t1, t2)
             dst = pair_index.get(dst_pair)
             if dst is None:
@@ -81,7 +75,7 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
                 pair_index[dst_pair] = dst
                 pairs.append(dst_pair)
                 queue.append(dst_pair)
-            transitions.append((src, i, o, dst, rule, mid))
+            transitions.append((src, i, o, dst, left, right))
 
     return pairs, transitions
 

@@ -23,14 +23,7 @@ from . import certify as certify_mod
 from .certify import certify_by_parts, certify_in_context
 from .compose import build_system_full
 from .conform import Verdict, check_cioco_bounded, check_cioco_exact
-from .errors import (
-    ComposabilityError,
-    FsmCheckError,
-    ParseError,
-    SignatureMismatchError,
-    TraceLimitError,
-    UnknownTargetError,
-)
+from .errors import FsmCheckError, ParseError
 from .formats import (
     component_to_dict,
     load_component,
@@ -365,12 +358,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ParseError, SignatureMismatchError, UnknownTargetError, TraceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ComposabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except FsmCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

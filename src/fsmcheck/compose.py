@@ -8,12 +8,11 @@ with the second reaction observed. Synchronized intermediates are hidden.
 Only the reachable part of the state product is materialized. A system
 expression is built on integer ids over one label table for the whole
 expression. Every composed node keeps its children and the
-rule-tagged transitions of the product closure, from which projection
-reads every leaf's part and the node's step rows are derived on first
-read. The table of all the ways each composed
+transitions of the product closure, each carrying the step each side
+takes in it. Projection reads every leaf's part off those steps, and
+the node's step rows and the table of all the ways each composed
 transition decomposes into leaf steps, hidden intermediates included,
-is derived from them on first read, and names are decoded only when
-read.
+are derived from them on first read. Names are decoded only when read.
 """
 
 from __future__ import annotations
@@ -120,8 +119,10 @@ TransitionIds = tuple[int, int, int, int]
 WayIds = tuple[tuple[int, int] | None, ...]
 
 #: A transition of a product closure: (source, input, output, target,
-#: rule, intermediate), source and target indexing the node's pairs.
-RawTransition = tuple[int, int, int, int, int, int]
+#: left, right), source and target indexing the node's pairs, and left and
+#: right the (input, output) step each side takes, () for a side that
+#: does not move.
+RawTransition = tuple[int, int, int, int, tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,13 @@ class SystemBuild:
     name order, a composed node's in discovery order from the initial
     state. A composed node keeps its two built ``parts``, its ``pairs``
     (each state as the pair of the parts' own state ids) and the ``raw``
-    transitions of the product closure between them; its machine derives
-    its step rows from ``raw`` on first read. ``ways`` maps every
-    composed transition ``(source, input, output, target)`` on those ids
-    to all the ways it can be attributed to leaf steps; ``component``
-    and ``decompositions`` are the same machine and map with names. All
-    three are derived on first read.
+    transitions of the product closure between them, each with the step
+    each part takes; its machine derives its step rows from ``raw`` on
+    first read. ``ways`` maps every composed transition ``(source,
+    input, output, target)`` on those ids to all the ways it can be
+    attributed to leaf steps; ``component`` and ``decompositions`` are
+    the same machine and map with names. All three are derived on first
+    read.
     """
 
     expr: SystemExpr
@@ -177,25 +179,13 @@ class SystemBuild:
         right_silent: WayIds = (None,) * len(right.leaves)
         pairs = self.pairs
         ways: dict[TransitionIds, frozenset[WayIds]] = {}
-        for (src, i, o, dst, rule, mid) in self.raw:
-            ls, rs = pairs[src]
-            lt, rt = pairs[dst]
-            if rule == _core.LEFT_ONLY:
-                found = [w + right_silent for w in left_ways[(ls, i, o, lt)]]
-            elif rule == _core.RIGHT_ONLY:
-                found = [left_silent + w for w in right_ways[(rs, i, o, rt)]]
-            elif rule == _core.LEFT_FEEDS_RIGHT:
-                found = [
-                    wl + wr
-                    for wl in left_ways[(ls, i, mid, lt)]
-                    for wr in right_ways[(rs, mid, o, rt)]
-                ]
-            else:  # RIGHT_FEEDS_LEFT
-                found = [
-                    wl + wr
-                    for wl in left_ways[(ls, mid, o, lt)]
-                    for wr in right_ways[(rs, i, mid, rt)]
-                ]
+        for (src, i, o, dst, ls, rs) in self.raw:
+            (l1, r1), (l2, r2) = pairs[src], pairs[dst]
+            found = [
+                wl + wr
+                for wl in (left_ways[(l1, *ls, l2)] if ls else (left_silent,))
+                for wr in (right_ways[(r1, *rs, r2)] if rs else (right_silent,))
+            ]
             key = (src, i, o, dst)
             known = ways.get(key)
             ways[key] = frozenset(found) if known is None else known.union(found)

@@ -20,15 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from ._core import (
-    LEFT_FEEDS_RIGHT,
-    LEFT_ONLY,
-    RIGHT_ONLY,
-    EncodedComponent,
-    bits,
-    slot_layout,
-    slot_offsets,
-)
+from ._core import EncodedComponent, bits, slot_layout, slot_offsets
 from .compose import Leaf, SystemBuild, SystemExpr, build_system_full
 from .errors import NotATraceError, TraceLimitError, UnknownTargetError
 from .machine import Component, Step, Trace, DEFAULT_TRACE_GUARD
@@ -161,29 +153,13 @@ def _leaf_parts(build: SystemBuild):
     Returns ``(column, extra)`` per leaf, aligned with ``build.leaves``:
     ``column[k]`` is a step the leaf takes in ``build.raw[k]``, None where
     it does not move, and ``extra`` lists ``(transition, step)`` for every
-    further step it may take in one transition. One pass over the
-    transitions reads each side's part off the rule: a side moving alone
-    takes the composed ``(input, output)``, a side feeding the other
-    ``(input, intermediate)``, a side fed by the other ``(intermediate,
-    output)``. A composed side's part is then split among its leaves.
+    further step it may take in one transition. Each side's step is read
+    off the transition, and a composed side's step is then split among
+    its leaves.
     """
-    left, right = build.parts
-    left_steps: list[tuple[int, int] | None] = []
-    right_steps: list[tuple[int, int] | None] = []
-    add_left, add_right = left_steps.append, right_steps.append
-    for (_, i, o, _, rule, mid) in build.raw:
-        if rule == LEFT_ONLY:
-            add_left((i, o))
-            add_right(None)
-        elif rule == RIGHT_ONLY:
-            add_left(None)
-            add_right((i, o))
-        elif rule == LEFT_FEEDS_RIGHT:
-            add_left((i, mid))
-            add_right((mid, o))
-        else:  # RIGHT_FEEDS_LEFT
-            add_left((mid, o))
-            add_right((i, mid))
+    raw = build.raw
+    left_steps = [t[4] or None for t in raw]
+    right_steps = [t[5] or None for t in raw]
     return _split(build, 0, left_steps) + _split(build, 1, right_steps)
 
 
@@ -378,14 +354,14 @@ def component_in_context_tree(
             row = 0
             for s in histories[h]:
                 row |= labelled[s]
-            for k, (i, o) in enumerate(slots):  # label ids sort as their names
-                targets = row >> k * n & full
+            for at, (i, o) in enumerate(slots):  # label ids sort as their names
+                targets = row >> at * n & full
                 if not targets:
                     continue
                 extended = h + (Step(labels[i], labels[o]),)
                 histories[extended] = _silent_closure(bits(targets), silent)
                 if len(histories) > guard:
-                    raise TraceLimitError(guard, f"context tree for '{target}' at depth {k}")
+                    raise TraceLimitError(guard, f"context tree for '{target}' up to depth {k}")
                 names[extended] = f"h{len(names)}"
                 transitions.append((names[h], labels[i], labels[o], names[extended]))
                 nxt.append(extended)

@@ -1,12 +1,17 @@
 """Command-line interface: behaviour and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsmcheck.cli import main
 from fsmcheck.formats import load_component, save_component
@@ -118,7 +123,7 @@ class TestCompose:
         save_component(Component.build("A", "s0", [("s0", "a", "x", "s0")]), str(a))
         save_component(Component.build("B", "t0", [("t0", "b", "y", "t0")]), str(b))
         out = tmp_path / "out.fsm"
-        assert run("compose", "(par A B)", a, b, "-o", out)[0] == 1
+        assert run("compose", "(par A B)", a, b, "-o", out)[0] == 2
         assert run("compose", "--relax", "(par A B)", a, b, "-o", out)[0] == 0
 
     def test_repeated_leaf_exits_two(self, tmp_path, capsys):
@@ -138,6 +143,34 @@ class TestCompose:
         assert code == 0
         assert dot.read_text().startswith("digraph")
         assert json.loads(out.read_text())["name"]
+
+
+class TestCannotCompose:
+    """A pair that cannot synchronize without ``--relax`` is a structural
+    error (exit 2), not a failed check."""
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        a, b = tmp_path / "a.fsm", tmp_path / "b.fsm"
+        save_component(Component.build("A", "s0", [("s0", "a", "x", "s0")]), str(a))
+        save_component(Component.build("B", "t0", [("t0", "b", "y", "t0")]), str(b))
+        return a, b
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    @pytest.mark.parametrize("command", ["compose", "project", "compositional"])
+    def test_exits_two_writing_nothing(self, pair, command, json_flag, tmp_path, capsys):
+        a, b = pair
+        out = tmp_path / "out.fsm"
+        argv = {
+            "compose": ["compose", "(par A B)", a, b, "-o", out],
+            "project": ["project", "(par A B)", a, b, "--target", "A", "-o", out],
+            "compositional": ["compositional", "--theorem", "2", a, a, b, b],
+        }[command]
+        assert run(*argv, *json_flag) == (2, "")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: components 'A' and 'B' cannot synchronize")
+        assert not out.exists()
 
 
 class TestTraces:
@@ -523,3 +556,88 @@ def test_repeated_in_process_calls_match_single_calls(tmp_path, capsys):
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert (alone.returncode, alone.stdout, alone.stderr) == seen, argv
+
+
+#: Labels the generated machines draw their alphabets from, so that a
+#: pair may synchronize in both directions, in one or in none.
+_LABELS = ("a", "b", "c", "d")
+
+
+@st.composite
+def _machine(draw, name: str, alphabets=None) -> Component:
+    """A machine of 1-4 states over alphabets from ``_LABELS``, or over
+    the given ``(inputs, outputs)``."""
+    if alphabets is None:
+        inputs = sorted(draw(st.sets(st.sampled_from(_LABELS), min_size=1, max_size=2)))
+        rest = [x for x in _LABELS if x not in inputs]
+        outputs = sorted(draw(st.sets(st.sampled_from(rest), min_size=1, max_size=2)))
+    else:
+        inputs, outputs = alphabets
+    states = [f"{name.lower()}{k}" for k in range(draw(st.integers(1, 4)))]
+    transitions = draw(st.lists(
+        st.tuples(*map(st.sampled_from, (states, inputs, outputs, states))), max_size=6,
+    ))
+    return Component.build(name, states[0], transitions, inputs, outputs, states)
+
+
+@st.composite
+def _machines(draw) -> list[Component]:
+    """Machines A and B, and C over A's alphabets, so that C may stand
+    for A in a check. B reads A's outputs and writes A's inputs, so that
+    the pair synchronizes over disjoint alphabets, or has alphabets of
+    its own."""
+    a = draw(_machine("A"))
+    ab = sorted(a.inputs), sorted(a.outputs)
+    b = draw(_machine("B", draw(st.sampled_from([ab[::-1], None]))))
+    return [a, b, draw(_machine("C", ab))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    _machines(),
+    st.sampled_from(["(par A B)", "(par A A)", "(par (par A B) C)"]),
+    # mostly A or C against A or C beside B against B, sometimes anything
+    st.lists(st.sampled_from("AC"), min_size=2, max_size=2).map(lambda p: [*p, "B", "B"])
+    | st.lists(st.sampled_from("ABC"), min_size=4, max_size=4),
+)
+def test_exit_codes_of_the_commands_that_compose(machines, expr, quadruple):
+    """Exit 1 means a failed check, and 2 a usage or structural error.
+
+    ``compose``, ``project`` and ``compositional`` each run with and
+    without ``--json`` and ``--relax``, on pairs that may not
+    synchronize, repeated leaves and mismatched signatures.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for c in machines:
+            files[c.name] = Path(tmp, f"{c.name}.fsm")
+            save_component(c, str(files[c.name]))
+        out = Path(tmp, "out.fsm")
+        commands = [
+            ["compose", expr, *files.values(), "-o", out],
+            ["project", expr, *files.values(), "--target", expr.rstrip(")")[-1], "-o", out],
+            *(["compositional", "--theorem", theorem, *(files[x] for x in quadruple)]
+              for theorem in "12"),
+        ]
+        for argv in commands:
+            for flags in ((), ("--json",), ("--relax",), ("--json", "--relax")):
+                out.unlink(missing_ok=True)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main([str(x) for x in [*argv, *flags]])
+                call = [*argv[:3], *flags]
+                assert code in (0, 1, 2, 3), call
+                if code == 2:
+                    assert stdout.getvalue() == "", call
+                    assert stderr.getvalue().startswith("error: "), call
+                    assert not out.exists(), call
+                    continue
+                if "--json" in flags:
+                    payload = json.loads(stdout.getvalue())
+                if code == 1:
+                    assert argv[0] == "compositional", call
+                    conclusion = (
+                        payload["global_conclusion"] if "--json" in flags
+                        else stdout.getvalue().splitlines()[1]
+                    )
+                    assert conclusion.endswith("sound-fail"), call

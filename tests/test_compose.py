@@ -18,10 +18,12 @@ from fsmcheck import (
     trace,
     traces_up_to,
 )
+from fsmcheck.compose import compose_pair
 from fsmcheck.randgen import random_composable_pair
 
 from demos import coffee_expr, demo
-from oracles import naive_full_product, naive_traces, vector_traces
+from oracles import naive_full_product, naive_traces, row_steps, vector_traces
+from test_project import build_nodes, random_four_leaf_system, random_three_leaf_system
 
 
 def test_signature_report_fields():
@@ -186,3 +188,77 @@ class TestSystemTrees:
         with pytest.raises(ComposabilityError) as err:
             build_system_full(expr)
         assert "left" in str(err.value)
+
+
+def _moves(part, source: int, step, target: int) -> bool:
+    """Does ``part`` take ``step`` from ``source`` to ``target``? Read off
+    its packed rows, not off the decomposition table."""
+    m = part.machine
+    n = len(m.state_names)
+    targets = row_steps(m.rows[source], n, m.input_ids, m.output_ids).get(step, 0)
+    return bool(targets >> target & 1)
+
+
+def assert_side_steps_are_real(build):
+    """Every transition of every composed node of ``build`` carries the
+    steps its two parts really take."""
+    for node in build_nodes(build):
+        if not node.parts:
+            continue
+        for (src, i, o, dst, left, right) in node.raw:
+            assert left or right, "a transition in which no side moves"
+            for side, (part, step) in enumerate(zip(node.parts, (left, right))):
+                s, t = node.pairs[src][side], node.pairs[dst][side]
+                if step:
+                    assert _moves(part, s, step, t)
+                else:
+                    assert s == t, "a side that does not move changed state"
+            assert i in node.machine.input_ids
+            if not (left and right):
+                assert (i, o) == (left or right)
+                continue
+            # the triggered side reads the composed input, and its output
+            # is hidden as the input of the side that writes the output
+            sides = [(left, node.parts[0].machine), (right, node.parts[1].machine)]
+            if left[1] != right[0]:
+                sides.reverse()  # the right side is the triggered one
+            (trigger, feeder), (react, fed) = sides
+            assert trigger[1] == react[0]
+            assert trigger[1] in feeder.output_ids and react[0] in fed.input_ids
+            assert (trigger[0], react[1]) == (i, o)
+
+
+def test_closure_transitions_carry_real_side_steps():
+    rng = random.Random(31)
+    shapes = ("balanced", "left-deep", "right-deep")
+    for n in range(45):
+        if n % 3 == 0:
+            c1, c2 = random_composable_pair(rng, n_states=(2, 4))
+            expr = Par(Leaf("A", c1), Leaf("B", c2))
+        elif n % 3 == 1:
+            expr = random_three_leaf_system(rng)
+        else:
+            expr = random_four_leaf_system(rng, shapes[n // 3 % 3])
+        assert_side_steps_are_real(build_system_full(expr, relax=True))
+
+
+@pytest.mark.parametrize("left, right, expected", [
+    pytest.param([("s0", "a", "x", "s1")], [], ("a", "x", ("a", "x"), ()), id="left alone"),
+    pytest.param([], [("t0", "a", "x", "t1")], ("a", "x", (), ("a", "x")), id="right alone"),
+    pytest.param([("s0", "a", "m", "s1")], [("t0", "m", "y", "t1")],
+                 ("a", "y", ("a", "m"), ("m", "y")), id="left feeds right"),
+    pytest.param([("s0", "m", "y", "s1")], [("t0", "a", "m", "t1")],
+                 ("a", "y", ("m", "y"), ("a", "m")), id="right feeds left"),
+])
+def test_each_rule_records_both_sides_steps(left, right, expected):
+    """One transition, composed by one rule: its composed step and the
+    step each side takes in it."""
+    c1 = Component.build("c1", "s0", left, inputs=["a"], outputs=["x"], states=["s1"])
+    c2 = Component.build("c2", "t0", right, inputs=["b"], outputs=["z"], states=["t1"])
+    build = compose_pair(c1, c2, relax=True)
+    ids = build.machine.label_ids
+    i, o, l, r = expected
+    target = build.pairs.index((int(bool(l)), int(bool(r))))
+    assert build.raw == [(0, ids[i], ids[o], target, tuple(ids[x] for x in l),
+                          tuple(ids[x] for x in r))]
+    assert_side_steps_are_real(build)

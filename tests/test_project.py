@@ -9,6 +9,7 @@ from fsmcheck import (
     Leaf,
     NotATraceError,
     Par,
+    TraceLimitError,
     UnknownTargetError,
     build_system_full,
     component_in_context,
@@ -449,6 +450,15 @@ class TestTreeConstruction:
     def test_provenance_string(self):
         expr = feeding_expr()
         assert component_in_context_tree(expr, "C1", 3).provenance == "tree(3)"
+
+    def test_provenance_names_the_depth_bound(self):
+        coffee = coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))
+        for expr, target in ((coffee, "M"), (feeding_expr(), "C1")):
+            for k in range(1, 5):
+                assert component_in_context_tree(expr, target, k).provenance == f"tree({k})"
+        with pytest.raises(TraceLimitError) as limited:
+            component_in_context_tree(coffee, "M", 3, guard=2)
+        assert str(limited.value).endswith("context tree for 'M' up to depth 3")
 
     def test_revised_coffee_tree_matches_money_spec(self):
         expr = coffee_expr(demo("coffee/spec_money_revised"), demo("coffee/drink"))
