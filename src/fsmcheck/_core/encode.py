@@ -13,13 +13,15 @@ so the steps of a state subset are the ``|`` of its rows, and reading a
 row slot by slot meets the steps in sorted order. A row takes |I|*|O|*n
 bits whatever the state enables, which is smaller than a dict from each
 enabled step to its target mask below a few hundred states. A composed
-node builds its rows only when they are read (``compose``).
+node builds its rows only when they are read (``compose``). A
+component's rows depend on it alone, since ids sort as names: they are
+packed once per ``Component`` object and a label table adds only the id sets.
 """
 
 from __future__ import annotations
 
 from ..errors import InvalidComponentError
-from ..machine import Component, Transition
+from ..machine import Component, Transition, _undeclared
 
 
 class EncodedComponent:
@@ -52,28 +54,20 @@ class EncodedComponent:
     def of(cls, c: Component, label_names: list[str], label_ids: dict[str, int]):
         """Encode ``c`` over the given label table, states in sorted name order.
 
+        The rows are ``c``'s, packed once per object and shared by every
+        encoding of it; the table gives only the input and output id sets.
+
         Raises ``InvalidComponentError`` when the initial state or a
         transition falls outside the component's own declared states,
         inputs or outputs.
         """
-        state_names = sorted(c.states)
-        state_ids = {s: n for n, s in enumerate(state_names)}
-        n = len(state_names)
-        inputs, outputs = sorted(c.inputs), sorted(c.outputs)  # ids sort as names
-        # slot (input, output) starts at (input's rank * |O| + output's rank) * n
-        input_at = {x: k * len(outputs) * n for k, x in enumerate(inputs)}
-        output_at = {x: k * n for k, x in enumerate(outputs)}
-        rows = [0] * n
         try:
-            for t in c.transitions:
-                step = input_at[t.input] + output_at[t.output]
-                rows[state_ids[t.source]] |= 1 << (step + state_ids[t.target])
-            initial = state_ids[c.initial]
+            state_names, initial, rows = c._packed
         except KeyError:
             raise InvalidComponentError(_undeclared(c)) from None
         return cls(c.name, state_names, initial, label_names, label_ids,
-                   frozenset(label_ids[x] for x in inputs), frozenset(label_ids[x] for x in outputs),
-                   rows)
+                   frozenset(label_ids[x] for x in c.inputs),
+                   frozenset(label_ids[x] for x in c.outputs), rows)
 
     def input_enabled(self) -> bool:
         """Does every state have a step on every input? An input's slots
@@ -156,19 +150,21 @@ def slot_offsets(slots: list[tuple[int, int]], n: int) -> dict[tuple[int, int], 
     return {io: k * n for k, io in enumerate(slots)}
 
 
-def _undeclared(c: Component) -> str:
-    """What the first of ``c``'s transitions in sorted order, or its
-    initial state, uses without declaring it."""
-    where = f"component '{c.name}'"
-    for t in c.sorted_transitions():
-        for state in (t.source, t.target):
-            if state not in c.states:
-                return f"{where}: transition {t} uses undeclared state '{state}'"
-        if t.input not in c.inputs:
-            return f"{where}: transition {t} uses input '{t.input}' not in its input alphabet"
-        if t.output not in c.outputs:
-            return f"{where}: transition {t} uses output '{t.output}' not in its output alphabet"
-    return f"{where}: initial state '{c.initial}' is not declared"
+def _pack(c: Component) -> tuple[list[str], int, list[int]]:
+    """``c``'s sorted state names, initial id and rows over any label table
+    holding its labels. ``KeyError`` when ``c`` uses what it does not declare."""
+    state_names = sorted(c.states)
+    state_ids = {s: n for n, s in enumerate(state_names)}
+    n = len(state_names)
+    inputs, outputs = sorted(c.inputs), sorted(c.outputs)
+    # slot (input, output) starts at (input's rank * |O| + output's rank) * n
+    input_at = {x: k * len(outputs) * n for k, x in enumerate(inputs)}
+    output_at = {x: k * n for k, x in enumerate(outputs)}
+    rows = [0] * n
+    for t in c.transitions:
+        step = input_at[t.input] + output_at[t.output]
+        rows[state_ids[t.source]] |= 1 << (step + state_ids[t.target])
+    return state_names, state_ids[c.initial], rows
 
 
 def label_table(*components: Component) -> tuple[list[str], dict[str, int]]:

@@ -19,11 +19,12 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 from . import _core
-from .errors import SignatureMismatchError, TraceLimitError
+from .errors import InvalidComponentError, SignatureMismatchError, TraceLimitError
 from .machine import (
     Component,
     Step,
     Trace,
+    _undeclared,
     is_input_enabled,
     DEFAULT_TRACE_GUARD,
 )
@@ -265,12 +266,19 @@ def check_cioco_bounded(
     position of the failing trace in canonical order, or every trace up
     to ``k`` when none fails.
 
+    Raises ``InvalidComponentError``, as the exact check does, when
+    either side uses a state or label it does not declare.
+
     ``guard`` bounds the number of specification traces up to ``k``
     exactly as in ``traces_up_to``: TraceLimitError is raised whenever
     that enumeration would raise it, even if a violation exists. The
     traces are counted before any is examined.
     """
     _require_same_signature(iut, spec)
+    for c in (iut, spec):
+        problem = _undeclared(c)
+        if problem is not None:
+            raise InvalidComponentError(problem)
     strict = _mode_strict(unspecified)
     warnings = _input_enabled_warnings(iut.name, is_input_enabled(iut))
     if k < 0:

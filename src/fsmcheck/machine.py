@@ -70,7 +70,8 @@ class Component:
     """A finite machine (states, initial, inputs, outputs, transitions).
 
     Inputs and outputs may overlap within one component; validation only
-    warns about it. State identifiers are opaque strings.
+    warns about it. State identifiers are opaque strings. The packed step
+    rows the search kernels read are cached per object, next to ``arrows``.
     """
 
     name: str
@@ -133,6 +134,12 @@ class Component:
             s: {i: frozenset(os) for i, os in by_i.items()} for s, by_i in table.items()
         }
 
+    @cached_property
+    def _packed(self) -> tuple[list[str], int, list[int]]:
+        """Every integer encoding's states, initial id and rows: ``_core.encode._pack``."""
+        from ._core import encode  # imported here: encode imports this module
+        return encode._pack(self)
+
     def sorted_states(self) -> list[str]:
         return sorted(self.states)
 
@@ -182,6 +189,24 @@ def reachable_states(c: Component) -> frozenset[str]:
                     seen.add(t)
                     stack.append(t)
     return frozenset(seen)
+
+
+def _undeclared(c: Component) -> str | None:
+    """What the least of ``c``'s transitions, or else its initial state,
+    uses without declaring it; None when nothing is."""
+    where = f"component '{c.name}'"
+    states, inputs, outputs = c.states, c.inputs, c.outputs
+    for t in sorted(t for t in c.transitions if t.source not in states or t.target not in states
+                    or t.input not in inputs or t.output not in outputs):
+        for state in (t.source, t.target):
+            if state not in states:
+                return f"{where}: transition {t} uses undeclared state '{state}'"
+        if t.input not in inputs:
+            return f"{where}: transition {t} uses input '{t.input}' not in its input alphabet"
+        return f"{where}: transition {t} uses output '{t.output}' not in its output alphabet"
+    if c.initial not in states:
+        return f"{where}: initial state '{c.initial}' is not declared"
+    return None
 
 
 def validate_component(c: Component) -> ValidationReport:

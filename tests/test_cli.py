@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmcheck.cli import main
-from fsmcheck.formats import load_component, save_component
+from fsmcheck.formats import (
+    component_to_json,
+    component_to_text,
+    load_component,
+    save_component,
+)
 from fsmcheck.machine import Component
 
 from demos import FIXTURES
@@ -356,8 +361,10 @@ class TestCompositional:
 
 
 #: One component A over the alphabets of fixtures/relay/spec_left.fsm,
-#: broken three ways. ``i2`` is declared by relay/right.fsm (component
-#: B), so in a composition with B only A's own alphabet rules it out.
+#: broken three ways: each body follows ``INVALID_HEADER``. ``i2`` is
+#: declared by relay/right.fsm (component B), so in a composition with B
+#: only A's own alphabet rules it out.
+INVALID_HEADER = "component A\nstates a0 a1\ninputs i1 x\noutputs m o5\n"
 INVALID_COMPONENTS = {
     "undeclared state": (
         "initial a0\ntrans a0 i1|m a9\n",
@@ -379,15 +386,18 @@ class TestInvalidComponent:
     def invalid(self, request, tmp_path):
         body, message = INVALID_COMPONENTS[request.param]
         path = tmp_path / "bad.fsm"
-        path.write_text("component A\nstates a0 a1\ninputs i1 x\noutputs m o5\n" + body)
+        path.write_text(INVALID_HEADER + body)
         return path, f"error: component 'A': {message}"
 
-    @pytest.mark.parametrize("command", ["check", "compose", "project", "compositional"])
+    @pytest.mark.parametrize(
+        "command", ["check", "bounded", "compose", "project", "compositional"]
+    )
     def test_exits_two_naming_the_component(self, invalid, command, tmp_path, capsys):
         bad, message = invalid
         out = tmp_path / "out.fsm"
         argv = {
             "check": ["check", bad, bad],
+            "bounded": ["check", "--method", "bounded", "-k", "2", bad, bad],
             "compose": ["compose", "--relax", "(par A B)", bad, RELAY / "right.fsm", "-o", out],
             "project": ["project", "--relax", "(par A B)", bad, RELAY / "right.fsm",
                         "--target", "B", "-o", out],
@@ -641,3 +651,80 @@ def test_exit_codes_of_the_commands_that_compose(machines, expr, quadruple):
                         else stdout.getvalue().splitlines()[1]
                     )
                     assert conclusion.endswith("sound-fail"), call
+
+
+#: Files that load but cannot be checked (``INVALID_COMPONENTS``), that
+#: no loader accepts, or whose alphabets are empty, by file name.
+_ODD_FILES = {
+    **{f"invalid{k}.fsm": INVALID_HEADER + body
+       for k, (body, _) in enumerate(INVALID_COMPONENTS.values())},
+    "label.fsm": "component X\ninitial x0\ntrans x0 a x0\n",
+    "no_initial.fsm": "component X\ntrans x0 a|b x0\n",
+    "cut.json": '{"name": "X", "initial": ',
+    "lists.json": '{"name": "X", "initial": "x0", "transitions": [["x0", "a", "b", "x0"]]}',
+    "empty.fsm": "component X\ninitial x0\n",
+}
+
+
+@st.composite
+def _check_files(draw) -> dict[str, str]:
+    """File name -> text: machines A and C over one signature, each as
+    text or JSON, then one of ``_ODD_FILES``. A shares the signature of
+    ``INVALID_COMPONENTS`` or has alphabets from ``_LABELS``."""
+    a = draw(_machine("A", draw(st.sampled_from([None, (["i1", "x"], ["m", "o5"])]))))
+    c = draw(_machine("C", (sorted(a.inputs), sorted(a.outputs))))
+    files = {}
+    for m in (a, c):
+        if draw(st.booleans()):
+            files[f"{m.name}.json"] = component_to_json(m)
+        else:
+            files[f"{m.name}.fsm"] = component_to_text(m)
+    name = draw(st.sampled_from(sorted(_ODD_FILES)))
+    files[name] = _ODD_FILES[name]
+    return files
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    _check_files(),
+    st.lists(st.integers(0, 2), min_size=2, max_size=2),
+    st.integers(0, 3),
+)
+def test_exit_codes_of_check_validate_and_traces(files, pair, k):
+    """``check`` (exact, and bounded at depth ``k``) with either
+    ``--unspecified``, ``validate`` and ``traces -k 2``, each with and
+    without ``--json``, on the files ``pair`` picks from ``files``.
+
+    Exact and bounded ``check`` reject the same files: both exit 2, or
+    neither does.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, text in files.items():
+            paths.append(Path(tmp, name))
+            paths[-1].write_text(text)
+        iut, spec = (paths[n] for n in pair)
+
+        def exit_code(*argv) -> int:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([str(x) for x in argv])
+            call = [argv[0], *(Path(x).name if isinstance(x, Path) else x for x in argv[1:])]
+            assert code in (0, 1, 2, 3), call
+            if code == 2:
+                assert stdout.getvalue() == "", call
+                assert stderr.getvalue().startswith("error: "), call
+            elif "--json" in argv:
+                payload = json.loads(stdout.getvalue())
+                if argv[0] == "check":
+                    assert payload["result"] == ("pass", "fail", None, "inconclusive")[code], call
+            return code
+
+        for flags in ((), ("--json",)):
+            exit_code("validate", iut, spec, *flags)
+            exit_code("traces", "-k", "2", iut, *flags)
+            for unspecified in ("allow", "forbid"):
+                options = ("--unspecified", unspecified, *flags)
+                exact = exit_code("check", iut, spec, *options)
+                bounded = exit_code("check", "--method", "bounded", "-k", k, iut, spec, *options)
+                assert (exact == 2) == (bounded == 2), (pair, sorted(files), options)

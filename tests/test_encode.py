@@ -1,5 +1,6 @@
 """Integer encoding: the packed step rows the search kernels read."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,15 +9,18 @@ from fsmcheck import (
     Component,
     Leaf,
     Par,
+    Transition,
     build_system_full,
     check_cioco_exact,
+    check_trace_inclusion,
     is_input_enabled,
     trace,
 )
+from fsmcheck.errors import InvalidComponentError
 from fsmcheck._core import EncodedComponent, cioco_bfs, encode_pair, label_table
 from fsmcheck.conform import _exact_verdict
 from fsmcheck.project import _encoded_projections
-from fsmcheck.randgen import mutate, random_component, random_composable_pair
+from fsmcheck.randgen import mutate, prune, random_component, random_composable_pair
 
 from oracles import naive_cioco_bounded, step_maps
 from test_project import random_four_leaf_system, random_three_leaf_system, renumbered
@@ -41,6 +45,22 @@ def reachable_part(c: Component) -> Component:
     )
 
 
+def expected_step_maps(c: Component, ids: dict[str, int]) -> list[dict]:
+    """``step_maps`` of ``c`` encoded over ``ids``, read off its transitions."""
+    states = sorted(c.states)
+    expected = [{} for _ in states]
+    for t in c.transitions:
+        steps = expected[states.index(t.source)]
+        io = (ids[t.input], ids[t.output])
+        steps[io] = steps.get(io, 0) | 1 << states.index(t.target)
+    return expected
+
+
+def fresh(c: Component) -> Component:
+    """An equal copy of ``c`` that has computed nothing yet."""
+    return dataclasses.replace(c)
+
+
 def random_machines(rng, count):
     for n in range(count):
         inputs = ["a", "b", "c"][: 1 + n % 3]
@@ -60,13 +80,7 @@ class TestRows:
             assert enc.decode() == reachable_part(c)
             unreachable += reachable_part(c) != c
             # the rows hold exactly the transitions, by the documented layout
-            states = sorted(c.states)
-            expected = [{} for _ in states]
-            for t in c.transitions:
-                steps = expected[states.index(t.source)]
-                io = (ids[t.input], ids[t.output])
-                steps[io] = steps.get(io, 0) | 1 << states.index(t.target)
-            assert step_maps(enc) == expected
+            assert step_maps(enc) == expected_step_maps(c, ids)
         assert unreachable >= 20
 
     def test_renumbering_by_sorted_name_keeps_the_machine(self):
@@ -136,6 +150,82 @@ class TestRows:
             assert warned == (not is_input_enabled(iut))
             seen.add(warned)
         assert seen == {False, True}
+
+
+class TestSharedRows:
+    """A component's rows are packed once per object and shared by every
+    encoding of it, over any label table."""
+
+    #: Labels that sort before and between those of ``random_machines``,
+    #: so that a wider table moves their ids.
+    WIDER = Component.build("O", "o0", [("o0", "A", "b0", "o0")], inputs=["A", "bb"],
+                            outputs=["b0", "w", "z"])
+
+    def test_rows_over_a_wider_table_are_those_of_a_fresh_copy(self):
+        rng = random.Random(619)
+        moved = 0
+        for c in random_machines(rng, 60):
+            tables = [label_table(c), label_table(c, self.WIDER)]
+            encodings = [EncodedComponent.of(c, names, ids) for names, ids in tables]
+            for (names, ids), enc in zip(tables, encodings):
+                copy = EncodedComponent.of(fresh(c), names, ids)
+                assert (enc.state_names, enc.initial, enc.rows) == (
+                    copy.state_names, copy.initial, copy.rows)
+                assert enc.input_ids == frozenset(ids[x] for x in c.inputs)
+                assert enc.output_ids == frozenset(ids[x] for x in c.outputs)
+                assert enc.slots == copy.slots
+                assert step_maps(enc) == expected_step_maps(c, ids)
+            own, wide = encodings
+            moved += own.input_ids != wide.input_ids and own.output_ids != wide.output_ids
+        assert moved == 60
+
+    def test_the_rows_belong_to_the_object_not_its_value(self):
+        rng = random.Random(631)
+        for c in random_machines(rng, 20):
+            names, ids = label_table(c)
+            first = EncodedComponent.of(c, names, ids)
+            again = EncodedComponent.of(c, *label_table(c, self.WIDER))
+            assert again.rows is first.rows and again.state_names is first.state_names
+            copy = fresh(c)
+            assert copy == c
+            encoded = EncodedComponent.of(copy, names, ids)
+            assert encoded.rows == first.rows and encoded.rows is not first.rows
+            assert encoded.state_names is not first.state_names
+
+    @pytest.mark.parametrize("transitions, initial, message", [
+        ([("s0", "a", "x", "s9")], "s0", "uses undeclared state 's9'"),
+        ([("s0", "b", "x", "s0")], "s0", "uses input 'b' not in its input alphabet"),
+        ([("s0", "a", "x", "s0")], "s7", "initial state 's7' is not declared"),
+    ])
+    def test_an_invalid_component_raises_on_every_encoding(self, transitions, initial, message):
+        c = Component(
+            name="M", states=frozenset({"s0"}), initial=initial, inputs=frozenset({"a"}),
+            outputs=frozenset({"x"}), transitions=frozenset(Transition(*t) for t in transitions),
+        )
+        names, ids = label_table(c)
+        for _ in range(2):
+            with pytest.raises(InvalidComponentError, match=f"component 'M': .*{message}"):
+                EncodedComponent.of(c, names, ids)
+
+    def test_checks_on_the_same_objects_answer_as_on_fresh_copies(self):
+        rng = random.Random(641)
+        checks = [
+            lambda iut, spec: check_cioco_exact(iut, spec, "allow"),
+            lambda iut, spec: check_cioco_exact(iut, spec, "forbid"),
+            check_trace_inclusion,
+        ]
+        results = set()
+        for k in range(50):
+            spec = random_component(rng, "S", ["a", "b"], ["x", "y"], n_states=(2, 8),
+                                    density=(0.4, 0.8))
+            iut = prune(rng, spec, name="I") if k % 2 else mutate(rng, spec, name="I")
+            expected = [check(fresh(iut), fresh(spec)).to_dict() for check in checks]
+            for order in (checks, checks[::-1]):
+                shared = fresh(iut), fresh(spec)
+                seen = [check(*shared).to_dict() for check in order]
+                assert seen == (expected if order is checks else expected[::-1])
+            results.update(v["result"] for v in expected)
+        assert results == {"pass", "fail"}
 
 
 def test_projection_rows_of_nested_builds_lie_in_the_leaf_slots():
