@@ -15,7 +15,9 @@ relation coincide with trace inclusion.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, fields
+from itertools import accumulate, chain
 from typing import Callable
 
 from . import _core
@@ -25,7 +27,6 @@ from .machine import (
     Step,
     Trace,
     _undeclared,
-    is_input_enabled,
     DEFAULT_TRACE_GUARD,
 )
 
@@ -198,6 +199,26 @@ def _exact_verdict(
     )
 
 
+def _step_table(c: Component) -> dict[str, dict[tuple[str, str], set[str]]]:
+    """``c``'s steps, state -> (input, output) -> targets, from one pass
+    over its transitions.
+
+    Raises ``InvalidComponentError``, with the exact check's message,
+    when ``c`` uses a state or label it does not declare.
+    """
+    states, inputs, outputs = c.states, c.inputs, c.outputs
+    declared = c.initial in states
+    table: dict[str, dict[tuple[str, str], set[str]]] = {}
+    for t in c.transitions:
+        source, i, o, target = t.source, t.input, t.output, t.target
+        declared = (declared and source in states and target in states
+                    and i in inputs and o in outputs)
+        table.setdefault(source, {}).setdefault((i, o), set()).add(target)
+    if not declared:
+        raise InvalidComponentError(_undeclared(c))
+    return table
+
+
 def _union_per_state_set(table: dict) -> Callable[[frozenset[str]], dict]:
     """Memoized union of ``table[state]`` (key -> set of values) over a state set.
 
@@ -219,27 +240,32 @@ def _union_per_state_set(table: dict) -> Callable[[frozenset[str]], dict]:
     return union
 
 
+#: The states the specification and the implementation reach along a trace.
+_Pair = tuple[frozenset[str], frozenset[str]]
+
+
 def _first_violation(
-    inputs: list[str],
-    iut_outs_by_input: dict[str, frozenset[str]],
-    spec_outs_by_input: dict[str, frozenset[str]],
+    iut_steps: dict[tuple[str, str], frozenset[str]],
+    spec_steps: dict[tuple[str, str], frozenset[str]],
     strict: bool,
 ) -> tuple[str, str, frozenset[str], frozenset[str]] | None:
-    """The first input on which the implementation over-produces, or None.
+    """The least (input, output) step the implementation takes and the
+    specification does not, on an input the specification constrains;
+    None when there is none.
 
-    Returns (input, least offending output, iut outputs, spec outputs),
-    the fields of a Counterexample after its witness.
+    An input is unconstrained when the specification has no step on it,
+    unless ``strict``. Returns (input, offending output, iut outputs,
+    spec outputs), the fields of a Counterexample after its witness.
     """
-    for i in inputs:
-        iut_outs = iut_outs_by_input.get(i)
-        if not iut_outs:
-            continue
-        spec_outs = spec_outs_by_input.get(i, frozenset())
-        if not spec_outs and not strict:
-            continue
-        if not iut_outs <= spec_outs:
-            return i, min(iut_outs - spec_outs), iut_outs, spec_outs
-    return None
+    extra = iut_steps.keys() - spec_steps.keys()
+    if extra and not strict:
+        constrained = {i for i, _ in spec_steps}
+        extra = [io for io in extra if io[0] in constrained]
+    if not extra:
+        return None
+    i, o = min(extra)
+    return (i, o, frozenset(x for j, x in iut_steps if j == i),
+            frozenset(x for j, x in spec_steps if j == i))
 
 
 def check_cioco_bounded(
@@ -258,9 +284,12 @@ def check_cioco_bounded(
 
     Traces are examined in canonical order: by length, then
     lexicographically by step. The enumeration is breadth-first, one
-    length at a time; each trace carries the states both machines reach
-    along it, so no trace is replayed from the initial state. The first
-    violation in this order is the counterexample.
+    length at a time; a trace is represented by the pair of state sets
+    the two machines reach along it, so no trace is replayed from the
+    initial state. The comparison and the one-step extensions are
+    memoized per distinct pair, but traces are still counted one by one
+    in canonical order, and the first violating trace in that order is
+    the counterexample. Its steps are rebuilt only then.
 
     ``stats.explored_pairs`` counts the traces examined: the 1-based
     position of the failing trace in canonical order, or every trace up
@@ -275,16 +304,15 @@ def check_cioco_bounded(
     traces are counted before any is examined.
     """
     _require_same_signature(iut, spec)
-    for c in (iut, spec):
-        problem = _undeclared(c)
-        if problem is not None:
-            raise InvalidComponentError(problem)
+    iut_table, spec_table = _step_table(iut), _step_table(spec)
     strict = _mode_strict(unspecified)
-    warnings = _input_enabled_warnings(iut.name, is_input_enabled(iut))
+    n_inputs = len(iut.inputs)
+    enabled = all(len({i for i, _ in iut_table.get(s, ())}) == n_inputs for s in iut.states)
+    warnings = _input_enabled_warnings(iut.name, enabled)
     if k < 0:
         raise ValueError("depth bound must be non-negative")
 
-    spec_moves = _union_per_state_set(spec.arrows)
+    spec_moves = _union_per_state_set(spec_table)
     start = frozenset([spec.initial])
 
     # The guard bounds the specification's traces up to k as traces_up_to
@@ -305,45 +333,59 @@ def check_cioco_bounded(
             break
         reaching = longer_reaching
 
-    inputs = sorted(spec.inputs)
-    iut_moves = _union_per_state_set(iut.arrows)
-    spec_outputs = _union_per_state_set(spec.outputs_by_input)
-    iut_outputs = _union_per_state_set(iut.outputs_by_input)
-    steps = {(t.input, t.output): Step(t.input, t.output) for t in spec.transitions}
+    iut_moves = _union_per_state_set(iut_table)
     nowhere: frozenset[str] = frozenset()
 
-    # The traces of one length, each with the states the specification
-    # and the implementation reach along it.
-    level: list[tuple[Trace, frozenset[str], frozenset[str]]] = [
-        ((), start, frozenset([iut.initial]))
-    ]
+    # Each level lists, in canonical order, the (specification states,
+    # implementation states) pair that each trace of one length reaches.
+    # The pairs with known extensions are those seen at a shorter length,
+    # where they had no violation, so only the other pairs are compared.
+    extensions: dict[_Pair, list[_Pair]] = {}  # a pair's children, in sorted step order
+    shorter: list[list[_Pair]] = []
+    level: list[_Pair] = [(start, frozenset([iut.initial]))]
+    distinct = set(level)
     checked = 0
     for depth in range(k + 1):
         if depth:
-            longer = []
-            for tr, spec_states, iut_states in level:
+            for pair in distinct.difference(extensions):
+                spec_states, iut_states = pair
                 iut_after = iut_moves(iut_states)
-                for io, target in spec_moves(spec_states).items():
-                    longer.append((tr + (steps[io],), target, iut_after.get(io, nowhere)))
-            if not longer:
+                extensions[pair] = [(target, iut_after.get(io, nowhere))
+                                    for io, target in spec_moves(spec_states).items()]
+            shorter.append(level)
+            level = list(chain.from_iterable(map(extensions.__getitem__, level)))
+            if not level:
                 break
-            level = longer
-        for tr, spec_states, iut_states in level:
-            checked += 1
-            if not iut_states:
-                continue
-            found = _first_violation(
-                inputs, iut_outputs(iut_states), spec_outputs(spec_states), strict
-            )
-            if found is not None:
-                return Verdict(
-                    "fail",
-                    "bounded",
-                    counterexample=Counterexample(tr, *found),
-                    stats=CheckStats(checked, len(tr)),
-                    depth=k,
-                    warnings=warnings,
-                )
+            distinct = set(level)
+        found = {}
+        for spec_states, iut_states in distinct.difference(extensions):
+            violation = _first_violation(iut_moves(iut_states), spec_moves(spec_states), strict)
+            if violation is not None:
+                found[spec_states, iut_states] = violation
+        if not found:
+            checked += len(level)
+            continue
+        position = next(j for j, pair in enumerate(level) if pair in found)
+        violation = found[level[position]]
+        checked += position + 1
+        # Rebuild the witness from its end. A parent's children lie side
+        # by side in the next level, so each parent's start offset there
+        # is the sum of the child counts before it.
+        witness: list[Step] = []
+        for parents in reversed(shorter):
+            starts = list(accumulate(map(len, map(extensions.__getitem__, parents)), initial=0))
+            parent = bisect_right(starts, position) - 1
+            steps = list(spec_moves(parents[parent][0]))
+            witness.append(Step(*steps[position - starts[parent]]))
+            position = parent
+        return Verdict(
+            "fail",
+            "bounded",
+            counterexample=Counterexample(tuple(reversed(witness)), *violation),
+            stats=CheckStats(checked, depth),
+            depth=k,
+            warnings=warnings,
+        )
     return Verdict(
         "inconclusive",
         "bounded",

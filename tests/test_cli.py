@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -21,8 +22,10 @@ from fsmcheck.formats import (
     save_component,
 )
 from fsmcheck.machine import Component
+from fsmcheck.randgen import mutate, random_component
 
 from demos import FIXTURES
+from oracles import naive_cioco_bounded, naive_out_after, naive_states_after, naive_traces
 
 COFFEE = FIXTURES / "coffee"
 RELAY = FIXTURES / "relay"
@@ -504,16 +507,43 @@ def test_relay_global_check_exit_and_witness(tmp_path, capsys):
     assert verdict["offending_output"] == "o5"
 
 
+def pair_with_two_violating_pairs_in_one_level() -> tuple[Component, Component]:
+    """A seeded mutant and its specification whose failing level holds
+    two traces that reach different (specification states,
+    implementation states) pairs, each of which violates."""
+    rng = random.Random(5)
+    for _ in range(100):
+        spec = random_component(rng, "S", ["a", "b"], ["x", "y"], n_states=(2, 4))
+        iut = mutate(rng, spec, name="I")
+        expected, _ = naive_cioco_bounded(iut, spec, 4)
+        if expected is None:
+            continue
+        length = len(expected[0])
+        violating = set()
+        for tr in naive_traces(spec, length):
+            for i in spec.inputs:
+                allowed = naive_out_after(spec, tr, i)
+                if len(tr) == length and allowed and naive_out_after(iut, tr, i) - allowed:
+                    violating.add((naive_states_after(spec, tr), naive_states_after(iut, tr)))
+        if len(violating) >= 2:
+            return iut, spec
+    raise AssertionError("no such pair among the seeded mutants")
+
+
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     iut = tmp_path / "iut.fsm"
     spec = tmp_path / "spec.fsm"
     run("compose", "(par M D)", COFFEE / "iut_money.fsm", COFFEE / "drink.fsm", "-o", iut)
     run("compose", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm", "-o", spec)
+    mutant, original = tmp_path / "mutant.fsm", tmp_path / "original.fsm"
+    for c, path in zip(pair_with_two_violating_pairs_in_one_level(), (mutant, original)):
+        save_component(c, str(path))
     written = tmp_path / "written.fsm"
     nested = (COFFEE / "spec_money.fsm", COFFEE / "drink.fsm", RELAY / "right.fsm")
     invocations = [
         ("check", "--json", iut, spec),
         ("check", "--method", "bounded", "-k", "4", "--json", iut, spec),
+        ("check", "--method", "bounded", "-k", "4", "--json", mutant, original),
         ("compositional", "--theorem", "2", "--json",
          RELAY / "iut_left.fsm", RELAY / "spec_left.fsm", RELAY / "right.fsm", RELAY / "right.fsm"),
         ("project", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
@@ -609,20 +639,24 @@ def _machines(draw) -> list[Component]:
     # mostly A or C against A or C beside B against B, sometimes anything
     st.lists(st.sampled_from("AC"), min_size=2, max_size=2).map(lambda p: [*p, "B", "B"])
     | st.lists(st.sampled_from("ABC"), min_size=4, max_size=4),
+    st.booleans(),
 )
-def test_exit_codes_of_the_commands_that_compose(machines, expr, quadruple):
+def test_exit_codes_of_the_commands_that_compose(machines, expr, quadruple, unwritable):
     """Exit 1 means a failed check, and 2 a usage or structural error.
 
     ``compose``, ``project`` and ``compositional`` each run with and
     without ``--json`` and ``--relax``, on pairs that may not
-    synchronize, repeated leaves and mismatched signatures.
+    synchronize, repeated leaves and mismatched signatures. When
+    ``unwritable``, ``-o`` names a path under a regular file, so
+    ``compose`` and ``project`` exit 2. Nothing is written on exit 2.
     """
     with tempfile.TemporaryDirectory() as tmp:
         files = {}
         for c in machines:
             files[c.name] = Path(tmp, f"{c.name}.fsm")
             save_component(c, str(files[c.name]))
-        out = Path(tmp, "out.fsm")
+        inputs = sorted(os.listdir(tmp))
+        out = Path(files["A"], "out.fsm") if unwritable else Path(tmp, "out.fsm")
         commands = [
             ["compose", expr, *files.values(), "-o", out],
             ["project", expr, *files.values(), "--target", expr.rstrip(")")[-1], "-o", out],
@@ -631,16 +665,20 @@ def test_exit_codes_of_the_commands_that_compose(machines, expr, quadruple):
         ]
         for argv in commands:
             for flags in ((), ("--json",), ("--relax",), ("--json", "--relax")):
-                out.unlink(missing_ok=True)
+                if not unwritable:
+                    out.unlink(missing_ok=True)
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                     code = main([str(x) for x in [*argv, *flags]])
                 call = [*argv[:3], *flags]
                 assert code in (0, 1, 2, 3), call
+                if unwritable and "-o" in argv:
+                    assert code == 2, call
                 if code == 2:
                     assert stdout.getvalue() == "", call
                     assert stderr.getvalue().startswith("error: "), call
-                    assert not out.exists(), call
+                    assert sorted(os.listdir(tmp)) == inputs, call
+                    assert files["A"].read_text() == component_to_text(machines[0]), call
                     continue
                 if "--json" in flags:
                     payload = json.loads(stdout.getvalue())

@@ -6,6 +6,8 @@ import pytest
 
 from fsmcheck import (
     Component,
+    Counterexample,
+    InvalidComponentError,
     SignatureMismatchError,
     TraceLimitError,
     Transition,
@@ -31,24 +33,25 @@ from oracles import (
     naive_out_after,
     naive_states_after,
     naive_subset_pair_search,
+    naive_traces,
     step_maps,
 )
 from test_project import random_four_leaf_system, random_three_leaf_system
 
 
-def spec_like(rng, n_states=(2, 5)):
-    return random_component(rng, "S", ["a", "b"], ["x", "y"], n_states=n_states)
+def spec_like(rng, n_states=(2, 5), alphabets=(["a", "b"], ["x", "y"])):
+    return random_component(rng, "S", *alphabets, n_states=n_states)
 
 
-def pair_over_shared_alphabet(rng, n_states=(2, 5)):
-    spec = spec_like(rng, n_states)
+def pair_over_shared_alphabet(rng, n_states=(2, 5), alphabets=(["a", "b"], ["x", "y"])):
+    spec = spec_like(rng, n_states, alphabets)
     mode = rng.random()
     if mode < 0.25:
         iut = prune(rng, spec, keep=rng.uniform(0.4, 0.9), name="I")
     elif mode < 0.5:
         iut = mutate(rng, spec, name="I")
     elif mode < 0.75:
-        iut = random_component(rng, "I", ["a", "b"], ["x", "y"], n_states=n_states)
+        iut = random_component(rng, "I", *alphabets, n_states=n_states)
     else:
         iut = spec
     return iut, spec
@@ -203,23 +206,49 @@ class TestBounded:
 
     def test_agrees_with_independent_brute_force(self):
         rng = random.Random(61)
-        for _ in range(80):
-            iut, spec = pair_over_shared_alphabet(rng, n_states=(2, 4))
+        cases = [(3, *pair_over_shared_alphabet(rng, n_states=(2, 4))) for _ in range(80)]
+        # at depth 5 over three inputs and outputs, levels hold hundreds of
+        # traces. Against a dense specification, a mutant and one extra
+        # step beyond the initial state put violations in the middle of
+        # their level, below a parent that is not first.
+        three = (["a", "b", "c"], ["x", "y", "z"])
+        for n in range(90):
+            if n % 3 == 0:
+                cases.append((5, *pair_over_shared_alphabet(rng, (1, 4), three)))
+                continue
+            spec = random_component(rng, "S", *three, n_states=(2, 4), density=(0.3, 0.9))
+            if n % 3 == 1:
+                cases.append((5, mutate(rng, spec, adds=1, name="I"), spec))
+                continue
+            extra = Transition(rng.choice(sorted(spec.states - {spec.initial})),
+                               rng.choice(three[0]), rng.choice(three[1]),
+                               rng.choice(sorted(spec.states)))
+            cases.append((5, Component("I", spec.states, spec.initial, spec.inputs,
+                                       spec.outputs, spec.transitions | {extra}), spec))
+        mid_level = later_parent = 0
+        for depth, iut, spec in cases:
             for unspecified in ("allow", "forbid"):
-                got = check_cioco_bounded(iut, spec, 3, unspecified=unspecified)
+                got = check_cioco_bounded(iut, spec, depth, unspecified=unspecified)
                 expected, examined = naive_cioco_bounded(
-                    iut, spec, 3, strict=unspecified == "forbid"
+                    iut, spec, depth, strict=unspecified == "forbid"
                 )
                 assert got.stats.explored_pairs == examined
                 if expected is None:
                     assert got.result == "inconclusive"
-                    assert got.stats.max_depth == 3
-                else:
-                    tr, i, o = expected
-                    assert got.failed
-                    assert got.stats.max_depth == len(tr)
-                    assert (got.counterexample.witness, got.counterexample.input,
-                            got.counterexample.offending_output) == (tr, i, o)
+                    assert got.stats.max_depth == depth
+                    continue
+                tr, i, o = expected
+                assert got.failed
+                assert got.stats.max_depth == len(tr)
+                assert got.counterexample == Counterexample(
+                    tr, i, o, naive_out_after(iut, tr, i), naive_out_after(spec, tr, i)
+                )
+                if tr:
+                    shorter = naive_traces(spec, len(tr) - 1)
+                    mid_level += examined - len(shorter) > 1
+                    parents = sorted(t for t in shorter if len(t) == len(tr) - 1)
+                    later_parent += parents.index(tr[:-1]) > 0
+        assert mid_level > 15 and later_parent > 4
 
     def test_guard_counts_every_trace_even_after_a_violation(self):
         iut = Component.build(
@@ -248,6 +277,28 @@ class TestBounded:
         assert forbid.failed
         assert forbid.counterexample.witness == ()
         assert forbid.stats.explored_pairs == 1
+
+    def test_errors_come_in_a_fixed_order(self):
+        # a signature mismatch, then an invalid component (the implementation
+        # before the specification), then a bad mode, then a negative depth
+        spec = Component.build("s", "s0", [("s0", "a", "x", "s0")])
+        invalid = Component("i", frozenset({"s0"}), "s7", spec.inputs, spec.outputs,
+                            frozenset({Transition("s0", "a", "x", "s9")}))
+        other = Component.build("o", "s0", [("s0", "b", "x", "s0")])
+        for iut, against in ((invalid, other), (other, invalid)):
+            with pytest.raises(SignatureMismatchError):
+                check_cioco_bounded(iut, against, -1, unspecified="never")
+        for iut, against in ((invalid, spec), (spec, invalid), (invalid, invalid)):
+            with pytest.raises(InvalidComponentError) as exact:
+                check_cioco_exact(iut, against)
+            with pytest.raises(InvalidComponentError) as bounded:
+                check_cioco_bounded(iut, against, -1, unspecified="never")
+            assert str(bounded.value) == str(exact.value)
+            assert "uses undeclared state 's9'" in str(bounded.value)
+        with pytest.raises(ValueError, match="unspecified must be one of"):
+            check_cioco_bounded(spec, spec, -1, unspecified="never")
+        with pytest.raises(ValueError, match="depth bound must be non-negative"):
+            check_cioco_bounded(spec, spec, -1)
 
     def test_failures_are_monotone_in_depth(self):
         rng = random.Random(67)
