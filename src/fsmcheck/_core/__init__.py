@@ -3,13 +3,15 @@
 ``encode`` maps components to dense integer ids and bitmask state
 subsets; ``pure`` holds the two searches: the synchronous product
 closure, whose transitions carry the step each side takes, and the
-subset-pair conformance search, which also decides trace inclusion.
+subset-pair conformance search, which also decides trace inclusion
+and returns the ``CheckStats`` its verdict carries.
 """
 
 from .encode import EncodedComponent, bits, encode_pair, label_table, slot_layout, slot_offsets
-from .pure import cioco_bfs, inclusion_bfs, product_closure
+from .pure import CheckStats, cioco_bfs, inclusion_bfs, product_closure
 
 __all__ = [
+    "CheckStats",
     "EncodedComponent",
     "bits",
     "encode_pair",

@@ -13,8 +13,19 @@ search to the next.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 from .encode import EncodedComponent
+
+
+@dataclass(frozen=True)
+class CheckStats:
+    """The counts a verdict rests on. ``explored_pairs`` counts subset pairs
+    in an exact check and traces in a bounded one; ``max_depth`` is the
+    longest trace length reached, or a bounded check's bound on a pass."""
+
+    explored_pairs: int
+    max_depth: int
 
 
 def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inputs: frozenset):
@@ -113,9 +124,9 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
     the current trace impose no obligation; with it true they forbid any
     implementation output, which makes the relation trace inclusion.
 
-    Returns (counterexample | None, stats) where the counterexample is
-    (witness_steps, input, offending_output, iut_outputs, spec_outputs)
-    over label ids and stats is (explored_pairs, max_depth).
+    Returns (counterexample | None, CheckStats) where the counterexample
+    is (witness_steps, input, offending_output, iut_outputs, spec_outputs)
+    over label ids.
 
     Both machines must have the same slots. The implementation's steps
     are kept per distinct subset: its subsets recur across pairs far more
@@ -162,18 +173,19 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
                 if strict or spec_outputs:
                     iut_outputs = frozenset(b for (a, b), _, _ in iut_steps if a == i)
                     witness = _witness(seen, (qi, qs))
-                    return (witness, i, o, iut_outputs, spec_outputs), (explored, max_depth)
+                    stats = CheckStats(explored, max_depth)
+                    return (witness, i, o, iut_outputs, spec_outputs), stats
                 continue
             nxt = (targets, spec_targets)
             if nxt not in seen:
                 seen[nxt] = ((qi, qs), io)
                 queue.append((nxt, depth + 1))
 
-    return None, (explored, max_depth)
+    return None, CheckStats(explored, max_depth)
 
 
-# Kept as its own entry point: perfbench/spans.py times trace inclusion
-# by wrapping this name in fsmcheck._core.
+# Not called here: check_trace_inclusion runs cioco_bfs. perfbench/spans.py
+# wraps this name in fsmcheck._core, so it stays importable from it.
 def inclusion_bfs(enc1: EncodedComponent, enc2: EncodedComponent):
     """Decide trace inclusion Trace(c1) <= Trace(c2): the strict search."""
     return cioco_bfs(enc1, enc2, strict=True)

@@ -15,8 +15,12 @@ or not-applicable.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import functools
 import json
+import os
+import secrets
 import sys
 
 from . import certify as certify_mod
@@ -28,7 +32,7 @@ from .formats import (
     component_to_dict,
     load_component,
     parse_system_expr,
-    save_component,
+    render_component,
     to_dot,
     trace_to_list,
 )
@@ -167,15 +171,24 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def _save(c: Component, out: str, dot: str | None) -> None:
     """Write ``c`` to ``out`` and, when ``dot`` is given, its Graphviz
-    rendering there; a path that cannot be written is a usage error."""
-    path = out
+    rendering there: both files or neither. Each text is written beside
+    its target and moved onto it only once all are written; a path that
+    cannot be written is a usage error."""
+    texts = {out: render_component(c, out), **({dot: to_dot(c)} if dot else {})}
+    staged: dict[str, str] = {}
     try:
-        save_component(c, out)
-        if dot:
-            path = dot
-            with open(dot, "w", encoding="utf-8") as fh:
-                fh.write(to_dot(c))
+        for path, text in texts.items():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            staged[path] = f"{path}.{secrets.token_hex(4)}.tmp"
+            with open(staged[path], "x", encoding="utf-8") as fh:
+                fh.write(text)
+        for path, temporary in staged.items():
+            os.replace(temporary, path)
     except OSError as exc:
+        for temporary in staged.values():
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
         raise FsmCheckError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

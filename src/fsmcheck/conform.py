@@ -4,13 +4,13 @@ The central relation is cioco: after every specification trace and every
 input, the implementation may only produce outputs the specification
 allows. The exact decision procedure explores pairs of state subsets
 reached by common traces; a bounded enumeration of specification traces
-serves as an independent oracle. Trace inclusion is provided as a
-stronger helper relation.
+serves as an independent oracle.
 
 Inputs for which the specification has no continuation after a trace are
 unconstrained by default (``unspecified="allow"``); ``"forbid"`` treats
 any implementation output on them as a violation, which makes the
-relation coincide with trace inclusion.
+relation coincide with trace inclusion. ``check_trace_inclusion`` is that
+strict exact check, without the input-enabledness warning.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from itertools import accumulate, chain
 from typing import Callable
 
 from . import _core
+from ._core import CheckStats
 from .errors import InvalidComponentError, SignatureMismatchError, TraceLimitError
 from .machine import (
     Component,
@@ -60,12 +61,6 @@ class Counterexample:
         out["iut_outputs"] = sorted(self.iut_outputs)
         out["spec_outputs"] = sorted(self.spec_outputs)
         return out
-
-
-@dataclass(frozen=True)
-class CheckStats:
-    explored_pairs: int
-    max_depth: int
 
 
 @dataclass(frozen=True)
@@ -174,6 +169,8 @@ def _exact_verdict(
     enc_iut: _core.EncodedComponent,
     enc_spec: _core.EncodedComponent,
     unspecified: str,
+    *,
+    warn: bool = True,
 ) -> Verdict:
     """Run the subset-pair search on two encodings over one label table.
 
@@ -181,19 +178,16 @@ def _exact_verdict(
     and label ids sort as their names, so any such pair of encodings of
     the same machines gives the same verdict. Input-enabledness is read
     from the implementation's encoding, which holds all of its states:
-    the warning is the one ``is_input_enabled`` would give.
+    the warning is the one ``is_input_enabled`` would give. With ``warn``
+    false it is neither computed nor given.
     """
     strict = _mode_strict(unspecified)
-    warnings = _input_enabled_warnings(enc_iut.name, enc_iut.input_enabled())
-    raw, (explored, max_depth) = _core.cioco_bfs(enc_iut, enc_spec, strict)
-    stats = CheckStats(explored, max_depth)
-
-    if raw is None:
-        return Verdict("pass", "exact", stats=stats, warnings=warnings)
+    warnings = _input_enabled_warnings(enc_iut.name, enc_iut.input_enabled()) if warn else ()
+    raw, stats = _core.cioco_bfs(enc_iut, enc_spec, strict)
     return Verdict(
-        "fail",
+        "pass" if raw is None else "fail",
         "exact",
-        counterexample=_decode_counterexample(raw, enc_spec.label_names),
+        counterexample=None if raw is None else _decode_counterexample(raw, enc_spec.label_names),
         stats=stats,
         warnings=warnings,
     )
@@ -398,18 +392,10 @@ def check_cioco_bounded(
 def check_trace_inclusion(c1: Component, c2: Component) -> Verdict:
     """Decide Trace(c1) <= Trace(c2) exactly.
 
-    On failure the counterexample's full trace is a shortest sequence
-    executable by c1 but not by c2.
+    This is ``check_cioco_exact(c1, c2, "forbid")`` without its
+    input-enabledness warning. On failure the counterexample's full
+    trace is a shortest sequence executable by c1 but not by c2.
     """
     _require_same_signature(c1, c2)
-    enc1, enc2, label_names, _ = _core.encode_pair(c1, c2)
-    raw, (explored, max_depth) = _core.inclusion_bfs(enc1, enc2)
-    stats = CheckStats(explored, max_depth)
-    if raw is None:
-        return Verdict("pass", "exact", stats=stats)
-    return Verdict(
-        "fail",
-        "exact",
-        counterexample=_decode_counterexample(raw, label_names),
-        stats=stats,
-    )
+    enc1, enc2, _, _ = _core.encode_pair(c1, c2)
+    return _exact_verdict(enc1, enc2, "forbid", warn=False)

@@ -191,10 +191,14 @@ def load_component(path: str) -> Component:
     return component_from_text(text, path)
 
 
+def render_component(c: Component, path: str) -> str:
+    """``c`` in the format ``path`` names: JSON for ``.json``, else text."""
+    return component_to_json(c) if str(path).endswith(".json") else component_to_text(c)
+
+
 def save_component(c: Component, path: str) -> None:
-    rendered = component_to_json(c) if str(path).endswith(".json") else component_to_text(c)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(rendered)
+        fh.write(render_component(c, path))
 
 
 def trace_to_list(tr: Trace) -> list[dict]:

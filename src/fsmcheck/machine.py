@@ -125,16 +125,6 @@ class Component:
         }
 
     @cached_property
-    def outputs_by_input(self) -> dict[str, dict[str, frozenset[str]]]:
-        """state -> input -> set of outputs enabled on that input."""
-        table: dict[str, dict[str, set[str]]] = {s: {} for s in self.states}
-        for t in self.transitions:
-            table.setdefault(t.source, {}).setdefault(t.input, set()).add(t.output)
-        return {
-            s: {i: frozenset(os) for i, os in by_i.items()} for s, by_i in table.items()
-        }
-
-    @cached_property
     def _packed(self) -> tuple[list[str], int, list[int]]:
         """Every integer encoding's states, initial id and rows: ``_core.encode._pack``."""
         from ._core import encode  # imported here: encode imports this module
@@ -330,20 +320,13 @@ def out_after(c: Component, tr: Trace, i: str) -> frozenset[str]:
     """
     if i not in c.inputs:
         raise UnknownInputError(i, c.name)
-    outs: set[str] = set()
-    for state in states_after(c, tr):
-        outs.update(c.outputs_by_input.get(state, {}).get(i, ()))
-    return frozenset(outs)
+    return frozenset(o for state in states_after(c, tr)
+                     for (j, o) in c.arrows.get(state, {}) if j == i)
 
 
 def is_input_enabled(c: Component) -> bool:
     """True iff every state has at least one transition for every input."""
-    for s in c.states:
-        enabled = c.outputs_by_input.get(s, {})
-        for i in c.inputs:
-            if not enabled.get(i):
-                return False
-    return True
+    return all({i for i, _ in c.arrows[s]} >= c.inputs for s in c.states)
 
 
 def complete(c: Component, policy: str = "loop", label: str = "abs") -> Component:
@@ -358,10 +341,7 @@ def complete(c: Component, policy: str = "loop", label: str = "abs") -> Componen
     if policy not in ("loop", "sink"):
         raise ValueError(f"unknown completion policy {policy!r}")
     missing = [
-        (s, i)
-        for s in c.sorted_states()
-        for i in sorted(c.inputs)
-        if not c.outputs_by_input.get(s, {}).get(i)
+        (s, i) for s in c.sorted_states() for i in sorted(c.inputs - {j for j, _ in c.arrows[s]})
     ]
     if not missing:
         return c

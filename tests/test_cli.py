@@ -640,15 +640,18 @@ def _machines(draw) -> list[Component]:
     st.lists(st.sampled_from("AC"), min_size=2, max_size=2).map(lambda p: [*p, "B", "B"])
     | st.lists(st.sampled_from("ABC"), min_size=4, max_size=4),
     st.booleans(),
+    st.sampled_from([None, "writable", "unwritable", "directory"]),
 )
-def test_exit_codes_of_the_commands_that_compose(machines, expr, quadruple, unwritable):
+def test_exit_codes_of_the_commands_that_compose(machines, expr, quadruple, unwritable, dot):
     """Exit 1 means a failed check, and 2 a usage or structural error.
 
     ``compose``, ``project`` and ``compositional`` each run with and
     without ``--json`` and ``--relax``, on pairs that may not
     synchronize, repeated leaves and mismatched signatures. When
-    ``unwritable``, ``-o`` names a path under a regular file, so
-    ``compose`` and ``project`` exit 2. Nothing is written on exit 2.
+    ``unwritable``, ``-o`` names a path under a regular file; ``--dot``
+    names one when "unwritable", and a directory when "directory". Then
+    ``compose`` and ``project`` exit 2. Nothing is written on exit 2,
+    and both files on exit 0.
     """
     with tempfile.TemporaryDirectory() as tmp:
         files = {}
@@ -657,28 +660,38 @@ def test_exit_codes_of_the_commands_that_compose(machines, expr, quadruple, unwr
             save_component(c, str(files[c.name]))
         inputs = sorted(os.listdir(tmp))
         out = Path(files["A"], "out.fsm") if unwritable else Path(tmp, "out.fsm")
+        written = [out]
+        if dot is not None:
+            written.append({"writable": Path(tmp, "g.dot"), "unwritable": Path(files["B"], "g.dot"),
+                            "directory": Path(tmp)}[dot])
+        saving = ["-o", out] + (["--dot", written[1]] if dot else [])
         commands = [
-            ["compose", expr, *files.values(), "-o", out],
-            ["project", expr, *files.values(), "--target", expr.rstrip(")")[-1], "-o", out],
+            ["compose", expr, *files.values(), *saving],
+            ["project", expr, *files.values(), "--target", expr.rstrip(")")[-1], *saving],
             *(["compositional", "--theorem", theorem, *(files[x] for x in quadruple)]
               for theorem in "12"),
         ]
         for argv in commands:
             for flags in ((), ("--json",), ("--relax",), ("--json", "--relax")):
-                if not unwritable:
-                    out.unlink(missing_ok=True)
+                for path in written:
+                    if path.is_file():
+                        path.unlink()
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                     code = main([str(x) for x in [*argv, *flags]])
                 call = [*argv[:3], *flags]
                 assert code in (0, 1, 2, 3), call
-                if unwritable and "-o" in argv:
-                    assert code == 2, call
+                if "-o" in argv:
+                    if unwritable or dot in ("unwritable", "directory"):
+                        assert code == 2, call
+                    if code == 0:
+                        assert all(path.is_file() for path in written), call
                 if code == 2:
                     assert stdout.getvalue() == "", call
                     assert stderr.getvalue().startswith("error: "), call
                     assert sorted(os.listdir(tmp)) == inputs, call
-                    assert files["A"].read_text() == component_to_text(machines[0]), call
+                    for c in machines:
+                        assert files[c.name].read_text() == component_to_text(c), call
                     continue
                 if "--json" in flags:
                     payload = json.loads(stdout.getvalue())
@@ -756,6 +769,9 @@ def test_exit_codes_of_check_validate_and_traces(files, pair, k):
                 payload = json.loads(stdout.getvalue())
                 if argv[0] == "check":
                     assert payload["result"] == ("pass", "fail", None, "inconclusive")[code], call
+                if argv[0] == "validate":
+                    # exit 1 exactly when some component is invalid
+                    assert code == (0 if all(r["ok"] for r in payload) else 1), call
             return code
 
         for flags in ((), ("--json",)):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from fsmcheck import (
+    CheckStats,
     Component,
     Counterexample,
     InvalidComponentError,
@@ -386,15 +387,23 @@ class TestInclusionAndConformance:
         assert hits > 20
 
     def test_strict_mode_coincides_with_trace_inclusion(self):
+        # inclusion is the strict exact check without its warning: the
+        # same verdict, counterexample and stats
         rng = random.Random(97)
+        warned = 0
         for _ in range(100):
             iut, spec = pair_over_shared_alphabet(rng, n_states=(2, 4))
             strict = check_cioco_exact(iut, spec, unspecified="forbid")
             inclusion = check_trace_inclusion(iut, spec)
-            assert strict.result == inclusion.result
+            assert inclusion.warnings == ()
+            warned += bool(strict.warnings)
+            strict_dict = strict.to_dict()
+            strict_dict.pop("warnings", None)
+            assert inclusion.to_dict() == strict_dict
             # the two share one search, so each is held to the brute force
             assert agrees_with_naive_inclusion(inclusion, iut, spec)
             assert agrees_with_naive_inclusion(strict, iut, spec)
+        assert warned > 50
 
 
 def test_vacuous_outside_implementation_traces():
@@ -464,7 +473,9 @@ class TestSubsetPairSearch:
     @staticmethod
     def assert_same_encoded_search(enc_iut, enc_spec):
         for strict in (False, True):
-            got = cioco_bfs(enc_iut, enc_spec, strict)
+            raw, stats = cioco_bfs(enc_iut, enc_spec, strict)
+            assert type(stats) is CheckStats
+            got = raw, (stats.explored_pairs, stats.max_depth)
             assert got == naive_subset_pair_search(enc_iut, enc_spec, strict)
 
     @staticmethod
