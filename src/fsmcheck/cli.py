@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import functools
 import json
 import os
-import secrets
 import sys
 
 from . import certify as certify_mod
@@ -171,24 +169,30 @@ def _emit(args, payload: dict, human: str) -> None:
 
 def _save(c: Component, out: str, dot: str | None) -> None:
     """Write ``c`` to ``out`` and, when ``dot`` is given, its Graphviz
-    rendering there: both files or neither. Each text is written beside
-    its target and moved onto it only once all are written; a path that
-    cannot be written is a usage error."""
+    rendering there: both files or neither. Every target is opened, without
+    truncating, before any is written; when one cannot be opened, the files
+    this call created are removed. A target that exists is written into, so
+    symlinks, devices and FIFOs work as targets and a file keeps its mode.
+    A path that cannot be written is a usage error."""
     texts = {out: render_component(c, out), **({dot: to_dot(c)} if dot else {})}
-    staged: dict[str, str] = {}
+    created: list[str] = []
+    path = out
     try:
-        for path, text in texts.items():
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            staged[path] = f"{path}.{secrets.token_hex(4)}.tmp"
-            with open(staged[path], "x", encoding="utf-8") as fh:
-                fh.write(text)
-        for path, temporary in staged.items():
-            os.replace(temporary, path)
+        with contextlib.ExitStack() as stack:
+            handles = {}
+            for path in texts:
+                existed = os.path.lexists(path)
+                handles[path] = stack.enter_context(open(path, "a", encoding="utf-8"))
+                if not existed:
+                    created.append(path)
+            for path, fh in handles.items():
+                if os.path.isfile(path):
+                    fh.truncate(0)
+                fh.write(texts[path])
     except OSError as exc:
-        for temporary in staged.values():
+        for made in created:
             with contextlib.suppress(OSError):
-                os.remove(temporary)
+                os.remove(made)
         raise FsmCheckError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 

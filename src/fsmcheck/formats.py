@@ -196,11 +196,6 @@ def render_component(c: Component, path: str) -> str:
     return component_to_json(c) if str(path).endswith(".json") else component_to_text(c)
 
 
-def save_component(c: Component, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_component(c, path))
-
-
 def trace_to_list(tr: Trace) -> list[dict]:
     return [{"input": s.input, "output": s.output} for s in tr]
 

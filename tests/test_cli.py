@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from fsmcheck.formats import (
     component_to_json,
     component_to_text,
     load_component,
-    save_component,
+    render_component,
+    to_dot,
 )
 from fsmcheck.machine import Component
 from fsmcheck.randgen import mutate, random_component
@@ -30,6 +32,10 @@ from oracles import naive_cioco_bounded, naive_out_after, naive_states_after, na
 COFFEE = FIXTURES / "coffee"
 RELAY = FIXTURES / "relay"
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def save_component(c: Component, path: str) -> None:
+    Path(path).write_text(render_component(c, path), encoding="utf-8")
 
 
 def run(*argv, capsys=None):
@@ -151,6 +157,36 @@ class TestCompose:
         assert code == 0
         assert dot.read_text().startswith("digraph")
         assert json.loads(out.read_text())["name"]
+
+    def test_existing_targets_are_written_into(self, tmp_path):
+        """A symlink is written through, a FIFO is written to, and a file
+        keeps its mode; an existing ``-o`` file is left as it was when
+        ``--dot`` cannot be written."""
+        spec, drink = COFFEE / "spec_money.fsm", COFFEE / "drink.fsm"
+        composed = tmp_path / "composed.fsm"
+        composed.write_text("old\n")
+        composed.chmod(0o640)
+        link = tmp_path / "link.fsm"
+        link.symlink_to(composed)
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        unwritable = plain / "g.dot"
+        assert run("compose", "(par M D)", spec, drink, "-o", link, "--dot", unwritable)[0] == 2
+        assert composed.read_text() == "old\n"
+        assert sorted(os.listdir(tmp_path)) == ["composed.fsm", "link.fsm", "plain"]
+
+        fifo = tmp_path / "g.dot"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        code = run("compose", "(par M D)", spec, drink, "-o", link, "--dot", fifo)[0]
+        reader.join(timeout=10)
+        assert code == 0
+        assert link.is_symlink() and (composed.stat().st_mode & 0o777) == 0o640
+        component = load_component(str(composed))
+        assert composed.read_text() == render_component(component, str(composed))
+        assert received == [to_dot(component)]
 
 
 class TestCannotCompose:
