@@ -94,28 +94,6 @@ class EncodedComponent:
             row >>= n
         return found
 
-    def by_sorted_name(self) -> tuple["EncodedComponent", list[int]]:
-        """This machine with its states numbered in sorted name order.
-
-        That is the numbering ``of`` gives. Also returns, for each new id,
-        the state's id here. A machine numbered so already is returned
-        as it is.
-        """
-        names = self.state_names
-        order = sorted(range(len(names)), key=names.__getitem__)
-        if all(r == s for r, s in enumerate(order)):
-            return self, order
-        n = len(order)
-        rank = [0] * n
-        for r, s in enumerate(order):
-            rank[s] = r
-        offset, moves = slot_offsets(self.slots, n), self.moves()
-        rows = [sum(1 << (offset[(i, o)] + rank[t]) for i, o, t in moves[s]) for s in order]
-        renumbered = EncodedComponent(self.name, [names[s] for s in order], rank[self.initial],
-                                      self.label_names, self.label_ids,
-                                      self.input_ids, self.output_ids, rows)
-        return renumbered, order
-
     def decode(self) -> Component:
         """The named component: the part reachable from the initial state."""
         names, labels = self.state_names, self.label_names

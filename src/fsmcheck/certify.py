@@ -31,8 +31,8 @@ from .compose import (
     Par,
     SystemExpr,
     build_system_full,
+    leaf_components,
     signature_check,
-    subcomponents,
 )
 from .conform import Counterexample, Verdict, _check_against_projection, check_cioco_exact
 from .errors import ShapeMismatchError, SignatureMismatchError
@@ -227,15 +227,22 @@ def localize_fault(
     specification, with unspecified inputs forbidden. The result maps
     every leaf to a local counterexample or None; a pass verdict (no
     counterexample) yields an empty map.
+
+    Raises ``ShapeMismatchError`` when the two expressions have different
+    leaf names, and ``SignatureMismatchError`` when an implementation
+    leaf and the specification leaf of its name differ in inputs or
+    outputs.
     """
     if ce is None:
         return {}
-    iut_leaves = subcomponents(expr_iut)
-    spec_leaves = subcomponents(expr_spec)
-    if iut_leaves != spec_leaves:
+    iut_leaves = leaf_components(expr_iut)
+    spec_leaves = leaf_components(expr_spec)
+    if iut_leaves.keys() != spec_leaves.keys():
         raise ShapeMismatchError(
             f"leaf sets differ: {sorted(iut_leaves)} vs {sorted(spec_leaves)}"
         )
+    for name in sorted(iut_leaves):
+        _require_pair_signature(iut_leaves[name], spec_leaves[name], f"leaf '{name}'")
 
     iut_build = build_system_full(expr_iut, relax=relax)
     spec_build = build_system_full(expr_spec, relax=relax)
@@ -264,11 +271,10 @@ def _first_step_outside(tr: Trace, projection: Component) -> Counterexample | No
 
     The scanned prefix stays a trace of the projection until the first
     disallowed step, so the returned witness satisfies the
-    counterexample invariants.
+    counterexample invariants. Every input of ``tr`` is one of the
+    projection's, since the two leaves share a signature.
     """
     for n, s in enumerate(tr):
-        if s.input not in projection.inputs:
-            return None
         allowed = out_after(projection, tr[:n], s.input)
         if s.output not in allowed:
             return Counterexample(

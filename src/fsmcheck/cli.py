@@ -170,30 +170,39 @@ def _emit(args, payload: dict, human: str) -> None:
 def _save(c: Component, out: str, dot: str | None) -> None:
     """Write ``c`` to ``out`` and, when ``dot`` is given, its Graphviz
     rendering there: both files or neither. Every target is opened, without
-    truncating, before any is written; when one cannot be opened, the files
-    this call created are removed. A target that exists is written into, so
-    symlinks, devices and FIFOs work as targets and a file keeps its mode.
-    A path that cannot be written is a usage error."""
-    texts = {out: render_component(c, out), **({dot: to_dot(c)} if dot else {})}
+    truncating, before any is written; when one cannot be opened, or both
+    name one file, the files this call created are removed. A target that
+    exists is written into, so symlinks, devices and FIFOs work as targets
+    and a file keeps its mode. A path that cannot be written, or one file
+    named twice, is a usage error."""
+    if dot == out:
+        raise FsmCheckError(f"-o and --dot name the same file: {out}")
+    targets = [(out, render_component(c, out))] + ([(dot, to_dot(c))] if dot else [])
     created: list[str] = []
-    path = out
+    path, error = out, None
     try:
         with contextlib.ExitStack() as stack:
-            handles = {}
-            for path in texts:
-                existed = os.path.lexists(path)
-                handles[path] = stack.enter_context(open(path, "a", encoding="utf-8"))
-                if not existed:
-                    created.append(path)
-            for path, fh in handles.items():
-                if os.path.isfile(path):
-                    fh.truncate(0)
-                fh.write(texts[path])
+            handles = []
+            for path, text in targets:
+                existed = os.path.exists(path)
+                fh = stack.enter_context(open(path, "a", encoding="utf-8"))
+                if not existed:  # through a dangling symlink, its target
+                    created.append(os.path.realpath(path))
+                handles.append((path, fh, text))
+            if dot and os.path.samestat(*(os.fstat(fh.fileno()) for _, fh, _ in handles)):
+                error = f"-o {out} and --dot {dot} name the same file"
+            else:
+                for path, fh, text in handles:
+                    if os.path.isfile(path):
+                        fh.truncate(0)
+                    fh.write(text)
     except OSError as exc:
+        error = f"cannot write {path}: {exc.strerror or exc}"
+    if error is not None:
         for made in created:
             with contextlib.suppress(OSError):
                 os.remove(made)
-        raise FsmCheckError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise FsmCheckError(error)
 
 
 def cmd_validate(args) -> int:

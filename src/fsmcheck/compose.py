@@ -7,12 +7,13 @@ with the second reaction observed. Synchronized intermediates are hidden.
 
 Only the reachable part of the state product is materialized. A system
 expression is built on integer ids over one label table for the whole
-expression. Every composed node keeps its children and the
-transitions of the product closure, each carrying the step each side
-takes in it. Projection reads every leaf's part off those steps, and
-the node's step rows and the table of all the ways each composed
-transition decomposes into leaf steps, hidden intermediates included,
-are derived from them on first read. Names are decoded only when read.
+expression. Every node keeps its transitions, each carrying its way:
+the step every leaf takes in it, hidden intermediates included. A
+composed node's are the transitions of the product closure of its two
+children's. Projection reads every leaf's part off the ways, and the
+node's step rows and the table of all the ways of each composed
+transition are derived from them on first read. Names are decoded only
+when read.
 """
 
 from __future__ import annotations
@@ -115,14 +116,12 @@ Decomposition = tuple[Step | None, ...]
 #: A composed transition on integer ids: (source, input, output, target).
 TransitionIds = tuple[int, int, int, int]
 
-#: A Decomposition on integer ids: each moving leaf's (input, output).
-WayIds = tuple[tuple[int, int] | None, ...]
+#: A Decomposition on integer ids: each moving leaf's (input, output),
+#: () for a leaf that does not move, so that ways sort.
+WayIds = tuple[tuple[int, ...], ...]
 
-#: A transition of a product closure: (source, input, output, target,
-#: left, right), source and target indexing the node's pairs, and left and
-#: right the (input, output) step each side takes, () for a side that
-#: does not move.
-RawTransition = tuple[int, int, int, int, tuple[int, ...], tuple[int, ...]]
+#: A transition with its way: (source, input, output, target, way).
+RawTransition = tuple[int, int, int, int, WayIds]
 
 
 @dataclass(frozen=True)
@@ -132,15 +131,15 @@ class SystemBuild:
     ``machine`` is the composed component encoded over the sorted label
     table of the whole expression: a leaf's states are numbered in sorted
     name order, a composed node's in discovery order from the initial
-    state. A composed node keeps its two built ``parts``, its ``pairs``
-    (each state as the pair of the parts' own state ids) and the ``raw``
-    transitions of the product closure between them, each with the step
-    each part takes; its machine derives its step rows from ``raw`` on
-    first read. ``ways`` maps every composed transition ``(source,
-    input, output, target)`` on those ids to all the ways it can be
-    attributed to leaf steps; ``component`` and ``decompositions`` are
-    the same machine and map with names. All three are derived on first
-    read.
+    state. ``raw`` holds the machine's transitions, each with its way,
+    once per way: a leaf's own steps, or a composed node's product
+    closure transitions. A composed node also keeps its two built
+    ``parts`` and its ``pairs`` (each state as the pair of the parts' own
+    state ids); its machine derives its step rows from ``raw`` on first
+    read. ``ways`` maps every transition ``(source, input, output,
+    target)`` on those ids to all its ways; ``component`` and
+    ``decompositions`` are the same machine and map with names. All
+    three are derived on first read.
     """
 
     expr: SystemExpr
@@ -167,29 +166,11 @@ class SystemBuild:
 
     @cached_property
     def ways(self) -> dict[TransitionIds, frozenset[WayIds]]:
-        """Every composed transition mapped to all its decompositions, on ids."""
-        if not self.parts:  # a leaf: each step is its own single way
-            return {
-                (s, i, o, t): frozenset([((i, o),)])
-                for s, moves in enumerate(self.machine.moves()) for i, o, t in moves
-            }
-        left, right = self.parts
-        left_ways, right_ways = left.ways, right.ways
-        left_silent: WayIds = (None,) * len(left.leaves)
-        right_silent: WayIds = (None,) * len(right.leaves)
-        pairs = self.pairs
-        ways: dict[TransitionIds, frozenset[WayIds]] = {}
-        for (src, i, o, dst, ls, rs) in self.raw:
-            (l1, r1), (l2, r2) = pairs[src], pairs[dst]
-            found = [
-                wl + wr
-                for wl in (left_ways[(l1, *ls, l2)] if ls else (left_silent,))
-                for wr in (right_ways[(r1, *rs, r2)] if rs else (right_silent,))
-            ]
-            key = (src, i, o, dst)
-            known = ways.get(key)
-            ways[key] = frozenset(found) if known is None else known.union(found)
-        return ways
+        """Every transition mapped to all its decompositions, on ids."""
+        ways: dict[TransitionIds, set[WayIds]] = {}
+        for (s, i, o, t, way) in self.raw:
+            ways.setdefault((s, i, o, t), set()).add(way)
+        return {key: frozenset(found) for key, found in ways.items()}
 
     @cached_property
     def decompositions(self) -> dict[Transition, frozenset[Decomposition]]:
@@ -197,7 +178,7 @@ class SystemBuild:
         names, labels = self.machine.state_names, self.machine.label_names
         return {
             Transition(names[s], labels[i], labels[o], names[t]): frozenset(
-                tuple(None if io is None else Step(labels[io[0]], labels[io[1]]) for io in way)
+                tuple(Step(labels[io[0]], labels[io[1]]) if io else None for io in way)
                 for way in ways
             )
             for (s, i, o, t), ways in self.ways.items()
@@ -260,16 +241,17 @@ def _build(
 
 
 def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -> SystemBuild:
-    """A leaf on integer ids: its encoding."""
+    """A leaf on integer ids: its encoding, each step its own way."""
     machine = _core.EncodedComponent.of(expr.component, label_names, label_ids)
-    return SystemBuild(expr, (expr.name,), (), machine)
+    raw = [(s, i, o, t, ((i, o),)) for s, moves in enumerate(machine.moves()) for i, o, t in moves]
+    return SystemBuild(expr, (expr.name,), (), machine, raw=raw)
 
 
 class _ComposedMachine(_core.EncodedComponent):
     """A composed node's machine, its rows derived on first read.
 
-    Certification reads the transitions of the product closure, not the
-    root's rows: only decoding and the next composition up read them.
+    Certification and the next composition up read the transitions of
+    the product closure, not the rows: only decoding reads them.
     """
 
     __slots__ = ("raw",)
@@ -286,7 +268,7 @@ class _ComposedMachine(_core.EncodedComponent):
             raise AttributeError(name)
         offset = _core.slot_offsets(self.slots, len(self.state_names))
         rows = [0] * len(self.state_names)
-        for (src, i, o, dst, _, _) in self.raw:
+        for (src, i, o, dst, _) in self.raw:
             rows[src] |= 1 << (offset[(i, o)] + dst)
         self.rows = rows
         return rows
@@ -306,12 +288,11 @@ def _compose(
         )
 
     inputs, outputs = composed_alphabets(left, right)
-    # number both sides as a component's states are numbered, so that a
-    # nested node discovers its pairs in the order it would if decoded
-    enc1, ids1 = left.machine.by_sorted_name()
-    enc2, ids2 = right.machine.by_sorted_name()
+    enc1, enc2 = left.machine, right.machine
     label_ids = enc1.label_ids
-    pairs, raw = _core.product_closure(enc1, enc2, frozenset(label_ids[x] for x in inputs))
+    pairs, raw = _core.product_closure(
+        _side(left), _side(right), frozenset(label_ids[x] for x in inputs)
+    )
 
     state_names: list[str] = []
     taken: set[str] = set()
@@ -336,9 +317,18 @@ def _compose(
         reports=left.reports + right.reports + ((node, report),),
         machine=machine,
         parts=(left, right),
-        pairs=[(ids1[s1], ids2[s2]) for (s1, s2) in pairs],
+        pairs=pairs,
         raw=raw,
     )
+
+
+def _side(build: SystemBuild):
+    """A built side as the product closure takes it: (initial, input ids,
+    each state's moves with their ways, the way in which it does not move)."""
+    moves: list[list] = [[] for _ in build.machine.state_names]
+    for (s, i, o, t, way) in build.raw:
+        moves[s].append((i, o, t, way))
+    return build.machine.initial, build.machine.input_ids, moves, ((),) * len(build.leaves)
 
 
 def build_system(expr: SystemExpr, relax: bool = False) -> Component:

@@ -18,7 +18,6 @@ histories. The tree is the oracle for the finite construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from ._core import EncodedComponent, bits, slot_layout, slot_offsets
 from .compose import Leaf, SystemBuild, SystemExpr, build_system_full
@@ -121,20 +120,21 @@ def _relabel(build: SystemBuild):
     Returns, aligned with ``build.leaves``, ``(leaf, labelled, silent)``
     per leaf, ``leaf`` being its build. Per composed state, ``labelled``
     is the row of the leaf's steps, in the leaf's slots, and ``silent``
-    lists the targets reached without the leaf moving.
+    lists the targets reached without the leaf moving. Each leaf's step
+    is read off the ways of ``build.raw``.
     """
     n = len(build.machine.state_names)
-    raw = build.raw
     relabelled = []
-    for leaf, (column, extra) in zip(_leaf_builds(build), _leaf_parts(build)):
+    for j, leaf in enumerate(_leaf_builds(build)):
         offset = slot_offsets(leaf.machine.slots, n)
         labelled = [0] * n
         silent: list[list[int]] = [[] for _ in range(n)]
-        for (src, _, _, dst, _, _), step in chain(zip(raw, column), extra):
-            if step is None:
-                silent[src].append(dst)
-            else:
+        for (src, _, _, dst, way) in build.raw:
+            step = way[j]
+            if step:
                 labelled[src] |= 1 << (offset[step] + dst)
+            else:
+                silent[src].append(dst)
         relabelled.append((leaf, labelled, silent))
     return relabelled
 
@@ -145,55 +145,6 @@ def _leaf_builds(build: SystemBuild) -> list[SystemBuild]:
         return [build]
     left, right = build.parts
     return _leaf_builds(left) + _leaf_builds(right)
-
-
-def _leaf_parts(build: SystemBuild):
-    """Every leaf's part in every transition of a composed ``build``.
-
-    Returns ``(column, extra)`` per leaf, aligned with ``build.leaves``:
-    ``column[k]`` is a step the leaf takes in ``build.raw[k]``, None where
-    it does not move, and ``extra`` lists ``(transition, step)`` for every
-    further step it may take in one transition. Each side's step is read
-    off the transition, and a composed side's step is then split among
-    its leaves.
-    """
-    raw = build.raw
-    left_steps = [t[4] or None for t in raw]
-    right_steps = [t[5] or None for t in raw]
-    return _split(build, 0, left_steps) + _split(build, 1, right_steps)
-
-
-def _split(build: SystemBuild, side: int, steps: list):
-    """``_leaf_parts`` of the leaves of ``build.parts[side]``.
-
-    ``steps`` holds the side's step in each transition of ``build``. A
-    composed side's steps are looked up in one table built from its own
-    transitions: every step each of its leaves may take in them.
-    """
-    part = build.parts[side]
-    if not part.parts:
-        return [(steps, [])]
-    table: dict[tuple[int, int, int, int], list[set]] = {}
-    for j, (column, extra) in enumerate(_leaf_parts(part)):
-        for (s, i, o, t, _, _), step in chain(zip(part.raw, column), extra):
-            per_leaf = table.get((s, i, o, t))
-            if per_leaf is None:
-                per_leaf = table[(s, i, o, t)] = [set() for _ in part.leaves]
-            per_leaf[j].add(step)
-    quiet = [(None,)] * len(part.leaves)
-    split = [([], []) for _ in part.leaves]
-    pairs = build.pairs
-    for transition, step in zip(build.raw, steps):
-        if step is None:
-            per_leaf = quiet
-        else:
-            src, _, _, dst, _, _ = transition
-            per_leaf = table[(pairs[src][side], *step, pairs[dst][side])]
-        for (column, extra), taken in zip(split, per_leaf):
-            first, *more = taken
-            column.append(first)
-            extra.extend((transition, x) for x in more)
-    return split
 
 
 def _closed_steps(labelled: list[int], silent) -> list[int]:
@@ -327,8 +278,10 @@ def component_in_context_tree(
     build = _as_build(system, relax)
     j = _leaf_index(build, target)
     leaf = build.leaf_component(target)
-    # relabelled from the joint decomposition table, not by ``_relabel``,
-    # so that the oracle shares no code with the construction it checks
+    # relabelled from the decomposition table, which groups the same ways
+    # ``_relabel`` reads; the checks independent of both are the vector
+    # oracles of the tests, which compose leaf states afresh, and the
+    # check of every way in ``raw`` against the leaves' own rows
     n = len(build.machine.state_names)
     ids = build.machine.label_ids
     slots = slot_layout({ids[x] for x in leaf.inputs}, {ids[x] for x in leaf.outputs})
@@ -337,7 +290,7 @@ def component_in_context_tree(
     silent: list[set[int]] = [set() for _ in range(n)]
     for (s, _, _, t), ways in build.ways.items():
         for way in ways:
-            if way[j] is None:
+            if not way[j]:
                 silent[s].add(t)
             else:
                 labelled[s] |= 1 << (offset[way[j]] + t)

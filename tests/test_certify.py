@@ -1,7 +1,12 @@
 """Certification workflows and fault localization."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,7 @@ from fsmcheck import (
     Leaf,
     Par,
     ShapeMismatchError,
+    SignatureMismatchError,
     build_system,
     build_system_full,
     check_cioco_exact,
@@ -399,6 +405,43 @@ class TestLocalizeFault:
                     build_system(relay_expr(demo("relay/spec_left"), demo("relay/right"))),
                 ).counterexample,
             )
+
+
+    def test_signature_mismatch_raises(self):
+        spec_left = demo("relay/spec_left")
+        wider = dataclasses.replace(spec_left, inputs=spec_left.inputs | {"extra"})
+        expr_iut = relay_expr(demo("relay/iut_left"), demo("relay/right"))
+        ce = check_cioco_exact(
+            build_system(expr_iut), build_system(relay_expr(spec_left, demo("relay/right")))
+        ).counterexample
+        with pytest.raises(SignatureMismatchError, match="leaf 'A'"):
+            localize_fault(expr_iut, relay_expr(wider, demo("relay/right")), ce)
+
+    def test_least_of_several_candidates_under_any_hash_seed(self):
+        """Leaf A's implementation answers ``i`` with ``x2`` or ``x3``,
+        where its specification answers ``x1``, and B maps both to ``y``:
+        the composed step ``i|y`` projects onto A either way. The local
+        counterexample is the least candidate, ``x2``."""
+        script = """
+from fsmcheck import Component, Leaf, Par, build_system, check_cioco_exact, localize_fault
+sig = {"inputs": ["i", "r"], "outputs": ["x1", "x2", "x3"]}
+iut_a = Component.build("A", "a0", [("a0", "i", "x3", "a0"), ("a0", "i", "x2", "a0")], **sig)
+spec_a = Component.build("A", "a0", [("a0", "i", "x1", "a0")], **sig)
+b = Component.build("B", "b0", [("b0", "x1", "z", "b0"), ("b0", "x2", "y", "b0"),
+                                ("b0", "x3", "y", "b0")], outputs=["r", "y", "z"])
+expr_iut, expr_spec = Par(Leaf("A", iut_a), Leaf("B", b)), Par(Leaf("A", spec_a), Leaf("B", b))
+ce = check_cioco_exact(build_system(expr_iut), build_system(expr_spec)).counterexample
+local = localize_fault(expr_iut, expr_spec, ce)["A"]
+print(ce.input, ce.offending_output, local.input, local.offending_output, local.spec_outputs)
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")
+            assert done.stdout == "i y i x2 frozenset({'x1'})\n", seed
 
 
 class TestReportInvariants:

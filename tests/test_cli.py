@@ -28,6 +28,7 @@ from fsmcheck.randgen import mutate, random_component
 
 from demos import FIXTURES
 from oracles import naive_cioco_bounded, naive_out_after, naive_states_after, naive_traces
+from test_compose import colliding_pair
 
 COFFEE = FIXTURES / "coffee"
 RELAY = FIXTURES / "relay"
@@ -187,6 +188,40 @@ class TestCompose:
         component = load_component(str(composed))
         assert composed.read_text() == render_component(component, str(composed))
         assert received == [to_dot(component)]
+
+    @pytest.mark.parametrize("command", ["compose", "project"])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_one_file_named_by_out_and_dot_exits_two(self, command, existing, tmp_path, capsys):
+        """``--dot`` naming ``-o``'s file, by the same path or through a
+        symlink, is a usage error: an existing target is left as it was,
+        and a file the call created is removed."""
+        target = tmp_path / "composed.fsm"
+        link = tmp_path / "link.dot"
+        link.symlink_to(target)
+        if existing:
+            target.write_text("old\n")
+        before = sorted(os.listdir(tmp_path))
+        argv = [command, "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm"]
+        if command == "project":
+            argv += ["--target", "M"]
+        for out, dot in ((target, target), (target, link), (link, target)):
+            assert run(*argv, "-o", out, "--dot", dot) == (2, "")
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "name the same file" in captured.err
+            assert captured.err.count("\n") == 1
+            assert sorted(os.listdir(tmp_path)) == before
+            assert not existing or target.read_text() == "old\n"
+
+
+    def test_file_created_through_a_dangling_symlink_is_removed(self, tmp_path):
+        link = tmp_path / "link.fsm"
+        link.symlink_to(tmp_path / "target.fsm")
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        argv = ["compose", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm"]
+        assert run(*argv, "-o", link, "--dot", plain / "g.dot")[0] == 2
+        assert sorted(os.listdir(tmp_path)) == ["link.fsm", "plain"]
 
 
 class TestCannotCompose:
@@ -585,7 +620,7 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         ("project", "(par M D)", COFFEE / "spec_money.fsm", COFFEE / "drink.fsm",
          "--target", "M", "-o", written, "--json"),
         ("compose", "(par M D)", COFFEE / "iut_money.fsm", COFFEE / "drink.fsm", "-o", written),
-        # a nested node is renumbered before it is composed again
+        # a nested node is composed again in its own discovery order
         ("compose", "(par B (par M D))", *nested, "--relax", "-o", written),
         ("project", "(par B (par M D))", *nested, "--relax", "--target", "D", "-o", written,
          "--json"),
@@ -604,6 +639,35 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
             file_text = written.read_text(encoding="utf-8") if written.exists() else None
             results.add((done.returncode, done.stdout, file_text))
         assert len(results) == 1, argv
+
+
+def test_colliding_pair_names_do_not_depend_on_the_hash_seed(tmp_path):
+    """Composed states whose pair names render alike get ``~`` suffixes,
+    the same under every hash seed, as a pair and nested."""
+    a, b = colliding_pair()
+    third = Component.build("C", "c0", [("c0", "u", "v", "c0")])
+    files = []
+    for c in (a, b, third):
+        files.append(tmp_path / f"{c.name}.fsm")
+        save_component(c, str(files[-1]))
+    out = tmp_path / "out.fsm"
+    for expr in ("(par A B)", "(par C (par A B))"):
+        results = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-m", "fsmcheck.cli", "compose", expr, *map(str, files),
+                 "--relax", "--json", "-o", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert (done.returncode, done.stderr) == (0, "")
+            results.add((done.stdout, out.read_text(encoding="utf-8")))
+        assert len(results) == 1, expr
+        ((stdout, _),) = results
+        states = json.loads(stdout)["component"]["states"]
+        assert len(states) == len(set(states)) == 2
+        assert sum("~" in name for name in states) == 1
 
 
 def test_repeated_in_process_calls_match_single_calls(tmp_path, capsys):
@@ -668,49 +732,66 @@ def _machines(draw) -> list[Component]:
     return [a, b, draw(_machine("C", ab))]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+#: System expressions ``parse_system_expr`` rejects, one per error branch.
+_MALFORMED_EXPRS = (
+    "(par A",  # unexpected end
+    "(and A B)",  # no 'par' after '('
+    "(par A B C)",  # no ')' closing the node
+    ")",  # unexpected ')'
+    "(par A Z)",  # unknown component
+    "(par " * 1200 + "A B" + ")" * 1200,  # nested too deeply
+    "(par A B) C",  # trailing tokens
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(
     _machines(),
-    st.sampled_from(["(par A B)", "(par A A)", "(par (par A B) C)"]),
+    st.sampled_from(["(par A B)", "(par A A)", "(par (par A B) C)"])
+    | st.sampled_from(_MALFORMED_EXPRS),
     # mostly A or C against A or C beside B against B, sometimes anything
     st.lists(st.sampled_from("AC"), min_size=2, max_size=2).map(lambda p: [*p, "B", "B"])
     | st.lists(st.sampled_from("ABC"), min_size=4, max_size=4),
     st.booleans(),
-    st.sampled_from([None, "writable", "unwritable", "directory"]),
+    st.sampled_from([None, "writable", "unwritable", "directory", "same", "symlink"]),
 )
 def test_exit_codes_of_the_commands_that_compose(machines, expr, quadruple, unwritable, dot):
     """Exit 1 means a failed check, and 2 a usage or structural error.
 
     ``compose``, ``project`` and ``compositional`` each run with and
     without ``--json`` and ``--relax``, on pairs that may not
-    synchronize, repeated leaves and mismatched signatures. When
-    ``unwritable``, ``-o`` names a path under a regular file; ``--dot``
-    names one when "unwritable", and a directory when "directory". Then
-    ``compose`` and ``project`` exit 2. Nothing is written on exit 2,
-    and both files on exit 0.
+    synchronize, repeated leaves, mismatched signatures and malformed
+    system expressions. When ``unwritable``, ``-o`` names a path under a
+    regular file; ``--dot`` names one when "unwritable", a directory
+    when "directory", ``-o``'s path when "same" and a symlink to it when
+    "symlink". Then ``compose`` and ``project`` exit 2, as they do on a
+    malformed expression. Exit 2 writes nothing and prints one
+    ``error:`` line; exit 0 writes both files.
     """
     with tempfile.TemporaryDirectory() as tmp:
         files = {}
         for c in machines:
             files[c.name] = Path(tmp, f"{c.name}.fsm")
             save_component(c, str(files[c.name]))
-        inputs = sorted(os.listdir(tmp))
         out = Path(files["A"], "out.fsm") if unwritable else Path(tmp, "out.fsm")
         written = [out]
         if dot is not None:
             written.append({"writable": Path(tmp, "g.dot"), "unwritable": Path(files["B"], "g.dot"),
-                            "directory": Path(tmp)}[dot])
+                            "directory": Path(tmp), "same": out, "symlink": Path(tmp, "g.dot")}[dot])
+        if dot == "symlink":
+            written[1].symlink_to(out)
+        inputs = sorted(os.listdir(tmp))
         saving = ["-o", out] + (["--dot", written[1]] if dot else [])
         commands = [
             ["compose", expr, *files.values(), *saving],
-            ["project", expr, *files.values(), "--target", expr.rstrip(")")[-1], *saving],
+            ["project", expr, *files.values(), "--target", expr.rstrip(")")[-1:] or "A", *saving],
             *(["compositional", "--theorem", theorem, *(files[x] for x in quadruple)]
               for theorem in "12"),
         ]
         for argv in commands:
             for flags in ((), ("--json",), ("--relax",), ("--json", "--relax")):
                 for path in written:
-                    if path.is_file():
+                    if path.is_file() and not path.is_symlink():
                         path.unlink()
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -718,13 +799,15 @@ def test_exit_codes_of_the_commands_that_compose(machines, expr, quadruple, unwr
                 call = [*argv[:3], *flags]
                 assert code in (0, 1, 2, 3), call
                 if "-o" in argv:
-                    if unwritable or dot in ("unwritable", "directory"):
+                    if (unwritable or dot in ("unwritable", "directory", "same", "symlink")
+                            or expr in _MALFORMED_EXPRS):
                         assert code == 2, call
                     if code == 0:
                         assert all(path.is_file() for path in written), call
                 if code == 2:
                     assert stdout.getvalue() == "", call
                     assert stderr.getvalue().startswith("error: "), call
+                    assert stderr.getvalue().count("\n") == 1, call
                     assert sorted(os.listdir(tmp)) == inputs, call
                     for c in machines:
                         assert files[c.name].read_text() == component_to_text(c), call
@@ -783,7 +866,7 @@ def test_exit_codes_of_check_validate_and_traces(files, pair, k):
     without ``--json``, on the files ``pair`` picks from ``files``.
 
     Exact and bounded ``check`` reject the same files: both exit 2, or
-    neither does.
+    neither does. Bounded ``check`` without ``--depth`` exits 2.
     """
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -801,6 +884,8 @@ def test_exit_codes_of_check_validate_and_traces(files, pair, k):
             if code == 2:
                 assert stdout.getvalue() == "", call
                 assert stderr.getvalue().startswith("error: "), call
+                assert stderr.getvalue().count("\n") == 1, call
+                assert sorted(os.listdir(tmp)) == sorted(files), call
             elif "--json" in argv:
                 payload = json.loads(stdout.getvalue())
                 if argv[0] == "check":
@@ -818,3 +903,4 @@ def test_exit_codes_of_check_validate_and_traces(files, pair, k):
                 exact = exit_code("check", iut, spec, *options)
                 bounded = exit_code("check", "--method", "bounded", "-k", k, iut, spec, *options)
                 assert (exact == 2) == (bounded == 2), (pair, sorted(files), options)
+                assert exit_code("check", "--method", "bounded", iut, spec, *options) == 2

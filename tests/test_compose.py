@@ -199,20 +199,61 @@ def _moves(part, source: int, step, target: int) -> bool:
     return bool(targets >> target & 1)
 
 
+def _leaf_states(node, state: int) -> list[int]:
+    """The state of every leaf of ``node`` in ``state``, reached through
+    ``pairs`` down the tree, aligned with ``node.leaves``."""
+    if not node.parts:
+        return [state]
+    (left, right), (s1, s2) = node.parts, node.pairs[state]
+    return _leaf_states(left, s1) + _leaf_states(right, s2)
+
+
+def _side_steps(part) -> dict:
+    """The steps of ``part``, keyed by (source, target, way)."""
+    steps: dict = {}
+    for (s, i, o, t, way) in part.raw:
+        steps.setdefault((s, t, way), set()).add((i, o))
+    return steps
+
+
+def _side_step(known: dict, s: int, way, t: int):
+    """The one step a part takes from ``s`` to ``t`` by ``way`` in its
+    ``_side_steps``, () when none of its leaves moves."""
+    if not any(way):
+        return ()
+    steps = known.get((s, t, way), set())
+    assert len(steps) == 1, f"{len(steps)} steps of a part by the way {way}"
+    (step,) = steps
+    return step
+
+
 def assert_side_steps_are_real(build):
-    """Every transition of every composed node of ``build`` carries the
-    steps its two parts really take."""
+    """Every transition of every composed node of ``build`` carries a way
+    whose leaf steps the leaves really take, off their own rows, and
+    whose two halves are steps its two parts really take."""
     for node in build_nodes(build):
         if not node.parts:
             continue
-        for (src, i, o, dst, left, right) in node.raw:
-            assert left or right, "a transition in which no side moves"
-            for side, (part, step) in enumerate(zip(node.parts, (left, right))):
-                s, t = node.pairs[src][side], node.pairs[dst][side]
+        leaves = [part for part in build_nodes(node) if not part.parts]
+        assert [leaf.leaves[0] for leaf in leaves] == list(node.leaves)
+        cut = len(node.parts[0].leaves)
+        side_steps = [_side_steps(part) for part in node.parts]
+        for (src, i, o, dst, way) in node.raw:
+            assert len(way) == len(leaves)
+            assert any(way), "a transition in which no leaf moves"
+            before, after = _leaf_states(node, src), _leaf_states(node, dst)
+            for leaf, step, s, t in zip(leaves, way, before, after):
                 if step:
-                    assert _moves(part, s, step, t)
+                    assert _moves(leaf, s, step, t)
                 else:
-                    assert s == t, "a side that does not move changed state"
+                    assert s == t, "a leaf that does not move changed state"
+            # each part's half of the way is one of the part's own steps
+            left, right = (
+                _side_step(known, s, half, t)
+                for known, half, s, t in zip(
+                    side_steps, (way[:cut], way[cut:]), node.pairs[src], node.pairs[dst]
+                )
+            )
             assert i in node.machine.input_ids
             if not (left and right):
                 assert (i, o) == (left or right)
@@ -251,14 +292,40 @@ def test_closure_transitions_carry_real_side_steps():
                  ("a", "y", ("m", "y"), ("a", "m")), id="right feeds left"),
 ])
 def test_each_rule_records_both_sides_steps(left, right, expected):
-    """One transition, composed by one rule: its composed step and the
-    step each side takes in it."""
+    """One transition, composed by one rule: its composed step and its
+    way, the step each leaf takes in it."""
     c1 = Component.build("c1", "s0", left, inputs=["a"], outputs=["x"], states=["s1"])
     c2 = Component.build("c2", "t0", right, inputs=["b"], outputs=["z"], states=["t1"])
     build = compose_pair(c1, c2, relax=True)
     ids = build.machine.label_ids
     i, o, l, r = expected
     target = build.pairs.index((int(bool(l)), int(bool(r))))
-    assert build.raw == [(0, ids[i], ids[o], target, tuple(ids[x] for x in l),
-                          tuple(ids[x] for x in r))]
+    assert build.raw == [(0, ids[i], ids[o], target, (tuple(ids[x] for x in l),
+                                                      tuple(ids[x] for x in r)))]
     assert_side_steps_are_real(build)
+
+
+def colliding_pair() -> tuple[Component, Component]:
+    """A (states ``a``, ``a,b``) and B (states ``b,c``, ``c``): the pairs
+    (a, b,c) and (a,b, c) both render as ``(a,b,c)``, and one joint step
+    reaches the second from the first."""
+    a = Component.build("A", "a", [("a", "i", "m", "a,b")], inputs=["i", "r"])
+    b = Component.build("B", "b,c", [("b,c", "m", "o", "c")], outputs=["o", "r"])
+    return a, b
+
+
+def test_pair_names_that_render_alike_are_kept_apart():
+    a, b = colliding_pair()
+    third = Component.build("C", "c0", [("c0", "u", "v", "c0")])
+    pair = Par(Leaf("A", a), Leaf("B", b))
+    for expr in (pair, Par(Leaf("C", third), pair), Par(pair, Leaf("C", third))):
+        build = build_system_full(expr, relax=True)
+        names = build.machine.state_names
+        assert len(set(names)) == len(names) == 2
+        assert sum("~" in name for name in names) == 1
+        component = build.component
+        assert component.states == set(names)
+        # the joint step leads from the initial state to the other one
+        (t,) = [t for t in component.transitions if t.input == "i"]
+        assert (t.source, t.output) == (component.initial, "o") and t.target != t.source
+

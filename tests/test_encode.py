@@ -7,8 +7,6 @@ import pytest
 
 from fsmcheck import (
     Component,
-    Leaf,
-    Par,
     Transition,
     build_system_full,
     check_cioco_exact,
@@ -20,10 +18,10 @@ from fsmcheck.errors import InvalidComponentError
 from fsmcheck._core import EncodedComponent, cioco_bfs, encode_pair, label_table
 from fsmcheck.conform import _exact_verdict
 from fsmcheck.project import _encoded_projections
-from fsmcheck.randgen import mutate, prune, random_component, random_composable_pair
+from fsmcheck.randgen import mutate, prune, random_component
 
 from oracles import naive_cioco_bounded, step_maps
-from test_project import random_four_leaf_system, random_three_leaf_system, renumbered
+from test_project import random_four_leaf_system, random_three_leaf_system
 
 
 def reachable_part(c: Component) -> Component:
@@ -82,25 +80,6 @@ class TestRows:
             # the rows hold exactly the transitions, by the documented layout
             assert step_maps(enc) == expected_step_maps(c, ids)
         assert unreachable >= 20
-
-    def test_renumbering_by_sorted_name_keeps_the_machine(self):
-        rng = random.Random(607)
-        moved = 0
-        for c in random_machines(rng, 80):
-            names, ids = label_table(c)
-            enc = renumbered(EncodedComponent.of(c, names, ids), rng)
-            sorted_enc, order = enc.by_sorted_name()
-            assert sorted_enc.decode() == enc.decode()
-            assert sorted_enc.state_names == sorted(enc.state_names)
-            assert [enc.state_names[s] for s in order] == sorted_enc.state_names
-            assert step_maps(sorted_enc) == step_maps(EncodedComponent.of(c, names, ids))
-            moved += sorted_enc is not enc
-        assert moved >= 40
-        # composed machines number their states in discovery order
-        for _ in range(20):
-            c1, c2 = random_composable_pair(rng, names=("L", "R"), n_states=(2, 4))
-            machine = build_system_full(Par(Leaf("L", c1), Leaf("R", c2)), relax=True).machine
-            assert machine.by_sorted_name()[0].decode() == machine.decode()
 
     def test_slots_follow_label_ids_across_inputs_and_outputs(self):
         # the output b sorts between the inputs a and c: the slots still
