@@ -2,7 +2,7 @@
 
 ``encode`` maps components to dense integer ids and bitmask state
 subsets; ``pure`` holds the two searches: the synchronous product
-closure, whose transitions carry the step each leaf takes, and the
+closure, whose transitions carry the step each side takes, and the
 subset-pair conformance search, which also decides trace inclusion
 and returns the ``CheckStats`` its verdict carries.
 """

@@ -1,14 +1,14 @@
 """Pure-Python search kernels.
 
-The product closure takes each state's transitions as its caller lists
-them, each with the step every leaf takes in it. The subset-pair search
-reads the packed step rows of ``encode``: it merges the steps of a state
-subset with one ``|`` per member state's row, then reads the targets of
-one step with one shift and mask. All iteration orders are sorted (slot
-order is sorted step order), so results are deterministic and do not
-depend on the hash seed; the subset-pair search's do not depend on how
-states are numbered either. Memoization lives inside one call: no
-result is kept from one search to the next.
+The product closure takes each state's transitions from the machine's
+``moves``. The subset-pair search reads the packed step rows of
+``encode``: it merges the steps of a state subset with one ``|`` per
+member state's row, then reads the targets of one step with one shift
+and mask. All iteration orders are sorted (slot order is sorted step
+order), so results are deterministic and do not depend on the hash
+seed; the subset-pair search's do not depend on how states are
+numbered either. Memoization lives inside one call: no result is kept
+from one search to the next.
 """
 
 from __future__ import annotations
@@ -29,28 +29,25 @@ class CheckStats:
     max_depth: int
 
 
-def product_closure(side1, side2, composed_inputs: frozenset):
-    """Reachable synchronous product of two sides.
-
-    Each side is ``(initial, input_ids, moves, quiet)``: ``moves[s]``
-    lists state ``s``'s transitions as (input, output, target, way),
-    ``way`` being the step each leaf of the side takes, ``()`` for a
-    leaf that does not move, and ``quiet`` is the way in which no leaf
-    of the side moves. A basic component's way is its own step.
+def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inputs: frozenset):
+    """Reachable synchronous product of two encoded components.
 
     Returns (pairs, transitions) where pairs is the list of discovered
     (s1, s2) state pairs in BFS order and each transition is a tuple
-    (src_pair_index, input, output, dst_pair_index, way), ``way`` being
-    the two sides' ways joined. A feeding rule's intermediate label is
+    (src_pair_index, input, output, dst_pair_index, left, right): ``left``
+    and ``right`` are the (input, output) steps the two sides take, ``()``
+    for a side that does not move. A feeding rule's intermediate label is
     the feeding side's output and the fed side's input.
 
     A transition is produced when one of the four composition rules
     applies and its trigger is a composed input (a label that is an input
     of either side and an output of neither).
     """
-    init1, in1, moves1, quiet1 = side1
-    init2, in2, moves2, quiet2 = side2
-    start = (init1, init2)
+    in1 = enc1.input_ids
+    in2 = enc2.input_ids
+    moves1 = enc1.moves()
+    moves2 = enc2.moves()
+    start = (enc1.initial, enc2.initial)
     pair_index = {start: 0}
     pairs = [start]
     queue = deque([start])
@@ -61,28 +58,28 @@ def product_closure(side1, side2, composed_inputs: frozenset):
         src = pair_index[pair]
         found = []
 
-        for (i, o, t1, w1) in moves1[s1]:
+        for (i, o, t1) in moves1[s1]:
             if i not in composed_inputs:
                 continue
             # left moves alone: its output is not consumable by the right
             if o not in in2:
-                found.append((i, o, t1, s2, w1 + quiet2))
+                found.append((i, o, t1, s2, (i, o), ()))
             else:
                 # left output feeds the right, whose reaction is observed
-                for (i2, o2, t2, w2) in moves2[s2]:
+                for (i2, o2, t2) in moves2[s2]:
                     if i2 == o:
-                        found.append((i, o2, t1, t2, w1 + w2))
-        for (i, o, t2, w2) in moves2[s2]:
+                        found.append((i, o2, t1, t2, (i, o), (o, o2)))
+        for (i, o, t2) in moves2[s2]:
             if i not in composed_inputs:
                 continue
             if o not in in1:
-                found.append((i, o, s1, t2, quiet1 + w2))
+                found.append((i, o, s1, t2, (), (i, o)))
             else:
-                for (i1, o1, t1, w1) in moves1[s1]:
+                for (i1, o1, t1) in moves1[s1]:
                     if i1 == o:
-                        found.append((i, o1, t1, t2, w1 + w2))
+                        found.append((i, o1, t1, t2, (o, o1), (i, o)))
 
-        for (i, o, t1, t2, way) in sorted(found):
+        for (i, o, t1, t2, left, right) in sorted(found):
             dst_pair = (t1, t2)
             dst = pair_index.get(dst_pair)
             if dst is None:
@@ -90,7 +87,7 @@ def product_closure(side1, side2, composed_inputs: frozenset):
                 pair_index[dst_pair] = dst
                 pairs.append(dst_pair)
                 queue.append(dst_pair)
-            transitions.append((src, i, o, dst, way))
+            transitions.append((src, i, o, dst, left, right))
 
     return pairs, transitions
 

@@ -7,13 +7,13 @@ with the second reaction observed. Synchronized intermediates are hidden.
 
 Only the reachable part of the state product is materialized. A system
 expression is built on integer ids over one label table for the whole
-expression. Every node keeps its transitions, each carrying its way:
-the step every leaf takes in it, hidden intermediates included. A
-composed node's are the transitions of the product closure of its two
-children's. Projection reads every leaf's part off the ways, and the
-node's step rows and the table of all the ways of each composed
-transition are derived from them on first read. Names are decoded only
-when read.
+expression. Every composed node keeps its children and the
+transitions of the product closure, each carrying the step each side
+takes in it. Two tables are joined from those steps down the tree on
+first read: the steps each leaf may take in each transition, which
+projection reads, and all the ways each transition decomposes into leaf
+steps, hidden intermediates included. The node's step rows are derived
+from its transitions on first read too. Names are decoded only when read.
 """
 
 from __future__ import annotations
@@ -116,12 +116,14 @@ Decomposition = tuple[Step | None, ...]
 #: A composed transition on integer ids: (source, input, output, target).
 TransitionIds = tuple[int, int, int, int]
 
-#: A Decomposition on integer ids: each moving leaf's (input, output),
-#: () for a leaf that does not move, so that ways sort.
-WayIds = tuple[tuple[int, ...], ...]
+#: A Decomposition on integer ids: each moving leaf's (input, output).
+WayIds = tuple[tuple[int, int] | None, ...]
 
-#: A transition with its way: (source, input, output, target, way).
-RawTransition = tuple[int, int, int, int, WayIds]
+#: A transition of a product closure: (source, input, output, target,
+#: left, right), source and target indexing the node's pairs, and left and
+#: right the (input, output) step each side takes, () for a side that
+#: does not move.
+RawTransition = tuple[int, int, int, int, tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -131,15 +133,15 @@ class SystemBuild:
     ``machine`` is the composed component encoded over the sorted label
     table of the whole expression: a leaf's states are numbered in sorted
     name order, a composed node's in discovery order from the initial
-    state. ``raw`` holds the machine's transitions, each with its way,
-    once per way: a leaf's own steps, or a composed node's product
-    closure transitions. A composed node also keeps its two built
-    ``parts`` and its ``pairs`` (each state as the pair of the parts' own
-    state ids); its machine derives its step rows from ``raw`` on first
-    read. ``ways`` maps every transition ``(source, input, output,
-    target)`` on those ids to all its ways; ``component`` and
-    ``decompositions`` are the same machine and map with names. All
-    three are derived on first read.
+    state. A composed node keeps its two built ``parts``, its ``pairs``
+    (each state as the pair of the parts' own state ids) and the ``raw``
+    transitions of the product closure between them, each with the step
+    each part takes; its machine derives its step rows and its moves
+    from ``raw``. ``ways`` maps every transition ``(source, input,
+    output, target)`` on those ids to all the ways it can be attributed
+    to leaf steps, and ``steps`` to the steps each leaf may take in it;
+    ``component`` and ``decompositions`` are the same machine and map
+    with names. All four are derived on first read.
     """
 
     expr: SystemExpr
@@ -166,11 +168,71 @@ class SystemBuild:
 
     @cached_property
     def ways(self) -> dict[TransitionIds, frozenset[WayIds]]:
-        """Every transition mapped to all its decompositions, on ids."""
+        """Every transition mapped to all its decompositions, on ids.
+
+        There can be exponentially many in the depth of the tree: each
+        composed transition pairs every way of one part's step with
+        every way of the other's.
+        """
+        if not self.parts:  # a leaf: each step is its own single way
+            return {
+                (s, i, o, t): frozenset([((i, o),)])
+                for s, moves in enumerate(self.machine.moves()) for i, o, t in moves
+            }
+        left, right = self.parts
+        left_ways, right_ways = left.ways, right.ways
+        left_silent: WayIds = (None,) * len(left.leaves)
+        right_silent: WayIds = (None,) * len(right.leaves)
+        pairs = self.pairs
         ways: dict[TransitionIds, set[WayIds]] = {}
-        for (s, i, o, t, way) in self.raw:
-            ways.setdefault((s, i, o, t), set()).add(way)
+        for (src, i, o, dst, ls, rs) in self.raw:
+            (l1, r1), (l2, r2) = pairs[src], pairs[dst]
+            ways.setdefault((src, i, o, dst), set()).update(
+                wl + wr
+                for wl in (left_ways[(l1, *ls, l2)] if ls else (left_silent,))
+                for wr in (right_ways[(r1, *rs, r2)] if rs else (right_silent,))
+            )
         return {key: frozenset(found) for key, found in ways.items()}
+
+    @cached_property
+    def steps(self) -> dict[TransitionIds, list[set]]:
+        """Every composed transition mapped to the steps each leaf may
+        take in it.
+
+        Aligned with ``leaves``: per leaf, the set of its (input, output)
+        steps over all the transition's ways, holding None when the leaf
+        may not move. Steps of different leaves are not paired up, so the
+        table stays as small as ``raw``; ``ways`` pairs them.
+        """
+        steps: dict[TransitionIds, list[set]] = {}
+        columns = self.leaf_steps(0) + self.leaf_steps(1)
+        for j, column in enumerate(columns):
+            for t, step in column:
+                per_leaf = steps.get(t[:4])
+                if per_leaf is None:
+                    per_leaf = steps[t[:4]] = [set() for _ in columns]
+                per_leaf[j].add(step)
+        return steps
+
+    def leaf_steps(self, side: int) -> list[list[tuple[RawTransition, tuple[int, int] | None]]]:
+        """Per leaf of one part, aligned with its leaves, every transition
+        of ``raw`` with each step the leaf may take in it, None where it
+        does not move. A composed part's leaves' steps are read off its
+        ``steps``."""
+        part, pairs = self.parts[side], self.pairs
+        if not part.parts:
+            return [[(t, t[4 + side] or None) for t in self.raw]]
+        table = part.steps
+        columns: list[list] = [[] for _ in part.leaves]
+        for t in self.raw:
+            step = t[4 + side]
+            if not step:
+                for column in columns:
+                    column.append((t, None))
+                continue
+            for column, taken in zip(columns, table[(pairs[t[0]][side], *step, pairs[t[3]][side])]):
+                column.extend((t, x) for x in taken)
+        return columns
 
     @cached_property
     def decompositions(self) -> dict[Transition, frozenset[Decomposition]]:
@@ -178,7 +240,7 @@ class SystemBuild:
         names, labels = self.machine.state_names, self.machine.label_names
         return {
             Transition(names[s], labels[i], labels[o], names[t]): frozenset(
-                tuple(Step(labels[io[0]], labels[io[1]]) if io else None for io in way)
+                tuple(None if io is None else Step(labels[io[0]], labels[io[1]]) for io in way)
                 for way in ways
             )
             for (s, i, o, t), ways in self.ways.items()
@@ -241,17 +303,17 @@ def _build(
 
 
 def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -> SystemBuild:
-    """A leaf on integer ids: its encoding, each step its own way."""
+    """A leaf on integer ids: its encoding."""
     machine = _core.EncodedComponent.of(expr.component, label_names, label_ids)
-    raw = [(s, i, o, t, ((i, o),)) for s, moves in enumerate(machine.moves()) for i, o, t in moves]
-    return SystemBuild(expr, (expr.name,), (), machine, raw=raw)
+    return SystemBuild(expr, (expr.name,), (), machine)
 
 
 class _ComposedMachine(_core.EncodedComponent):
     """A composed node's machine, its rows derived on first read.
 
     Certification and the next composition up read the transitions of
-    the product closure, not the rows: only decoding reads them.
+    the product closure, not the rows: only decoding reads them. Its
+    moves are read off the transitions, once per (input, output, target).
     """
 
     __slots__ = ("raw",)
@@ -268,10 +330,16 @@ class _ComposedMachine(_core.EncodedComponent):
             raise AttributeError(name)
         offset = _core.slot_offsets(self.slots, len(self.state_names))
         rows = [0] * len(self.state_names)
-        for (src, i, o, dst, _) in self.raw:
+        for (src, i, o, dst, _, _) in self.raw:
             rows[src] |= 1 << (offset[(i, o)] + dst)
         self.rows = rows
         return rows
+
+    def moves(self) -> list[list[tuple[int, int, int]]]:
+        moves: list[set[tuple[int, int, int]]] = [set() for _ in self.state_names]
+        for (src, i, o, dst, _, _) in self.raw:
+            moves[src].add((i, o, dst))
+        return [sorted(found) for found in moves]
 
 
 def _compose(
@@ -290,9 +358,7 @@ def _compose(
     inputs, outputs = composed_alphabets(left, right)
     enc1, enc2 = left.machine, right.machine
     label_ids = enc1.label_ids
-    pairs, raw = _core.product_closure(
-        _side(left), _side(right), frozenset(label_ids[x] for x in inputs)
-    )
+    pairs, raw = _core.product_closure(enc1, enc2, frozenset(label_ids[x] for x in inputs))
 
     state_names: list[str] = []
     taken: set[str] = set()
@@ -320,15 +386,6 @@ def _compose(
         pairs=pairs,
         raw=raw,
     )
-
-
-def _side(build: SystemBuild):
-    """A built side as the product closure takes it: (initial, input ids,
-    each state's moves with their ways, the way in which it does not move)."""
-    moves: list[list] = [[] for _ in build.machine.state_names]
-    for (s, i, o, t, way) in build.raw:
-        moves[s].append((i, o, t, way))
-    return build.machine.initial, build.machine.input_ids, moves, ((),) * len(build.leaves)
 
 
 def build_system(expr: SystemExpr, relax: bool = False) -> Component:

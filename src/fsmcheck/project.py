@@ -120,22 +120,22 @@ def _relabel(build: SystemBuild):
     Returns, aligned with ``build.leaves``, ``(leaf, labelled, silent)``
     per leaf, ``leaf`` being its build. Per composed state, ``labelled``
     is the row of the leaf's steps, in the leaf's slots, and ``silent``
-    lists the targets reached without the leaf moving. Each leaf's step
-    is read off the ways of ``build.raw``.
+    lists the targets reached without the leaf moving. Each leaf's
+    steps are read off ``build.leaf_steps``.
     """
     n = len(build.machine.state_names)
     relabelled = []
-    for j, leaf in enumerate(_leaf_builds(build)):
-        offset = slot_offsets(leaf.machine.slots, n)
-        labelled = [0] * n
-        silent: list[list[int]] = [[] for _ in range(n)]
-        for (src, _, _, dst, way) in build.raw:
-            step = way[j]
-            if step:
-                labelled[src] |= 1 << (offset[step] + dst)
-            else:
-                silent[src].append(dst)
-        relabelled.append((leaf, labelled, silent))
+    for side, part in enumerate(build.parts):
+        for leaf, column in zip(_leaf_builds(part), build.leaf_steps(side)):
+            offset = slot_offsets(leaf.machine.slots, n)
+            labelled = [0] * n
+            silent: list[list[int]] = [[] for _ in range(n)]
+            for (src, _, _, dst, _, _), step in column:
+                if step is None:
+                    silent[src].append(dst)
+                else:
+                    labelled[src] |= 1 << (offset[step] + dst)
+            relabelled.append((leaf, labelled, silent))
     return relabelled
 
 
@@ -278,10 +278,9 @@ def component_in_context_tree(
     build = _as_build(system, relax)
     j = _leaf_index(build, target)
     leaf = build.leaf_component(target)
-    # relabelled from the decomposition table, which groups the same ways
-    # ``_relabel`` reads; the checks independent of both are the vector
-    # oracles of the tests, which compose leaf states afresh, and the
-    # check of every way in ``raw`` against the leaves' own rows
+    # relabelled from the joint decomposition table, not from the steps
+    # ``_relabel`` reads, so that the oracle shares no code with the
+    # construction it checks beyond the record of each side's step
     n = len(build.machine.state_names)
     ids = build.machine.label_ids
     slots = slot_layout({ids[x] for x in leaf.inputs}, {ids[x] for x in leaf.outputs})
@@ -290,7 +289,7 @@ def component_in_context_tree(
     silent: list[set[int]] = [set() for _ in range(n)]
     for (s, _, _, t), ways in build.ways.items():
         for way in ways:
-            if not way[j]:
+            if way[j] is None:
                 silent[s].add(t)
             else:
                 labelled[s] |= 1 << (offset[way[j]] + t)

@@ -609,6 +609,11 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     mutant, original = tmp_path / "mutant.fsm", tmp_path / "original.fsm"
     for c, path in zip(pair_with_two_violating_pairs_in_one_level(), (mutant, original)):
         save_component(c, str(path))
+    # composed states whose pair names render alike, told apart by "~"
+    colliding = []
+    for c in (*colliding_pair(), Component.build("C", "c0", [("c0", "u", "v", "c0")])):
+        colliding.append(tmp_path / f"{c.name}.fsm")
+        save_component(c, str(colliding[-1]))
     written = tmp_path / "written.fsm"
     nested = (COFFEE / "spec_money.fsm", COFFEE / "drink.fsm", RELAY / "right.fsm")
     invocations = [
@@ -624,6 +629,8 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
         ("compose", "(par B (par M D))", *nested, "--relax", "-o", written),
         ("project", "(par B (par M D))", *nested, "--relax", "--target", "D", "-o", written,
          "--json"),
+        ("compose", "(par A B)", *colliding, "--relax", "--json", "-o", written),
+        ("compose", "(par C (par A B))", *colliding, "--relax", "--json", "-o", written),
     ]
     for argv in invocations:
         results = set()
@@ -639,35 +646,6 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
             file_text = written.read_text(encoding="utf-8") if written.exists() else None
             results.add((done.returncode, done.stdout, file_text))
         assert len(results) == 1, argv
-
-
-def test_colliding_pair_names_do_not_depend_on_the_hash_seed(tmp_path):
-    """Composed states whose pair names render alike get ``~`` suffixes,
-    the same under every hash seed, as a pair and nested."""
-    a, b = colliding_pair()
-    third = Component.build("C", "c0", [("c0", "u", "v", "c0")])
-    files = []
-    for c in (a, b, third):
-        files.append(tmp_path / f"{c.name}.fsm")
-        save_component(c, str(files[-1]))
-    out = tmp_path / "out.fsm"
-    for expr in ("(par A B)", "(par C (par A B))"):
-        results = set()
-        for seed in ("0", "1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-            done = subprocess.run(
-                [sys.executable, "-m", "fsmcheck.cli", "compose", expr, *map(str, files),
-                 "--relax", "--json", "-o", str(out)],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
-            assert (done.returncode, done.stderr) == (0, "")
-            results.add((done.stdout, out.read_text(encoding="utf-8")))
-        assert len(results) == 1, expr
-        ((stdout, _),) = results
-        states = json.loads(stdout)["component"]["states"]
-        assert len(states) == len(set(states)) == 2
-        assert sum("~" in name for name in states) == 1
 
 
 def test_repeated_in_process_calls_match_single_calls(tmp_path, capsys):

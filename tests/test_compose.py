@@ -11,7 +11,9 @@ from fsmcheck import (
     Par,
     build_system,
     build_system_full,
+    component_in_context,
     has_trace,
+    paired_projections,
     signature_check,
     subcomponents,
     synchronous_parallel,
@@ -208,52 +210,43 @@ def _leaf_states(node, state: int) -> list[int]:
     return _leaf_states(left, s1) + _leaf_states(right, s2)
 
 
-def _side_steps(part) -> dict:
-    """The steps of ``part``, keyed by (source, target, way)."""
-    steps: dict = {}
-    for (s, i, o, t, way) in part.raw:
-        steps.setdefault((s, t, way), set()).add((i, o))
-    return steps
-
-
-def _side_step(known: dict, s: int, way, t: int):
-    """The one step a part takes from ``s`` to ``t`` by ``way`` in its
-    ``_side_steps``, () when none of its leaves moves."""
-    if not any(way):
-        return ()
-    steps = known.get((s, t, way), set())
-    assert len(steps) == 1, f"{len(steps)} steps of a part by the way {way}"
-    (step,) = steps
-    return step
+def assert_leaf_steps_are_real(node):
+    """Every way of every transition of a composed ``node`` is made of
+    steps its leaves really take, off their own rows, reaching each
+    leaf's state through ``pairs`` down the tree; a leaf that does not
+    move keeps its state. ``steps`` holds each leaf's steps of the ways."""
+    leaves = [part for part in build_nodes(node) if not part.parts]
+    assert [leaf.leaves[0] for leaf in leaves] == list(node.leaves)
+    assert node.ways.keys() == node.steps.keys() == {t[:4] for t in node.raw}
+    for key, ways in node.ways.items():
+        before, after = _leaf_states(node, key[0]), _leaf_states(node, key[3])
+        for way in ways:
+            assert len(way) == len(leaves)
+            assert any(step is not None for step in way), "a way in which no leaf moves"
+            for leaf, step, s, t in zip(leaves, way, before, after):
+                if step is None:
+                    assert s == t, "a leaf that does not move changed state"
+                else:
+                    assert _moves(leaf, s, step, t)
+        assert node.steps[key] == [{way[j] for way in ways} for j in range(len(leaves))]
 
 
 def assert_side_steps_are_real(build):
-    """Every transition of every composed node of ``build`` carries a way
-    whose leaf steps the leaves really take, off their own rows, and
-    whose two halves are steps its two parts really take."""
+    """Every transition of every composed node of ``build`` carries the
+    steps its two parts really take, and every way and every leaf step
+    joined from them is a step that leaf really takes, off its own rows."""
     for node in build_nodes(build):
         if not node.parts:
             continue
-        leaves = [part for part in build_nodes(node) if not part.parts]
-        assert [leaf.leaves[0] for leaf in leaves] == list(node.leaves)
-        cut = len(node.parts[0].leaves)
-        side_steps = [_side_steps(part) for part in node.parts]
-        for (src, i, o, dst, way) in node.raw:
-            assert len(way) == len(leaves)
-            assert any(way), "a transition in which no leaf moves"
-            before, after = _leaf_states(node, src), _leaf_states(node, dst)
-            for leaf, step, s, t in zip(leaves, way, before, after):
+        assert_leaf_steps_are_real(node)
+        for (src, i, o, dst, left, right) in node.raw:
+            assert left or right, "a transition in which no side moves"
+            for side, (part, step) in enumerate(zip(node.parts, (left, right))):
+                s, t = node.pairs[src][side], node.pairs[dst][side]
                 if step:
-                    assert _moves(leaf, s, step, t)
+                    assert _moves(part, s, step, t)
                 else:
-                    assert s == t, "a leaf that does not move changed state"
-            # each part's half of the way is one of the part's own steps
-            left, right = (
-                _side_step(known, s, half, t)
-                for known, half, s, t in zip(
-                    side_steps, (way[:cut], way[cut:]), node.pairs[src], node.pairs[dst]
-                )
-            )
+                    assert s == t, "a side that does not move changed state"
             assert i in node.machine.input_ids
             if not (left and right):
                 assert (i, o) == (left or right)
@@ -292,17 +285,77 @@ def test_closure_transitions_carry_real_side_steps():
                  ("a", "y", ("m", "y"), ("a", "m")), id="right feeds left"),
 ])
 def test_each_rule_records_both_sides_steps(left, right, expected):
-    """One transition, composed by one rule: its composed step and its
-    way, the step each leaf takes in it."""
+    """One transition, composed by one rule: its composed step and the
+    step each side takes in it."""
     c1 = Component.build("c1", "s0", left, inputs=["a"], outputs=["x"], states=["s1"])
     c2 = Component.build("c2", "t0", right, inputs=["b"], outputs=["z"], states=["t1"])
     build = compose_pair(c1, c2, relax=True)
     ids = build.machine.label_ids
     i, o, l, r = expected
     target = build.pairs.index((int(bool(l)), int(bool(r))))
-    assert build.raw == [(0, ids[i], ids[o], target, (tuple(ids[x] for x in l),
-                                                      tuple(ids[x] for x in r)))]
+    assert build.raw == [(0, ids[i], ids[o], target, tuple(ids[x] for x in l),
+                          tuple(ids[x] for x in r))]
     assert_side_steps_are_real(build)
+
+
+def relay_chain(depth: int, shape: str):
+    """``depth + 1`` one-state leaves in a chain: ``L0`` answers ``i`` with
+    ``a0`` or ``b0``, and each next leaf answers either label of the one
+    before with either of its own, so each composed step of the whole
+    chain has ``2 ** depth`` ways."""
+    leaves = [Leaf("L0", Component.build("L0", "s", [("s", "i", y, "s") for y in ("a0", "b0")]))]
+    for k in range(1, depth + 1):
+        steps = [("s", x, y, "s") for x in (f"a{k - 1}", f"b{k - 1}") for y in (f"a{k}", f"b{k}")]
+        leaves.append(Leaf(f"L{k}", Component.build(f"L{k}", "s", steps)))
+    if shape == "left-deep":
+        expr = leaves[0]
+        for leaf in leaves[1:]:
+            expr = Par(expr, leaf)
+        return expr
+    expr = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        expr = Par(leaf, expr)
+    return expr
+
+
+@pytest.mark.parametrize("shape", ["left-deep", "right-deep"])
+def test_relay_chains_keep_the_record_as_small_as_the_machines(shape):
+    """Each node records the step each side takes, once per pair of side
+    steps, not once per way: the ways multiply with the depth, and only
+    reading ``ways`` pays for them."""
+    depth = 12
+    build = build_system_full(relay_chain(depth, shape), relax=True)
+    for node in build_nodes(build):
+        assert len(node.raw) <= 8
+    for target in build.leaves:
+        projection = component_in_context(build, target).component
+        own = build.leaf_component(target)
+        assert {(t.input, t.output) for t in projection.transitions} == {
+            (t.input, t.output) for t in own.transitions
+        }
+    assert all("ways" not in vars(node) for node in build_nodes(build))
+    assert {len(ways) for ways in build.ways.values()} == {2 ** depth}
+
+
+def test_ways_keep_each_leaf_step_with_its_partners():
+    """A answers ``i`` with ``x2`` or ``x3`` and B maps both to ``y``, so a
+    step of A and B has two ways. Above it, C reads ``y``: no way of the
+    whole system pairs A's ``x2`` with B's ``x3``."""
+    a = Component.build("A", "a", [("a", "i", "x2", "a"), ("a", "i", "x3", "a")])
+    b = Component.build("B", "b", [("b", "x2", "y", "b"), ("b", "x3", "y", "b")])
+    c = Component.build("C", "c", [("c", "y", "z", "c")])
+    pair = Par(Leaf("A", a), Leaf("B", b))
+    for expr in (Par(pair, Leaf("C", c)), Par(Leaf("C", c), pair)):
+        build = build_system_full(expr, relax=True)
+        expected = {
+            frozenset({"A": trace(f"i|{x}"), "B": trace(f"{x}|y"), "C": trace("y|z")}.items())
+            for x in ("x2", "x3")
+        }
+        runs = paired_projections(build, trace("i|z"))
+        assert {frozenset(zip(build.leaves, run)) for run in runs} == expected
+        (ways,) = build.decompositions.values()
+        assert len(ways) == 2
+        assert_side_steps_are_real(build)
 
 
 def colliding_pair() -> tuple[Component, Component]:

@@ -280,7 +280,7 @@ class TestComponentInContext:
 
             names, labels = build.machine.state_names, build.machine.label_names
             eager = [{} for _ in names]
-            for (s, i, o, t, _) in build.raw:
+            for (s, i, o, t, _, _) in build.raw:
                 eager[s][(i, o)] = eager[s].get((i, o), 0) | (1 << t)
             assert step_maps(build.machine) == eager
             assert {
