@@ -2,9 +2,11 @@
 
 The product closure takes each state's transitions from the machine's
 ``moves``. The subset-pair search reads the packed step rows of
-``encode``: it merges the steps of a state subset with one ``|`` per
-member state's row, then reads the targets of one step with one shift
-and mask. All iteration orders are sorted (slot order is sorted step
+``encode``: it merges the steps of a state subset by ``|``-ing its
+member states' rows, finding the members of a subset wider than three
+states a byte of the mask at a time, then reads the targets of one
+step with one shift and mask. It goes breadth first one level of pairs
+at a time. All iteration orders are sorted (slot order is sorted step
 order), so results are deterministic and do not depend on the hash
 seed; the subset-pair search's do not depend on how states are
 numbered either. Memoization lives inside one call: no result is kept
@@ -92,13 +94,32 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
     return pairs, transitions
 
 
+#: Per byte value, the offsets of its set bits, ascending.
+_BYTE_BITS = tuple(tuple(k for k in range(8) if b >> k & 1) for b in range(256))
+
+
 def _row_union(rows: list[int], mask: int) -> int:
-    """The ``|`` of ``rows`` over the states of a subset mask."""
+    """The ``|`` of ``rows`` over the states of a non-empty subset mask.
+
+    A mask of up to three states is walked bit by bit. A wider one is
+    walked a byte of states at a time, each byte's members read from
+    ``_BYTE_BITS``.
+    """
+    if not mask & (mask - 1):
+        return rows[mask.bit_length() - 1]
     row = 0
+    if mask.bit_count() <= 3:
+        while mask:
+            low = mask & -mask
+            row |= rows[low.bit_length() - 1]
+            mask ^= low
+        return row
+    base = 0
     while mask:
-        low = mask & -mask
-        row |= rows[low.bit_length() - 1]
-        mask ^= low
+        for k in _BYTE_BITS[mask & 255]:
+            row |= rows[base + k]
+        mask >>= 8
+        base += 8
     return row
 
 
@@ -131,8 +152,8 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
 
     Both machines must have the same slots. The implementation's steps
     are kept per distinct subset: its subsets recur across pairs far more
-    than the specification's, whose rows are merged afresh per pair with
-    one ``|`` per member state.
+    than the specification's, whose rows are merged afresh per pair by
+    ``_row_union``.
     """
     slots = enc_iut.slots
     if enc_spec.slots != slots:
@@ -146,43 +167,45 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
     iut_steps_of: dict[int, list] = {}
     start = (1 << enc_iut.initial, 1 << enc_spec.initial)
     seen = {start: None}
-    queue = deque([(start, 0)])
-    explored = 0
-    max_depth = 0
+    # breadth first, one level of pairs at a time: ``depth`` is the
+    # level's trace length and ``explored`` counts the earlier levels
+    level = [start]
+    depth = explored = 0
 
-    while queue:
-        (qi, qs), depth = queue.popleft()
-        explored += 1
-        if depth > max_depth:
-            max_depth = depth
-
-        spec_row = _row_union(spec_rows, qs)
-        iut_steps = iut_steps_of.get(qi)
-        if iut_steps is None:
-            row = _row_union(iut_rows, qi)
-            iut_steps = iut_steps_of[qi] = [
-                (io, t, spec_at) for io, iut_at, spec_at in slot_at
-                if (t := row >> iut_at & full_iut)
-            ]
-        for io, targets, at in iut_steps:
-            spec_targets = spec_row >> at & full_spec
-            if not spec_targets:
-                i, o = io
-                spec_outputs = frozenset(
-                    b for (a, b), _, at in slot_at if a == i and spec_row >> at & full_spec
-                )
-                if strict or spec_outputs:
-                    iut_outputs = frozenset(b for (a, b), _, _ in iut_steps if a == i)
-                    witness = _witness(seen, (qi, qs))
-                    stats = CheckStats(explored, max_depth)
-                    return (witness, i, o, iut_outputs, spec_outputs), stats
-                continue
-            nxt = (targets, spec_targets)
-            if nxt not in seen:
-                seen[nxt] = ((qi, qs), io)
-                queue.append((nxt, depth + 1))
-
-    return None, CheckStats(explored, max_depth)
+    while True:
+        following = []
+        for pair in level:
+            qi, qs = pair
+            spec_row = _row_union(spec_rows, qs)
+            iut_steps = iut_steps_of.get(qi)
+            if iut_steps is None:
+                row = _row_union(iut_rows, qi)
+                iut_steps = iut_steps_of[qi] = [
+                    (io, t, spec_at) for io, iut_at, spec_at in slot_at
+                    if (t := row >> iut_at & full_iut)
+                ]
+            for io, targets, at in iut_steps:
+                spec_targets = spec_row >> at & full_spec
+                if not spec_targets:
+                    i, o = io
+                    spec_outputs = frozenset(
+                        b for (a, b), _, at in slot_at if a == i and spec_row >> at & full_spec
+                    )
+                    if strict or spec_outputs:
+                        iut_outputs = frozenset(b for (a, b), _, _ in iut_steps if a == i)
+                        witness = _witness(seen, pair)
+                        stats = CheckStats(explored + level.index(pair) + 1, depth)
+                        return (witness, i, o, iut_outputs, spec_outputs), stats
+                    continue
+                nxt = (targets, spec_targets)
+                if nxt not in seen:
+                    seen[nxt] = (pair, io)
+                    following.append(nxt)
+        explored += len(level)
+        if not following:
+            return None, CheckStats(explored, depth)
+        level = following
+        depth += 1
 
 
 # Not called here: check_trace_inclusion runs cioco_bfs. perfbench/spans.py

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from fsmcheck import (
+    Component,
     Leaf,
     Par,
     ShapeMismatchError,
@@ -240,23 +241,37 @@ def test_global_failure_implies_a_failing_in_context_local():
     assert failing > 10
 
 
-def localize_by_leaf(expr_iut, expr_spec, ce, relax=False):
-    """``localize_fault`` projecting the specification once per leaf, with
-    ``component_in_context``: the maps one projection pass must give."""
+def local_candidates(expr_iut, expr_spec, ce, relax=False):
+    """Per leaf, the distinct local counterexamples of the counterexample's
+    projections onto it, each against the specification's projection
+    computed with ``component_in_context``."""
     iut_build = build_system_full(expr_iut, relax=relax)
     spec_build = build_system_full(expr_spec, relax=relax)
     full = ce.full_trace()
-    located = {}
+    found = {}
     for name in sorted(spec_build.leaves):
         projection = component_in_context(spec_build, name).component
-        found = [
+        found[name] = {
             v for v in (
                 certify._first_step_outside(tr, projection)
                 for tr in project_trace(iut_build, full, name).traces
             ) if v is not None
-        ]
-        located[name] = min(found, key=certify._ce_order) if found else None
-    return located
+        }
+    return found
+
+
+def least_candidates(candidates):
+    """Per leaf, the least of its candidates, or None."""
+    return {
+        name: min(found, key=certify._ce_order) if found else None
+        for name, found in candidates.items()
+    }
+
+
+def localize_by_leaf(expr_iut, expr_spec, ce, relax=False):
+    """``localize_fault`` projecting the specification once per leaf, with
+    ``component_in_context``: the maps one projection pass must give."""
+    return least_candidates(local_candidates(expr_iut, expr_spec, ce, relax))
 
 
 def with_mutated_leaves(rng, expr):
@@ -265,6 +280,25 @@ def with_mutated_leaves(rng, expr):
         keep = rng.random() < 0.4
         return Leaf(expr.name, expr.component if keep else mutate(rng, expr.component))
     return Par(with_mutated_leaves(rng, expr.left), with_mutated_leaves(rng, expr.right))
+
+
+def random_merging_relay(rng):
+    """A pair where B reads two of A's outputs, ``m0`` and ``m1``, and an
+    implementation of A that adds both to two of its specification's
+    steps. Where B answers ``m0`` and ``m1`` alike, one composed step
+    projects onto A in two ways, so a leaf may get several candidate
+    local counterexamples."""
+    dense = (0.7, 1.0)
+    a = random_component(rng, "A", ["a0", "a1"], ["m0", "m1", "x0"], n_states=(2, 4),
+                         density=dense)
+    b = random_component(rng, "B", ["m0", "m1", "b0"], ["y0", "y1"], n_states=(2, 4),
+                         density=dense)
+    steps = [(t.source, t.input, t.output, t.target) for t in a.sorted_transitions()]
+    forked = [(s, i, m, t) for s, i, _, t in rng.sample(steps, min(2, len(steps)))
+              for m in ("m0", "m1")]
+    iut_a = Component.build("A", a.initial, steps + forked, inputs=a.inputs,
+                            outputs=a.outputs, states=a.states)
+    return Par(Leaf("A", iut_a), Leaf("B", b)), Par(Leaf("A", a), Leaf("B", b))
 
 
 class TestLocalizeFault:
@@ -394,6 +428,20 @@ class TestLocalizeFault:
         assert sum(failing[k] for k in (2, 3, 4)) >= 100
         assert min(failing[k] for k in (2, 3, 4)) >= 20
         assert failing["implicated"] >= 50
+        # leaves with several candidates, where the least one must be chosen
+        several = 0
+        for _ in range(120):
+            expr_iut, expr_spec = random_merging_relay(rng)
+            ce = check_cioco_exact(
+                build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
+            ).counterexample
+            if ce is None:
+                continue
+            located = localize_fault(expr_iut, expr_spec, ce, relax=True)
+            candidates = local_candidates(expr_iut, expr_spec, ce, relax=True)
+            assert located == least_candidates(candidates)
+            several += sum(len(found) > 1 for found in candidates.values())
+        assert several >= 15
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeMismatchError):

@@ -1,6 +1,8 @@
 """Conformance: exact and bounded cioco, trace inclusion, counterexamples."""
 
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -457,9 +459,16 @@ def nth_from_end(n):
     return Component.build(f"nth{n}", "q0", transitions, states=[f"q{k}" for k in range(n + 1)])
 
 
-#: States per block of a subset mask. A subset whose states lie in
-#: several blocks, some holding two or more, merges rows far apart in
-#: its mask; the floors below count such subsets.
+def with_output(c, label):
+    """``c`` with one more declared output, on no transition."""
+    return dataclasses.replace(c, outputs=c.outputs | {label})
+
+
+#: States per block of a subset mask: the byte of states that
+#: ``_core.pure._row_union`` walks at a time in a subset of four or more
+#: states. A subset whose states lie in several blocks, some holding two
+#: or more, merges rows far apart in its mask; the floors below count
+#: such subsets.
 BLOCK = 8
 
 
@@ -472,11 +481,37 @@ class TestSubsetPairSearch:
 
     @staticmethod
     def assert_same_encoded_search(enc_iut, enc_spec):
+        """Both searches agree under both ``strict`` values; returns the
+        raw results."""
+        results = []
         for strict in (False, True):
             raw, stats = cioco_bfs(enc_iut, enc_spec, strict)
             assert type(stats) is CheckStats
             got = raw, (stats.explored_pairs, stats.max_depth)
             assert got == naive_subset_pair_search(enc_iut, enc_spec, strict)
+            results.append(raw)
+        return results
+
+    @staticmethod
+    def path_subsets(enc, witness):
+        """The subsets of ``enc`` after each prefix of ``witness``."""
+        maps = step_maps(enc)
+        mask = 1 << enc.initial
+        masks = [mask]
+        for io in witness:
+            following = 0
+            for s in range(len(maps)):
+                if mask >> s & 1:
+                    following |= maps[s].get(io, 0)
+            mask = following
+            masks.append(mask)
+        return masks
+
+    @staticmethod
+    def spans_bytes(mask):
+        """Four or more states, in two or more blocks."""
+        blocks = sum(1 for k in range(0, mask.bit_length(), BLOCK) if mask >> k & (1 << BLOCK) - 1)
+        return mask.bit_count() >= 4 and blocks >= 2
 
     @staticmethod
     def crosses_blocks(spec):
@@ -544,6 +579,33 @@ class TestSubsetPairSearch:
                 crossing += self.encoding_crosses_blocks(projection)
                 wide += len(projection.state_names) > 64
         assert crossing >= 40 and wide >= 5
+
+    def test_failing_searches_through_wide_subsets(self):
+        # Each specification declares an output ``z`` that it never gives,
+        # so a mutant fails where one of its added steps answers ``z``,
+        # often after a trace whose specification subsets are wide. The
+        # failing pair then sits anywhere in its level.
+        rng = random.Random(523)
+        pairs = []
+        for n in range(8, 13):
+            spec = with_output(nth_from_end(n), "z")
+            pairs += [("nth", mutate(rng, spec, name="I", adds=3), spec) for _ in range(5)]
+        for _ in range(120):
+            spec = with_output(random_component(
+                rng, "S", ["a"], ["x"], n_states=(70, 80), density=(0.9, 1.0)
+            ), "z")
+            pairs.append(("dense", mutate(rng, spec, name="I"), spec))
+        failing, wide = Counter(), Counter()
+        for family, iut, spec in pairs:
+            enc_iut, enc_spec = encode_pair(iut, spec)[:2]
+            for raw in self.assert_same_encoded_search(enc_iut, enc_spec):
+                if raw is not None:
+                    failing[family] += 1
+                    path = self.path_subsets(enc_spec, raw[0])
+                    wide[family] += any(map(self.spans_bytes, path))
+        assert min(failing["nth"], failing["dense"]) >= 20
+        assert min(wide["nth"], wide["dense"]) >= 6
+        assert wide.total() >= 14
 
     def test_nth_from_end_family(self):
         loop = Component.build("loop", "i0", [("i0", "a", "x", "i0"), ("i0", "a", "y", "i0")])

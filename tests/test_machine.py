@@ -8,6 +8,7 @@ from fsmcheck import (
     Component,
     Step,
     TraceLimitError,
+    Transition,
     UnknownInputError,
     complete,
     has_trace,
@@ -55,8 +56,6 @@ class TestValidate:
         assert any("initial" in i.message for i in report.errors)
 
     def test_transition_input_not_declared(self):
-        from fsmcheck.machine import Transition
-
         c = Component(
             name="c",
             states=frozenset(["s0"]),
@@ -88,6 +87,54 @@ class TestValidate:
     def test_bad_label_is_error(self):
         c = Component.build("c", "s0", [("s0", "a|b", "x", "s0")])
         assert not validate_component(c).ok
+
+    @pytest.mark.parametrize(
+        "declared, issues",
+        [
+            ({"inputs": ["", "a"]}, [("error", "input label is empty")]),
+            ({"outputs": ["x", ""]}, [("error", "output label is empty")]),
+            ({"inputs": ["a", "a b"]}, [("error", "input label 'a b' contains whitespace")]),
+            ({"outputs": ["x", "x\ty"]}, [("error", "output label 'x\\ty' contains whitespace")]),
+            ({"inputs": ["a", "a|b"]},
+             [("error", "input label 'a|b' contains the reserved separator '|'")]),
+            ({"outputs": ["x", "y |z"]},
+             [("error", "output label 'y |z' contains whitespace"),
+              ("error", "output label 'y |z' contains the reserved separator '|'")]),
+            ({"states": ["", "s0"], "transitions": [("s0", "a", "x", ""), ("", "a", "x", "s0")]},
+             [("error", "state identifier is empty")]),
+            ({"states": ["s0", "s 1"],
+              "transitions": [("s0", "a", "x", "s 1"), ("s 1", "a", "x", "s0")]},
+             [("warning", "state 's 1' is not representable in the text format")]),
+            ({"states": ["s0", "s|1"],
+              "transitions": [("s0", "a", "x", "s|1"), ("s|1", "a", "x", "s0")]},
+             [("warning", "state 's|1' is not representable in the text format")]),
+            ({"transitions": [("s0", "a", "x", "s0"), ("s9", "a", "x", "s0")]},
+             [("error", "transition source 's9' not in states: s9 -a|x-> s0")]),
+            ({"transitions": [("s0", "a", "x", "s9")]},
+             [("error", "transition target 's9' not in states: s0 -a|x-> s9")]),
+            ({"transitions": [("s0", "a", "z", "s0")]},
+             [("error", "transition output 'z' not in output alphabet: s0 -a|z-> s0")]),
+            ({"inputs": [], "outputs": [], "transitions": []},
+             [("warning", "input alphabet is empty (only the empty trace is executable)"),
+              ("warning", "output alphabet is empty"),
+              ("warning", "state 's0' has no outgoing transitions")]),
+        ],
+    )
+    def test_each_issue_with_its_message_and_severity(self, declared, issues):
+        # one self-loop on s0 over a|x, with one part of it replaced
+        parts = {"states": ["s0"], "inputs": ["a"], "outputs": ["x"],
+                 "transitions": [("s0", "a", "x", "s0")], **declared}
+        c = Component(
+            name="c",
+            states=frozenset(parts["states"]),
+            initial="s0",
+            inputs=frozenset(parts["inputs"]),
+            outputs=frozenset(parts["outputs"]),
+            transitions=frozenset(Transition(*t) for t in parts["transitions"]),
+        )
+        report = validate_component(c)
+        assert [(i.severity, i.message) for i in report.issues] == issues
+        assert report.ok == all(severity == "warning" for severity, _ in issues)
 
 
 class TestStatesAfter:
