@@ -15,9 +15,7 @@ strict exact check, without the input-enabledness warning.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, fields
-from itertools import accumulate, chain
 from typing import Callable
 
 from . import _core
@@ -280,10 +278,13 @@ def check_cioco_bounded(
     lexicographically by step. The enumeration is breadth-first, one
     length at a time; a trace is represented by the pair of state sets
     the two machines reach along it, so no trace is replayed from the
-    initial state. The comparison and the one-step extensions are
-    memoized per distinct pair, but traces are still counted one by one
-    in canonical order, and the first violating trace in that order is
-    the counterexample. Its steps are rebuilt only then.
+    initial state. Each length is kept as the number of traces reaching
+    each distinct pair, and the comparison and the one-step extensions
+    are memoized per pair, so the work grows with the distinct pairs per
+    length, not with the traces. The first violating trace in canonical
+    order is the counterexample: once a length has a violating pair, the
+    trace and its position are found by counting, back from that length,
+    each shorter pair's continuations and whether one of them violates.
 
     ``stats.explored_pairs`` counts the traces examined: the 1-based
     position of the failing trace in canonical order, or every trace up
@@ -295,7 +296,8 @@ def check_cioco_bounded(
     ``guard`` bounds the number of specification traces up to ``k``
     exactly as in ``traces_up_to``: TraceLimitError is raised whenever
     that enumeration would raise it, even if a violation exists. The
-    traces are counted before any is examined.
+    traces are counted before any is examined, unless a bound on their
+    number from the specification's distinct steps is within the guard.
     """
     _require_same_signature(iut, spec)
     iut_table, spec_table = _step_table(iut), _step_table(spec)
@@ -311,72 +313,94 @@ def check_cioco_bounded(
 
     # The guard bounds the specification's traces up to k as traces_up_to
     # counts them: tested only when a trace is added, and whether or not
-    # a violation comes first. Counting them needs only how many traces
-    # reach each specification state set.
-    enumerated = 1
-    reaching = {start: 1}
-    for _ in range(k):
-        longer_reaching: dict[frozenset[str], int] = {}
-        for spec_states, n in reaching.items():
-            for target in spec_moves(spec_states).values():
-                longer_reaching[target] = longer_reaching.get(target, 0) + n
-                enumerated += n
-                if enumerated > guard:
-                    raise TraceLimitError(guard, f"traces of '{spec.name}' up to depth {k}")
-        if not longer_reaching:
-            break
-        reaching = longer_reaching
+    # a violation comes first. No state set has more children than the
+    # specification has distinct steps, B, so there are at most the sum
+    # of B**d for d <= k such traces, a sum that stops once it passes the
+    # guard. Only past that bound are the traces counted, which needs
+    # only how many of them reach each specification state set.
+    branching = len(set().union(*spec_table.values()))
+    bound = 1 + branching * k  # exact for B <= 1
+    if branching > 1:
+        bound = width = 1
+        for _ in range(k):
+            width *= branching
+            bound += width
+            if bound > guard:
+                break
+    if bound > guard:
+        enumerated = 1
+        reaching = {start: 1}
+        for _ in range(k):
+            longer_reaching: dict[frozenset[str], int] = {}
+            for spec_states, n in reaching.items():
+                for target in spec_moves(spec_states).values():
+                    longer_reaching[target] = longer_reaching.get(target, 0) + n
+                    enumerated += n
+                    if enumerated > guard:
+                        raise TraceLimitError(guard, f"traces of '{spec.name}' up to depth {k}")
+            if not longer_reaching:
+                break
+            reaching = longer_reaching
 
     iut_moves = _union_per_state_set(iut_table)
     nowhere: frozenset[str] = frozenset()
 
-    # Each level lists, in canonical order, the (specification states,
-    # implementation states) pair that each trace of one length reaches.
-    # The pairs with known extensions are those seen at a shorter length,
-    # where they had no violation, so only the other pairs are compared.
+    # Each level maps the (specification states, implementation states)
+    # pairs that the traces of one length reach to how many traces reach
+    # each. The pairs with known extensions are those seen at a shorter
+    # length, where they had no violation, so only the other (fresh)
+    # pairs are compared, and extended at the next length.
     extensions: dict[_Pair, list[_Pair]] = {}  # a pair's children, in sorted step order
-    shorter: list[list[_Pair]] = []
-    level: list[_Pair] = [(start, frozenset([iut.initial]))]
-    distinct = set(level)
+    root: _Pair = (start, frozenset([iut.initial]))
+    shorter: list[tuple[_Pair, ...]] = []  # the pairs of each shorter length
+    level = {root: 1}
     checked = 0
     for depth in range(k + 1):
         if depth:
-            for pair in distinct.difference(extensions):
+            for pair in fresh:
                 spec_states, iut_states = pair
                 iut_after = iut_moves(iut_states)
                 extensions[pair] = [(target, iut_after.get(io, nowhere))
                                     for io, target in spec_moves(spec_states).items()]
-            shorter.append(level)
-            level = list(chain.from_iterable(map(extensions.__getitem__, level)))
-            if not level:
+            shorter.append(tuple(level))
+            longer: dict[_Pair, int] = {}
+            for pair, n in level.items():
+                for child in extensions[pair]:
+                    longer[child] = longer.get(child, 0) + n
+            if not longer:
                 break
-            distinct = set(level)
+            level = longer
+        fresh = level.keys() - extensions.keys()
         found = {}
-        for spec_states, iut_states in distinct.difference(extensions):
+        for spec_states, iut_states in fresh:
             violation = _first_violation(iut_moves(iut_states), spec_moves(spec_states), strict)
             if violation is not None:
                 found[spec_states, iut_states] = violation
         if not found:
-            checked += len(level)
+            checked += sum(level.values())
             continue
-        position = next(j for j, pair in enumerate(level) if pair in found)
-        violation = found[level[position]]
-        checked += position + 1
-        # Rebuild the witness from its end. A parent's children lie side
-        # by side in the next level, so each parent's start offset there
-        # is the sum of the child counts before it.
-        witness: list[Step] = []
+        # Back from this level: each shorter pair's number of continuations
+        # to this length, and the pairs with a violating one among them.
+        counts, violating = [dict.fromkeys(level, 1)], [found.keys()]
         for parents in reversed(shorter):
-            starts = list(accumulate(map(len, map(extensions.__getitem__, parents)), initial=0))
-            parent = bisect_right(starts, position) - 1
-            steps = list(spec_moves(parents[parent][0]))
-            witness.append(Step(*steps[position - starts[parent]]))
-            position = parent
+            below, ends = counts[-1], violating[-1]
+            counts.append({p: sum(map(below.__getitem__, extensions[p])) for p in parents})
+            violating.append({p for p in parents if not ends.isdisjoint(extensions[p])})
+        # Forward from the root: the first child with a violating
+        # continuation, after every continuation of the children before it.
+        pair, position, witness = root, 0, []
+        for below, ends in zip(reversed(counts[:-1]), reversed(violating[:-1])):
+            for step, child in zip(spec_moves(pair[0]), extensions[pair]):
+                if child in ends:
+                    break
+                position += below[child]
+            witness.append(Step(*step))
+            pair = child
         return Verdict(
             "fail",
             "bounded",
-            counterexample=Counterexample(tuple(reversed(witness)), *violation),
-            stats=CheckStats(checked, depth),
+            counterexample=Counterexample(tuple(witness), *found[pair]),
+            stats=CheckStats(checked + position + 1, depth),
             depth=k,
             warnings=warnings,
         )

@@ -321,6 +321,43 @@ class TestCheck:
         assert run("check", "--method", "bounded", "-k", "0", iut, spec)[0] == 3
         assert run("check", "--method", "bounded", "-k", "3", iut, spec)[0] == 1
 
+    def test_bounded_check_counts_traces_without_listing_them(self, tmp_path):
+        # the specification has 2**d traces of length d; the implementation
+        # answers a|z only after 40 steps of one output, so the oracle must
+        # count 2**41 - 1 traces, far too many to visit one by one
+        spec = Component.build("S", "s", [("s", "a", "x", "s"), ("s", "a", "y", "s")],
+                               outputs=["x", "y", "z"])
+        spec_path = tmp_path / "spec.fsm"
+        save_component(spec, str(spec_path))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+        def bounded(iut_path, k):
+            done = subprocess.run(
+                [sys.executable, "-m", "fsmcheck.cli", "check", "--method", "bounded",
+                 "-k", str(k), "--guard", str(2**42), "--json", str(iut_path), str(spec_path)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.stderr == ""
+            return done.returncode, json.loads(done.stdout)
+
+        for kept, other, explored in (("y", "x", 2**41 - 1), ("x", "y", 2**40)):
+            chain = [(f"p{d}", "a", kept, f"p{d + 1}") for d in range(40)]
+            chain += [(f"p{d}", "a", other, "rest") for d in range(40)]
+            iut = Component.build("I", "p0", chain + [("p40", "a", "z", "p40"),
+                                                      ("rest", "a", "x", "rest")],
+                                  outputs=["x", "y", "z"])
+            iut_path = tmp_path / f"iut_{kept}.fsm"
+            save_component(iut, str(iut_path))
+            code, verdict = bounded(iut_path, 40)
+            assert code == 1
+            assert verdict["stats"] == {"explored_pairs": explored, "max_depth": 40}
+            assert verdict["witness"] == [{"input": "a", "output": kept}] * 40
+            assert (verdict["input"], verdict["offending_output"]) == ("a", "z")
+            code, verdict = bounded(iut_path, 39)
+            assert (code, verdict["result"]) == (3, "inconclusive")
+            assert verdict["stats"] == {"explored_pairs": 2**40 - 1, "max_depth": 39}
+
     def test_negative_depth_exits_two(self, capsys):
         err = rejected_at_parsing(
             capsys, "check", "--method", "bounded", "-k", "-1",

@@ -270,6 +270,37 @@ class TestBounded:
         assert default.failed and default.counterexample.witness == ()
         assert check_cioco_bounded(iut, spec, k, guard=count).to_dict() == default.to_dict()
 
+    def test_guard_counts_traces_past_the_bound_from_distinct_steps(self):
+        # the unreachable state's step a|y is one of the specification's two
+        # distinct steps, so 1 + 2 + 4 + 8 = 15 bounds its traces up to
+        # depth 3, while it has only 4: for every guard from 4 to 14 the
+        # bound does not settle the guard, and the traces must be counted
+        spec = Component.build("s", "s0", [("s0", "a", "x", "s0"), ("u", "a", "y", "u")],
+                               outputs=["x", "y"])
+        k = 3
+        count = len(traces_up_to(spec, k))
+        assert count == 4
+        for guard in (count, 14, 15):
+            v = check_cioco_bounded(spec, spec, k, guard=guard)
+            assert (v.result, v.stats.explored_pairs) == ("inconclusive", count)
+        with pytest.raises(TraceLimitError) as enumerated:
+            traces_up_to(spec, k, guard=count - 1)
+        with pytest.raises(TraceLimitError) as checked:
+            check_cioco_bounded(spec, spec, k, guard=count - 1)
+        assert str(checked.value) == str(enumerated.value)
+
+    def test_guard_bound_grows_with_steps_not_inputs(self):
+        # one input, two outputs: 2**d traces of length d, so no bound
+        # from the number of inputs alone (4 up to depth 3) holds
+        spec = Component.build("s", "s0", [("s0", "a", "x", "s0"), ("s0", "a", "y", "s0")])
+        k = 3
+        count = len(traces_up_to(spec, k))
+        assert count == 15
+        for guard in (k + 1, count - 1):
+            with pytest.raises(TraceLimitError):
+                check_cioco_bounded(spec, spec, k, guard=guard)
+        assert check_cioco_bounded(spec, spec, k, guard=count).stats.explored_pairs == count
+
     def test_guard_is_not_tested_when_only_the_empty_trace_exists(self):
         iut = Component.build("i", "s0", [("s0", "a", "x", "s0")])
         spec = Component.build("s", "s0", [], inputs=["a"], outputs=["x"])

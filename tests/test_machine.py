@@ -275,6 +275,25 @@ class TestComplete:
         assert len(added) == 5
         assert is_input_enabled(done)
 
+    def test_sink_policy_renames_past_taken_names(self):
+        c = Component.build(
+            "c", "s0", [("s0", "a", "x", "sink"), ("sink", "a", "x", "sink~")], inputs=["a", "b"]
+        )
+        done = complete(c, "sink", label="abs")
+        assert done.states == c.states | {"sink~~"}
+        added = {(t.source, t.input, t.output, t.target) for t in done.transitions - c.transitions}
+        assert added == {
+            ("s0", "b", "abs", "sink~~"),
+            ("sink", "b", "abs", "sink~~"),
+            ("sink~", "a", "abs", "sink~~"),
+            ("sink~", "b", "abs", "sink~~"),
+            ("sink~~", "a", "abs", "sink~~"),
+            ("sink~~", "b", "abs", "sink~~"),
+        }
+        # the original sink keeps its step and gains only the missing input
+        assert done.arrows["sink"] == {("a", "x"): {"sink~"}, ("b", "abs"): {"sink~~"}}
+        assert is_input_enabled(done)
+
     def test_traces_grow_and_stay_superset(self):
         rng = random.Random(31)
         for _ in range(25):
