@@ -6,10 +6,11 @@ The product closure takes each state's transitions from the machine's
 member states' rows, finding the members of a subset wider than three
 states a byte of the mask at a time, then reads the targets of one
 step with one shift and mask. It goes breadth first one level of pairs
-at a time. All iteration orders are sorted (slot order is sorted step
-order), so results are deterministic and do not depend on the hash
-seed; the subset-pair search's do not depend on how states are
-numbered either. Memoization lives inside one call: no result is kept
+at a time and keeps each pair's parent alone: a failing search finds
+the steps of its witness again from the parents. All iteration orders
+are sorted (slot order is sorted step order), so results are
+deterministic and do not depend on the hash seed; the subset-pair
+search's do not depend on how states are numbered either. Memoization lives inside one call: no result is kept
 from one search to the next.
 """
 
@@ -123,14 +124,22 @@ def _row_union(rows: list[int], mask: int) -> int:
     return row
 
 
-def _witness(seen, key):
+def _witness(seen, pair, iut_steps_of, spec_rows, full_spec):
+    """The steps of the trace by which the search first reached ``pair``.
+
+    ``seen`` maps each pair to the pair it was first reached from. The
+    step from a parent to its child is the first slot, in slot order,
+    whose implementation targets and merged specification targets are
+    the child's: the parent's steps are tried in slot order, so that is
+    the slot that reached the child. Paid once per witness step, and
+    only on failure.
+    """
     path = []
-    while True:
-        prev = seen[key]
-        if prev is None:
-            break
-        key, step = prev
-        path.append(step)
+    while (parent := seen[pair]) is not None:
+        spec_row = _row_union(spec_rows, parent[1])
+        path.append(next(io for io, targets, at in iut_steps_of[parent[0]]
+                         if targets == pair[0] and spec_row >> at & full_spec == pair[1]))
+        pair = parent
     path.reverse()
     return path
 
@@ -166,7 +175,7 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
     spec_rows, iut_rows = enc_spec.rows, enc_iut.rows
     iut_steps_of: dict[int, list] = {}
     start = (1 << enc_iut.initial, 1 << enc_spec.initial)
-    seen = {start: None}
+    seen = {start: None}  # each pair's BFS parent; its step is found again on failure
     # breadth first, one level of pairs at a time: ``depth`` is the
     # level's trace length and ``explored`` counts the earlier levels
     level = [start]
@@ -193,13 +202,13 @@ def cioco_bfs(enc_iut: EncodedComponent, enc_spec: EncodedComponent, strict: boo
                     )
                     if strict or spec_outputs:
                         iut_outputs = frozenset(b for (a, b), _, _ in iut_steps if a == i)
-                        witness = _witness(seen, pair)
+                        witness = _witness(seen, pair, iut_steps_of, spec_rows, full_spec)
                         stats = CheckStats(explored + level.index(pair) + 1, depth)
                         return (witness, i, o, iut_outputs, spec_outputs), stats
                     continue
                 nxt = (targets, spec_targets)
                 if nxt not in seen:
-                    seen[nxt] = (pair, io)
+                    seen[nxt] = pair
                     following.append(nxt)
         explored += len(level)
         if not following:

@@ -260,6 +260,66 @@ def _first_violation(
             frozenset(x for j, x in spec_steps if j == i))
 
 
+def _times(vector: dict, matrix: dict, cap: int) -> dict:
+    """``vector`` (node -> count) times ``matrix`` (node -> node -> count),
+    both sparse, each count capped at ``cap``."""
+    product: dict = {}
+    for node, ways in vector.items():
+        for child, paths in matrix[node].items():
+            product[child] = product.get(child, 0) + ways * paths
+    return {node: min(cap, ways) for node, ways in product.items()}
+
+
+def _count_continuations(counts: dict, children: dict, lengths: int, cap: int) -> int:
+    """How many ways the traces counted in ``counts`` (node -> traces
+    reaching it) continue by 1 to ``lengths`` more steps, or ``cap`` when
+    that is more.
+
+    ``children`` maps every node reachable from ``counts`` to its
+    children, one per step. The count steps one length at a time while
+    that is cheaper than repeated squaring of the sparse matrix of path
+    counts between nodes, so ``lengths`` may be huge. The squaring's
+    counts are capped at ``cap``; all are non-negative, so a count below
+    ``cap`` is exact.
+    """
+    n = len(children)
+    total = 0
+    # a step costs about one operation per child, a squaring at most n**3
+    # plus a fixed cost, which matters for the few nodes of small checks
+    if lengths * sum(map(len, children.values())) <= lengths.bit_length() * (n**3 + 16):
+        for _ in range(lengths):
+            longer: dict = {}
+            for node, ways in counts.items():
+                for child in children[node]:
+                    longer[child] = longer.get(child, 0) + ways
+            counts = longer
+            total += sum(longer.values())
+            if total >= cap:
+                return cap
+        return total
+    # With P the path counts of 2**i steps and ``sums`` each node's
+    # continuations by one to 2**i steps, each set bit i of ``lengths``
+    # adds the continuations of ``counts`` by one to 2**i steps and moves
+    # ``counts`` on by 2**i steps, from the low bits up.
+    power: dict = {}
+    for node, row in children.items():
+        power[node] = paths = {}
+        for child in row:
+            paths[child] = paths.get(child, 0) + 1
+    sums = {node: min(cap, len(row)) for node, row in children.items()}
+    while True:
+        if lengths & 1:
+            total = min(cap, total + sum(ways * sums[node] for node, ways in counts.items()))
+            counts = _times(counts, power, cap)
+        lengths >>= 1
+        if not lengths:
+            return total
+        sums = {node: min(cap, own + sum(paths * sums[child]
+                                         for child, paths in power[node].items()))
+                for node, own in sums.items()}
+        power = {node: _times(row, power, cap) for node, row in power.items()}
+
+
 def check_cioco_bounded(
     iut: Component,
     spec: Component,
@@ -286,6 +346,11 @@ def check_cioco_bounded(
     trace and its position are found by counting, back from that length,
     each shorter pair's continuations and whether one of them violates.
 
+    Once a length brings no pair that a shorter one did not, no longer
+    trace can violate: every pair it reaches was compared already. The
+    traces of the remaining lengths are then only counted, per pair, by
+    ``_count_continuations``, without walking the lengths.
+
     ``stats.explored_pairs`` counts the traces examined: the 1-based
     position of the failing trace in canonical order, or every trace up
     to ``k`` when none fails.
@@ -297,7 +362,9 @@ def check_cioco_bounded(
     exactly as in ``traces_up_to``: TraceLimitError is raised whenever
     that enumeration would raise it, even if a violation exists. The
     traces are counted before any is examined, unless a bound on their
-    number from the specification's distinct steps is within the guard.
+    number from the specification's distinct steps is within the guard;
+    that count, too, stops walking lengths once one brings no new
+    specification state set.
     """
     _require_same_signature(iut, spec)
     iut_table, spec_table = _step_table(iut), _step_table(spec)
@@ -328,19 +395,30 @@ def check_cioco_bounded(
             if bound > guard:
                 break
     if bound > guard:
+        limit = f"traces of '{spec.name}' up to depth {k}"
         enumerated = 1
         reaching = {start: 1}
-        for _ in range(k):
+        seen = {start}
+        for depth in range(1, k + 1):
             longer_reaching: dict[frozenset[str], int] = {}
             for spec_states, n in reaching.items():
                 for target in spec_moves(spec_states).values():
                     longer_reaching[target] = longer_reaching.get(target, 0) + n
                     enumerated += n
                     if enumerated > guard:
-                        raise TraceLimitError(guard, f"traces of '{spec.name}' up to depth {k}")
+                        raise TraceLimitError(guard, limit)
             if not longer_reaching:
                 break
             reaching = longer_reaching
+            if seen.issuperset(reaching):
+                # no new state set at this length, so none later: the
+                # longer traces are counted without walking their lengths
+                children = {states: list(spec_moves(states).values()) for states in seen}
+                rest = _count_continuations(reaching, children, k - depth, guard + 1 - enumerated)
+                if enumerated + rest > guard:
+                    raise TraceLimitError(guard, limit)
+                break
+            seen.update(reaching)
 
     iut_moves = _union_per_state_set(iut_table)
     nowhere: frozenset[str] = frozenset()
@@ -371,6 +449,14 @@ def check_cioco_bounded(
                 break
             level = longer
         fresh = level.keys() - extensions.keys()
+        if not fresh:
+            # Every pair of this length was compared at a shorter length,
+            # and so was every pair reachable from one: no longer trace
+            # violates, and the traces longer than this one are only
+            # counted. The guard has bounded them.
+            checked += sum(level.values())
+            checked += _count_continuations(level, extensions, k - depth, guard + 1)
+            break
         found = {}
         for spec_states, iut_states in fresh:
             violation = _first_violation(iut_moves(iut_states), spec_moves(spec_states), strict)

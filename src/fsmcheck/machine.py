@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import TraceLimitError, UnknownInputError
@@ -21,9 +22,9 @@ SEPARATOR = "|"
 DEFAULT_TRACE_GUARD = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Step:
-    """One input/output pair of a trace."""
+    """One input/output pair of a trace. Slotted: no per-instance ``__dict__``."""
 
     input: str
     output: str
@@ -54,8 +55,11 @@ def format_trace(tr: Trace) -> str:
     return " ".join(str(s) for s in tr)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Transition:
+    """One step of a component from ``source`` to ``target``. Slotted, as
+    ``Step`` is: a machine holds many of them."""
+
     source: str
     input: str
     output: str
@@ -63,6 +67,10 @@ class Transition:
 
     def __str__(self) -> str:
         return f"{self.source} -{self.input}{SEPARATOR}{self.output}-> {self.target}"
+
+
+#: ``Transition``'s field order: sorting by it gives the dataclass order.
+_TRANSITION_ORDER = attrgetter("source", "input", "output", "target")
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,8 @@ class Component:
         return sorted(self.states)
 
     def sorted_transitions(self) -> list[Transition]:
-        return sorted(self.transitions)
+        """The transitions in ``Transition``'s order, compared by a C-level key."""
+        return sorted(self.transitions, key=_TRANSITION_ORDER)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line interface: behaviour and exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -23,7 +24,7 @@ from fsmcheck.formats import (
     render_component,
     to_dot,
 )
-from fsmcheck.machine import Component
+from fsmcheck.machine import Component, Transition
 from fsmcheck.randgen import mutate, random_component
 
 from demos import FIXTURES
@@ -357,6 +358,34 @@ class TestCheck:
             code, verdict = bounded(iut_path, 39)
             assert (code, verdict["result"]) == (3, "inconclusive")
             assert verdict["stats"] == {"explored_pairs": 2**40 - 1, "max_depth": 39}
+
+    def test_bounded_check_counts_a_billion_lengths_without_walking_them(self, tmp_path):
+        # two alternating states: the guard's bound from two distinct steps
+        # passes any guard, but one trace has each length, and no pair of
+        # state sets is new after the second length
+        spec = Component.build("S", "s0", [("s0", "a", "x", "s1"), ("s1", "a", "y", "s0")])
+        spec_path = tmp_path / "spec.fsm"
+        save_component(spec, str(spec_path))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+        def bounded(guard):
+            return subprocess.run(
+                [sys.executable, "-m", "fsmcheck.cli", "check", "--method", "bounded",
+                 "-k", "1000000000", "--guard", str(guard), "--json", str(spec_path),
+                 str(spec_path)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+
+        done = bounded(2_000_000_000)
+        assert (done.returncode, done.stderr) == (3, "")
+        verdict = json.loads(done.stdout)
+        assert verdict["result"] == "inconclusive"
+        assert verdict["stats"] == {"explored_pairs": 10**9 + 1, "max_depth": 10**9}
+        done = bounded(10**9)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("error: enumeration exceeded the cardinality guard of 1000000000: "
+                               "traces of 'S' up to depth 1000000000\n")
 
     def test_negative_depth_exits_two(self, capsys):
         err = rejected_at_parsing(
@@ -919,3 +948,154 @@ def test_exit_codes_of_check_validate_and_traces(files, pair, k):
                 bounded = exit_code("check", "--method", "bounded", "-k", k, iut, spec, *options)
                 assert (exact == 2) == (bounded == 2), (pair, sorted(files), options)
                 assert exit_code("check", "--method", "bounded", iut, spec, *options) == 2
+
+
+#: Output paths the generated argv may name, beside the input files: new
+#: files, and the directory itself, which cannot be opened for writing.
+_TARGETS = ("out.fsm", "out.json", "g.dot", ".")
+
+
+#: The six commands, each drawn on its own.
+_COMMANDS = ("validate", "compose", "traces", "check", "project", "compositional")
+
+
+@st.composite
+def _any_argv(draw, command: str) -> tuple[dict[str, str], list[str]]:
+    """Files by name, and an argv of ``command`` over them, its paths
+    relative to the directory that holds the files.
+
+    The files are machines A, B and C (as in ``_machines``) and D (A with
+    one more step from its initial state), each as text or JSON, and one
+    of ``_ODD_FILES``. About one argv in ten has one token deleted, which
+    argparse mostly refuses.
+    """
+    machines = draw(_machines())
+    # D is A with one more step from its initial state, to fail against A
+    a = machines[0]
+    extra = Transition(a.initial, *(draw(st.sampled_from(sorted(x)))
+                                    for x in (a.inputs, a.outputs, a.states)))
+    machines.append(dataclasses.replace(a, name="D", transitions=a.transitions | {extra}))
+    files = {}
+    for m in machines:
+        if draw(st.booleans()):
+            files[f"{m.name}.json"] = component_to_json(m)
+        else:
+            files[f"{m.name}.fsm"] = component_to_text(m)
+    a, b, c, d = files
+    odd = draw(st.sampled_from(sorted(_ODD_FILES)))
+    files[odd] = _ODD_FILES[odd]
+    # the odd file one time in four
+    path = st.one_of(*[st.sampled_from([a, b, c, d])] * 3, st.just(odd))
+    depth = st.integers(-1, 3).map(str)
+    guard = st.sampled_from([[], ["--guard", "0"], ["--guard", "3"], ["--guard", "-1"]])
+    if command == "validate":
+        args = draw(st.lists(path, min_size=1, max_size=3))
+    elif command == "traces":
+        args = [draw(path), "-k", draw(depth), *draw(guard)]
+    elif command == "check":
+        # mostly D, A or C against A or C, which share a signature; -k
+        # and --guard mostly with --method bounded, which they need
+        args = draw(st.tuples(st.sampled_from([d, a, c]), st.sampled_from([a, c])).map(list)
+                    | st.lists(path, min_size=2, max_size=2))
+        method = draw(st.sampled_from([None, "exact", "bounded"]))
+        if method is not None:
+            args += ["--method", method]
+        if method == "bounded" or draw(st.integers(0, 3)) == 3:
+            args += ["-k", draw(depth)]
+        if method == "bounded" or draw(st.integers(0, 3)) == 3:
+            args += draw(guard)
+        args += ["--unspecified", draw(st.sampled_from(["allow", "forbid"]))]
+    elif command == "compositional":
+        # mostly A, C or D against A or C beside B against B
+        args = ["--theorem", draw(st.sampled_from("21")),
+                *draw(st.tuples(st.sampled_from([a, c, d]), st.sampled_from([a, c])).map(
+                    lambda pair: [*pair, b, b]) | st.lists(path, min_size=4, max_size=4))]
+    else:
+        wellformed = st.sampled_from(["A", "(par A B)", "(par A A)", "(par (par A B) C)"])
+        args = [draw(st.one_of(wellformed, wellformed, st.sampled_from(_MALFORMED_EXPRS))),
+                *draw(st.just([a, b, c]) | st.lists(path, min_size=1, max_size=4, unique=True))]
+        if command == "project":
+            # mostly the expression's last leaf
+            last = st.just(args[0].rstrip(")")[-1:] or "A")
+            args += ["--target", draw(st.one_of(last, last, st.sampled_from("ABCX")))]
+        # a path under a regular file cannot be created
+        under_a_file = f"{sorted(files)[0]}/out.fsm"
+        fresh = st.sampled_from(["out.fsm", "out.json"])
+        args += ["-o", draw(st.one_of(fresh, fresh, st.sampled_from([*_TARGETS, under_a_file])))]
+        dot = draw(st.one_of(st.none(), st.just("g.dot"), st.sampled_from(_TARGETS)))
+        if dot is not None:
+            args += ["--dot", dot]
+    if command in ("compose", "project", "compositional") and draw(st.booleans()):
+        args.append("--relax")
+    if draw(st.booleans()):
+        args.append("--json")
+    if draw(st.integers(0, 9)) == 9:
+        del args[draw(st.integers(0, len(args) - 1))]
+    return files, [command, *args]
+
+
+def _tree(root: str) -> dict[str, bytes]:
+    """Every file under ``root``, by relative path, with its bytes."""
+    found = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = Path(folder, name)
+            found[str(path.relative_to(root))] = path.read_bytes()
+    return found
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_exit_codes_of_every_command(command, data):
+    """The exit-code contract, over generated argv of each of the six commands.
+
+    No exception escapes ``main``: it returns, or argparse refuses the
+    argv with ``SystemExit(2)``. The exit code is 0, 1, 2 or 3. Exit 1
+    means a failed check: ``fail`` from ``check``, ``sound-fail`` from
+    ``compositional``, an invalid component from ``validate``. Exit 3
+    comes only from ``check`` and ``compositional``. With ``--json``,
+    stdout parses on exits 0, 1 and 3. Exit 2 prints nothing on stdout,
+    an error on stderr, and writes nothing; only ``compose`` and
+    ``project`` write files, both of them on exit 0.
+    """
+    files, argv = data.draw(_any_argv(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        named = {*files, *_TARGETS}
+        argv = [str(Path(tmp, x)) if x.split("/")[0] in named else x for x in argv]
+        before = _tree(tmp)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as refused:
+                assert refused.code == 2, argv
+                assert "usage:" in stderr.getvalue(), argv
+                code = refused.code
+        out = stdout.getvalue()
+        assert code in (0, 1, 2, 3), argv
+        if code == 2:
+            assert out == "", argv
+            assert "error: " in stderr.getvalue(), argv
+            assert _tree(tmp) == before, argv
+            return
+        if command in ("compose", "project"):
+            assert code == 0, argv
+            written = [argv[argv.index(option) + 1] for option in ("-o", "--dot") if option in argv]
+            assert all(Path(path).is_file() for path in written), argv
+        else:
+            assert _tree(tmp) == before, argv
+        payload = json.loads(out) if "--json" in argv else None
+        if code == 1:
+            assert command in ("check", "compositional", "validate"), argv
+            if command == "check":
+                assert (payload["result"] if payload else out.split()[0]) == "fail", argv
+            elif command == "compositional":
+                assert (payload["global_conclusion"] if payload
+                        else out.splitlines()[1]).endswith("sound-fail"), argv
+            else:
+                assert (not all(r["ok"] for r in payload)) if payload else "INVALID" in out, argv
+        if code == 3:
+            assert command in ("check", "compositional"), argv

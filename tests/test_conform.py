@@ -2,6 +2,8 @@
 
 import dataclasses
 import random
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -27,6 +29,7 @@ from fsmcheck import (
     traces_up_to,
 )
 from fsmcheck._core import EncodedComponent, cioco_bfs, encode_pair
+from fsmcheck.conform import _count_continuations
 from fsmcheck.project import _encoded_projections
 from fsmcheck.randgen import conforming_iut, mutate, prune, random_component
 
@@ -311,6 +314,78 @@ class TestBounded:
         assert forbid.failed
         assert forbid.counterexample.witness == ()
         assert forbid.stats.explored_pairs == 1
+
+    def test_stops_walking_lengths_once_no_pair_is_new(self):
+        # After the first step no pair is new, so the other lengths are
+        # only counted: a million of one loop, and a billion of two
+        # alternating states, whose two distinct steps make the guard's
+        # bound grow as 2**k while one trace has each length.
+        started = time.perf_counter()
+        loop = Component.build("c", "s", [("s", "a", "x", "s")])
+        v = check_cioco_bounded(loop, loop, 10**6, guard=10**7)
+        assert (v.result, v.stats.explored_pairs, v.stats.max_depth) == (
+            "inconclusive", 10**6 + 1, 10**6)
+        alternating = Component.build("c", "s0", [("s0", "a", "x", "s1"), ("s1", "a", "y", "s0")])
+        v = check_cioco_bounded(alternating, alternating, 10**9, guard=2 * 10**9)
+        assert (v.result, v.stats.explored_pairs, v.stats.max_depth) == (
+            "inconclusive", 10**9 + 1, 10**9)
+        assert check_cioco_bounded(
+            alternating, alternating, 10**9, guard=10**9 + 1).stats.explored_pairs == 10**9 + 1
+        with pytest.raises(TraceLimitError, match="guard of 1000000000: traces of 'c' up to depth"):
+            check_cioco_bounded(alternating, alternating, 10**9, guard=10**9)
+        # a cycle of 200 states: 200 pairs, whose count matrix squares
+        # sparsely where a dense one would take 200**3 steps a squaring
+        cycle = Component.build("c", "q0", [(f"q{n}", "a", "xy"[n % 2], f"q{(n + 1) % 200}")
+                                            for n in range(200)])
+        v = check_cioco_bounded(cycle, cycle, 10**9, guard=2 * 10**9)
+        assert (v.stats.explored_pairs, v.stats.max_depth) == (10**9 + 1, 10**9)
+        assert time.perf_counter() - started < 1.0
+
+    def test_counts_past_the_stop_match_the_enumeration(self):
+        # deeper than the brute-force test: most of these stop walking
+        # lengths early, and every guard from count - 1 up must agree
+        rng = random.Random(67)
+        counted = 0
+        for _ in range(150):
+            iut, spec = pair_over_shared_alphabet(rng, n_states=(1, 3))
+            k = rng.randint(6, 10)
+            try:
+                count = len(traces_up_to(spec, k, guard=2_000))
+            except TraceLimitError:
+                continue
+            for unspecified in ("allow", "forbid"):
+                v = check_cioco_bounded(iut, spec, k, unspecified=unspecified, guard=count)
+                expected, examined = naive_cioco_bounded(
+                    iut, spec, k, strict=unspecified == "forbid")
+                assert v.stats.explored_pairs == examined
+                assert v.failed == (expected is not None)
+                counted += expected is None
+                if count > 1:  # the guard is tested only when a trace is added
+                    with pytest.raises(TraceLimitError):
+                        check_cioco_bounded(iut, spec, k, unspecified=unspecified, guard=count - 1)
+        assert counted >= 60
+
+    def test_continuations_are_counted_by_either_walk(self):
+        # random step graphs over up to five nodes, at up to 200 more
+        # lengths: the few lengths are stepped, the many squared
+        rng = random.Random(71)
+        for _ in range(300):
+            nodes = range(rng.randint(1, 5))
+            children = {node: [rng.choice(nodes) for _ in range(rng.randint(0, 3))]
+                        for node in nodes}
+            counts = {node: rng.randint(1, 3) for node in rng.sample(nodes, min(2, len(nodes)))}
+            lengths = rng.choice([rng.randint(0, 12), rng.randint(0, 200)])
+            exact, vector = 0, Counter(counts)
+            for _ in range(lengths):
+                longer = Counter()
+                for node, ways in vector.items():
+                    for child in children[node]:
+                        longer[child] += ways
+                exact += longer.total()
+                vector = longer
+            for cap in (exact + 1, max(1, exact), max(1, exact // 3), 10**80):
+                got = _count_continuations(counts, children, lengths, cap)
+                assert got == min(cap, exact)
 
     def test_errors_come_in_a_fixed_order(self):
         # a signature mismatch, then an invalid component (the implementation
@@ -637,6 +712,57 @@ class TestSubsetPairSearch:
         assert min(failing["nth"], failing["dense"]) >= 20
         assert min(wide["nth"], wide["dense"]) >= 6
         assert wide.total() >= 14
+
+    @pytest.mark.parametrize("case", ["one child by two slots", "same implementation targets",
+                                      "same specification targets"])
+    def test_witness_takes_the_slot_that_reached_the_child(self, case):
+        # The start pair's steps a|x and a|y reach one child pair, or two
+        # that share one side; the violation (b|z) is after a|x's child or
+        # after a|y's, and the witness is the least slot reaching it.
+        iut, spec = {
+            "one child by two slots": (
+                [("i0", "a", "x", "i1"), ("i0", "a", "y", "i1"), ("i1", "b", "z", "i1")],
+                [("s0", "a", "x", "s1"), ("s0", "a", "y", "s1"), ("s1", "b", "x", "s1")],
+            ),
+            "same implementation targets": (
+                [("i0", "a", "x", "i1"), ("i0", "a", "y", "i1"), ("i1", "b", "z", "i1")],
+                [("s0", "a", "x", "s1"), ("s0", "a", "y", "s2"), ("s1", "b", "z", "s1"),
+                 ("s2", "b", "x", "s2")],
+            ),
+            "same specification targets": (
+                [("i0", "a", "x", "i1"), ("i0", "a", "y", "i2"), ("i1", "b", "x", "i1"),
+                 ("i2", "b", "z", "i2")],
+                [("s0", "a", "x", "s1"), ("s0", "a", "y", "s1"), ("s1", "b", "x", "s1")],
+            ),
+        }[case]
+        iut = Component.build("I", "i0", iut, outputs=["x", "y", "z"])
+        spec = Component.build("S", "s0", spec, outputs=["x", "y", "z"])
+        for raw in self.assert_same_encoded_search(*encode_pair(iut, spec)[:2]):
+            assert raw is not None
+        v = check_cioco_exact(iut, spec)
+        witness = "a|x" if case == "one child by two slots" else "a|y"
+        assert (v.counterexample.witness, v.counterexample.offending_output) == (trace(witness), "z")
+
+    def test_memory_per_explored_pair(self):
+        # The visited map holds each pair's parent alone: about 123 bytes
+        # a pair here at n = 12 (Python 3.11), against 179 when it also
+        # held each pair's (parent, step) tuple. Traced from a fresh
+        # encoding of both machines.
+        loop = Component.build("loop", "i0", [("i0", "a", "x", "i0"), ("i0", "a", "y", "i0")])
+        spec = nth_from_end(12)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            v = check_cioco_exact(loop, spec)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert v.passed and v.stats.explored_pairs == 2**12
+        assert peak <= 150 * v.stats.explored_pairs
 
     def test_nth_from_end_family(self):
         loop = Component.build("loop", "i0", [("i0", "a", "x", "i0"), ("i0", "a", "y", "i0")])

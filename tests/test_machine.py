@@ -1,5 +1,8 @@
 """Machine model: validation, trace semantics, enabledness, completion."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -313,3 +316,48 @@ class TestComplete:
             for tr in traces_up_to(c, 4):
                 for i in sorted(c.inputs):
                     assert out_after(c, tr, i)
+
+
+class TestValueTypes:
+    """``Step`` and ``Transition`` are slotted frozen dataclasses."""
+
+    VALUES = (Step("a", "x"), Transition("s0", "a", "x", "s1"))
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_copies_are_equal_values(self, value):
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(copied) is type(value)
+            assert copied == value and hash(copied) == hash(value)
+            assert str(copied) == str(value)
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_frozen_and_without_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        assert type(value).__slots__ == tuple(f.name for f in dataclasses.fields(value))
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, "z")
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = "z"
+
+    def test_replace_keeps_the_other_fields(self):
+        assert dataclasses.replace(Step("a", "x"), output="y") == Step("a", "y")
+        moved = dataclasses.replace(Transition("s0", "a", "x", "s1"), target="s2")
+        assert moved == Transition("s0", "a", "x", "s2")
+        assert dataclasses.astuple(moved) == ("s0", "a", "x", "s2")
+
+    def test_order_is_field_order(self):
+        assert Step("a", "y") < Step("b", "x") and Step("a", "x") < Step("a", "y")
+        assert str(Transition("s0", "a", "x", "s1")) == "s0 -a|x-> s1"
+        assert sorted([Transition("s1", "a", "x", "s0"), Transition("s0", "b", "x", "s0"),
+                       Transition("s0", "a", "y", "s0"), Transition("s0", "a", "x", "s1")]) == [
+            Transition("s0", "a", "x", "s1"), Transition("s0", "a", "y", "s0"),
+            Transition("s0", "b", "x", "s0"), Transition("s1", "a", "x", "s0"),
+        ]
+
+    def test_sorted_transitions_is_the_dataclass_order(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            c = random_component(rng, "r", ["a", "b", "c"], ["x", "y"], n_states=(1, 8),
+                                 density=(0.3, 1.0))
+            assert c.sorted_transitions() == sorted(c.transitions)
