@@ -10,8 +10,8 @@ at a time and keeps each pair's parent alone: a failing search finds
 the steps of its witness again from the parents. All iteration orders
 are sorted (slot order is sorted step order), so results are
 deterministic and do not depend on the hash seed; the subset-pair
-search's do not depend on how states are numbered either. Memoization lives inside one call: no result is kept
-from one search to the next.
+search's do not depend on how states are numbered either. Memoization
+lives inside one call: no result is kept from one search to the next.
 """
 
 from __future__ import annotations
