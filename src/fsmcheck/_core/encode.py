@@ -128,23 +128,6 @@ def slot_offsets(slots: list[tuple[int, int]], n: int) -> dict[tuple[int, int], 
     return {io: k * n for k, io in enumerate(slots)}
 
 
-def _pack(c: Component) -> tuple[list[str], int, list[int]]:
-    """``c``'s sorted state names, initial id and rows over any label table
-    holding its labels. ``KeyError`` when ``c`` uses what it does not declare."""
-    state_names = sorted(c.states)
-    state_ids = {s: n for n, s in enumerate(state_names)}
-    n = len(state_names)
-    inputs, outputs = sorted(c.inputs), sorted(c.outputs)
-    # slot (input, output) starts at (input's rank * |O| + output's rank) * n
-    input_at = {x: k * len(outputs) * n for k, x in enumerate(inputs)}
-    output_at = {x: k * n for k, x in enumerate(outputs)}
-    rows = [0] * n
-    for t in c.transitions:
-        step = input_at[t.input] + output_at[t.output]
-        rows[state_ids[t.source]] |= 1 << (step + state_ids[t.target])
-    return state_names, state_ids[c.initial], rows
-
-
 def label_table(*components: Component) -> tuple[list[str], dict[str, int]]:
     """Shared sorted label table over the alphabets of all given components."""
     labels: set[str] = set()

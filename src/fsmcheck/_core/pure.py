@@ -1,7 +1,8 @@
 """Pure-Python search kernels.
 
 The product closure takes each state's transitions from the machine's
-``moves``. The subset-pair search reads the packed step rows of
+``moves``, indexed by input once per call, so that a feeding step reads
+only the fed state's reactions to the fed label. The subset-pair search reads the packed step rows of
 ``encode``: it merges the steps of a state subset by ``|``-ing its
 member states' rows, finding the members of a subset wider than three
 states a byte of the mask at a time, then reads the targets of one
@@ -16,7 +17,6 @@ lives inside one call: no result is kept from one search to the next.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .encode import EncodedComponent
@@ -50,17 +50,16 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
     in2 = enc2.input_ids
     moves1 = enc1.moves()
     moves2 = enc2.moves()
-    start = (enc1.initial, enc2.initial)
-    pair_index = {start: 0}
-    pairs = [start]
-    queue = deque([start])
+    reactions1 = _reactions(moves1)
+    reactions2 = _reactions(moves2)
+    pairs = [(enc1.initial, enc2.initial)]
+    pair_index = {pairs[0]: 0}
     transitions = []
 
-    while queue:
-        s1, s2 = pair = queue.popleft()
-        src = pair_index[pair]
+    # ``pairs`` is the BFS queue: it grows while it is walked, and a
+    # pair's place in it is its index
+    for src, (s1, s2) in enumerate(pairs):
         found = []
-
         for (i, o, t1) in moves1[s1]:
             if i not in composed_inputs:
                 continue
@@ -69,30 +68,38 @@ def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inp
                 found.append((i, o, t1, s2, (i, o), ()))
             else:
                 # left output feeds the right, whose reaction is observed
-                for (i2, o2, t2) in moves2[s2]:
-                    if i2 == o:
-                        found.append((i, o2, t1, t2, (i, o), (o, o2)))
+                for (o2, t2) in reactions2[s2].get(o, ()):
+                    found.append((i, o2, t1, t2, (i, o), (o, o2)))
         for (i, o, t2) in moves2[s2]:
             if i not in composed_inputs:
                 continue
             if o not in in1:
                 found.append((i, o, s1, t2, (), (i, o)))
             else:
-                for (i1, o1, t1) in moves1[s1]:
-                    if i1 == o:
-                        found.append((i, o1, t1, t2, (o, o1), (i, o)))
+                for (o1, t1) in reactions1[s1].get(o, ()):
+                    found.append((i, o1, t1, t2, (o, o1), (i, o)))
 
-        for (i, o, t1, t2, left, right) in sorted(found):
+        found.sort()  # fixes the numbering of the composed states
+        for (i, o, t1, t2, left, right) in found:
             dst_pair = (t1, t2)
             dst = pair_index.get(dst_pair)
             if dst is None:
-                dst = len(pairs)
-                pair_index[dst_pair] = dst
+                dst = pair_index[dst_pair] = len(pairs)
                 pairs.append(dst_pair)
-                queue.append(dst_pair)
             transitions.append((src, i, o, dst, left, right))
 
     return pairs, transitions
+
+
+def _reactions(moves):
+    """Per state, each input mapped to the (output, target) moves on it."""
+    table = []
+    for state_moves in moves:
+        by_input: dict[int, list[tuple[int, int]]] = {}
+        for (i, o, t) in state_moves:
+            by_input.setdefault(i, []).append((o, t))
+        table.append(by_input)
+    return table
 
 
 #: Per byte value, the offsets of its set bits, ascending.

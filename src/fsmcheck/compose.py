@@ -152,11 +152,11 @@ class SystemBuild:
     pairs: list[tuple[int, int]] = field(default_factory=list)
     raw: list[RawTransition] = field(default_factory=list)
 
-    @property
+    @cached_property
     def inputs(self) -> frozenset[str]:
         return frozenset(self.machine.label_names[x] for x in self.machine.input_ids)
 
-    @property
+    @cached_property
     def outputs(self) -> frozenset[str]:
         return frozenset(self.machine.label_names[x] for x in self.machine.output_ids)
 
@@ -358,7 +358,8 @@ def _compose(
     inputs, outputs = composed_alphabets(left, right)
     enc1, enc2 = left.machine, right.machine
     label_ids = enc1.label_ids
-    pairs, raw = _core.product_closure(enc1, enc2, frozenset(label_ids[x] for x in inputs))
+    input_ids = frozenset(label_ids[x] for x in inputs)
+    pairs, raw = _core.product_closure(enc1, enc2, input_ids)
 
     state_names: list[str] = []
     taken: set[str] = set()
@@ -373,7 +374,7 @@ def _compose(
         0,
         enc1.label_names,
         label_ids,
-        frozenset(label_ids[x] for x in inputs),
+        input_ids,
         frozenset(label_ids[x] for x in outputs),
         raw,
     )

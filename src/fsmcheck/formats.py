@@ -43,38 +43,39 @@ def component_from_text(text: str, path: str | None = None) -> Component:
     initial = None
     transitions: list[tuple[str, str, str, str]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
-        directive, args = tokens[0], tokens[1:]
-        if directive == "component":
-            if len(args) != 1:
-                raise ParseError("expected: component <name>", lineno, path)
-            name = args[0]
-        elif directive == "states":
-            states.extend(args)
-        elif directive == "inputs":
-            inputs.extend(args)
-        elif directive == "outputs":
-            outputs.extend(args)
-        elif directive == "initial":
-            if len(args) != 1:
-                raise ParseError("expected: initial <state>", lineno, path)
-            initial = args[0]
-        elif directive == "trans":
-            if len(args) != 3:
+        if not tokens:
+            continue
+        directive = tokens[0]
+        if directive == "trans":  # by far the most common directive
+            if len(tokens) != 4:
                 raise ParseError(
                     "expected: trans <state> <input>|<output> <state>", lineno, path
                 )
-            label = args[1]
+            _, source, label, target = tokens
             left, sep, right = label.partition(SEPARATOR)
             if not sep or not left or not right:
                 raise ParseError(
                     f"malformed label {label!r}, expected <input>|<output>", lineno, path
                 )
-            transitions.append((args[0], left, right, args[2]))
+            transitions.append((source, left, right, target))
+        elif directive == "component":
+            if len(tokens) != 2:
+                raise ParseError("expected: component <name>", lineno, path)
+            name = tokens[1]
+        elif directive == "states":
+            states.extend(tokens[1:])
+        elif directive == "inputs":
+            inputs.extend(tokens[1:])
+        elif directive == "outputs":
+            outputs.extend(tokens[1:])
+        elif directive == "initial":
+            if len(tokens) != 2:
+                raise ParseError("expected: initial <state>", lineno, path)
+            initial = tokens[1]
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno, path)
 

@@ -132,11 +132,18 @@ class Component:
             for s, by_io in table.items()
         }
 
-    @cached_property
+    @property
     def _packed(self) -> tuple[list[str], int, list[int]]:
-        """Every integer encoding's states, initial id and rows: ``_core.encode._pack``."""
-        from ._core import encode  # imported here: encode imports this module
-        return encode._pack(self)
+        """Every integer encoding's states, initial id and rows (``_pack``).
+
+        Packed on the first read and kept in the instance ``__dict__``, as
+        ``cached_property`` would keep it, but without the lock that
+        ``cached_property`` takes on that read (Python 3.11).
+        """
+        packed = self.__dict__.get("_packed")
+        if packed is None:
+            packed = self.__dict__["_packed"] = _pack(self)
+        return packed
 
     def sorted_states(self) -> list[str]:
         return sorted(self.states)
@@ -144,6 +151,23 @@ class Component:
     def sorted_transitions(self) -> list[Transition]:
         """The transitions in ``Transition``'s order, compared by a C-level key."""
         return sorted(self.transitions, key=_TRANSITION_ORDER)
+
+
+def _pack(c: Component) -> tuple[list[str], int, list[int]]:
+    """``c``'s sorted state names, initial id and rows over any label table
+    holding its labels. ``KeyError`` when ``c`` uses what it does not declare."""
+    state_names = sorted(c.states)
+    state_ids = {s: n for n, s in enumerate(state_names)}
+    n = len(state_names)
+    inputs, outputs = sorted(c.inputs), sorted(c.outputs)
+    # slot (input, output) starts at (input's rank * |O| + output's rank) * n
+    input_at = {x: k * len(outputs) * n for k, x in enumerate(inputs)}
+    output_at = {x: k * n for k, x in enumerate(outputs)}
+    rows = [0] * n
+    for t in c.transitions:
+        step = input_at[t.input] + output_at[t.output]
+        rows[state_ids[t.source]] |= 1 << (step + state_ids[t.target])
+    return state_names, state_ids[c.initial], rows
 
 
 @dataclass(frozen=True)

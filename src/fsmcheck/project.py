@@ -120,22 +120,43 @@ def _relabel(build: SystemBuild):
     Returns, aligned with ``build.leaves``, ``(leaf, labelled, silent)``
     per leaf, ``leaf`` being its build. Per composed state, ``labelled``
     is the row of the leaf's steps, in the leaf's slots, and ``silent``
-    lists the targets reached without the leaf moving. Each leaf's
-    steps are read off ``build.leaf_steps``.
+    lists the targets reached without the leaf moving. One pass over
+    ``build.raw`` per part serves all of the part's leaves: a basic
+    part's leaf takes the part's step, a composed part's leaves the
+    steps its ``steps`` gives them.
     """
     n = len(build.machine.state_names)
+    pairs, raw = build.pairs, build.raw
     relabelled = []
     for side, part in enumerate(build.parts):
-        for leaf, column in zip(_leaf_builds(part), build.leaf_steps(side)):
-            offset = slot_offsets(leaf.machine.slots, n)
-            labelled = [0] * n
-            silent: list[list[int]] = [[] for _ in range(n)]
-            for (src, _, _, dst, _, _), step in column:
-                if step is None:
-                    silent[src].append(dst)
-                else:
-                    labelled[src] |= 1 << (offset[step] + dst)
+        at = 4 + side
+        leaves = []
+        for leaf in _leaf_builds(part):
+            labelled, silent = [0] * n, [[] for _ in range(n)]
+            leaves.append((slot_offsets(leaf.machine.slots, n), labelled, silent))
             relabelled.append((leaf, labelled, silent))
+        if not part.parts:
+            ((offset, labelled, silent),) = leaves
+            for t in raw:
+                if t[at]:
+                    labelled[t[0]] |= 1 << (offset[t[at]] + t[3])
+                else:
+                    silent[t[0]].append(t[3])
+            continue
+        table = part.steps
+        for t in raw:
+            src, dst, step = t[0], t[3], t[at]
+            if not step:
+                for _, _, silent in leaves:
+                    silent[src].append(dst)
+                continue
+            taken = table[(pairs[src][side], *step, pairs[dst][side])]
+            for (offset, labelled, silent), steps in zip(leaves, taken):
+                for x in steps:
+                    if x is None:
+                        silent[src].append(dst)
+                    else:
+                        labelled[src] |= 1 << (offset[x] + dst)
     return relabelled
 
 
@@ -154,27 +175,29 @@ def _closed_steps(labelled: list[int], silent) -> list[int]:
     strongly connected component share one row, the ``|`` of their own
     rows and of the rows of the components they reach. Tarjan
     completes a component only after every component it reaches, so
-    those rows are ready when it is merged.
+    those rows are ready when it is merged. A state without silent
+    edges keeps its own row and is never visited.
     """
     n = len(labelled)
-    index = [-1] * n
+    closed: list[int | None] = [None if out else row for row, out in zip(labelled, silent)]
+    # 1-based visit order: 0 is not yet visited, -1 closed up front
+    index = [0 if out else -1 for out in silent]
     low = [0] * n
-    closed: list[int | None] = [None] * n
     stack: list[int] = []
     counter = 0
     for root in range(n):
-        if index[root] >= 0:
+        if index[root]:
             continue
-        index[root] = low[root] = counter
         counter += 1
+        index[root] = low[root] = counter
         stack.append(root)
         work = [(root, iter(silent[root]))]
         while work:
             v, successors = work[-1]
             for w in successors:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
+                if not index[w]:
                     counter += 1
+                    index[w] = low[w] = counter
                     stack.append(w)
                     work.append((w, iter(silent[w])))
                     break
@@ -191,9 +214,6 @@ def _closed_steps(labelled: list[int], silent) -> list[int]:
                 members = [stack.pop()]
                 while members[-1] != v:
                     members.append(stack.pop())
-                if len(members) == 1 and not silent[v]:
-                    closed[v] = labelled[v]
-                    continue
                 merged = 0
                 for m in members:
                     merged |= labelled[m]

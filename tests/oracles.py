@@ -3,11 +3,13 @@
 Everything here recomputes semantics from first principles (explicit run
 enumeration, literal rule application on full state products, leaf-state
 vector simulation) without touching the package's search kernels or
-provenance records, so agreement is meaningful. Two exceptions check one
-step alone: ``naive_component_in_context`` starts from a build's named
-decompositions, and ``naive_subset_pair_search`` from the integer
-encodings the subset-pair search reads, whose rows ``step_maps`` unpacks
-by the documented layout with no code from the package.
+provenance records, so agreement is meaningful. Some check one step
+alone: ``naive_component_in_context`` starts from a build's named
+decompositions, ``naive_silent_closure`` from the relabelled rows and
+silent edges, and ``naive_subset_pair_search`` and
+``naive_product_closure`` from the integer encodings their kernels read,
+whose rows ``step_maps`` unpacks by the documented layout with no code
+from the package.
 """
 
 from __future__ import annotations
@@ -101,6 +103,51 @@ def naive_full_product(c1: Component, c2: Component) -> Component:
         outputs=outputs,
         states=[f"({a},{b})" for a, b in iproduct(sorted(c1.states), sorted(c2.states))],
     )
+
+
+def naive_product_closure(enc1, enc2, composed_inputs):
+    """The product closure of two encodings, each rule over every move.
+
+    The reference for ``_core.product_closure``: breadth first from the
+    initial pair, every move of both sides, unpacked from the rows by
+    ``step_maps``, is scanned for each of the four rules, and a fed
+    side's reactions are found by scanning all of its moves again. A
+    pair's candidates (input, output, left target, right target, left
+    step, right step) are sorted; a target pair not seen before gets the
+    next index. Returns (pairs, transitions) in the kernel's form.
+    """
+
+    def moves(enc):
+        n = len(enc.state_names)
+        return [sorted((i, o, t) for (i, o), mask in steps.items() for t in range(n) if mask >> t & 1)
+                for steps in step_maps(enc)]
+
+    moves1, moves2 = moves(enc1), moves(enc2)
+    pairs = [(enc1.initial, enc2.initial)]
+    transitions = []
+    queue = deque([0])
+    while queue:
+        src = queue.popleft()
+        s1, s2 = pairs[src]
+        found = []
+        for (i, o, t1) in moves1[s1]:
+            if i in composed_inputs and o not in enc2.input_ids:  # left alone
+                found.append((i, o, t1, s2, (i, o), ()))
+            for (i2, o2, t2) in moves2[s2]:  # left feeds right
+                if i in composed_inputs and o in enc2.input_ids and i2 == o:
+                    found.append((i, o2, t1, t2, (i, o), (o, o2)))
+        for (i, o, t2) in moves2[s2]:
+            if i in composed_inputs and o not in enc1.input_ids:  # right alone
+                found.append((i, o, s1, t2, (), (i, o)))
+            for (i1, o1, t1) in moves1[s1]:  # right feeds left
+                if i in composed_inputs and o in enc1.input_ids and i1 == o:
+                    found.append((i, o1, t1, t2, (o, o1), (i, o)))
+        for (i, o, t1, t2, left, right) in sorted(found):
+            if (t1, t2) not in pairs:
+                pairs.append((t1, t2))
+                queue.append(len(pairs) - 1)
+            transitions.append((src, i, o, pairs.index((t1, t2)), left, right))
+    return pairs, transitions
 
 
 def naive_cioco_bounded(iut, spec, k, strict=False):
@@ -223,6 +270,26 @@ def agrees_with_naive_inclusion(verdict, c1: Component, c2: Component) -> bool:
         return naive_trace_inclusion(c1, c2, len(full)) == full
     k = max(verdict.stats.max_depth + 1, 6)
     return verdict.passed and naive_trace_inclusion(c1, c2, k) is None
+
+
+def naive_silent_closure(labelled: list[int], silent: list[list[int]]) -> list[int]:
+    """Each state's row ``|``-ed over every state it reaches along
+    ``silent`` edges, itself included, by a depth-first search from that
+    state alone."""
+    closed = []
+    for s in range(len(labelled)):
+        reached = {s}
+        stack = [s]
+        while stack:
+            for t in silent[stack.pop()]:
+                if t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+        row = 0
+        for t in reached:
+            row |= labelled[t]
+        closed.append(row)
+    return closed
 
 
 def naive_context_edges(build, target: str):

@@ -1,6 +1,7 @@
 """Synchronous parallel composition: rules, reports, system trees."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,10 +22,16 @@ from fsmcheck import (
     traces_up_to,
 )
 from fsmcheck.compose import compose_pair
-from fsmcheck.randgen import random_composable_pair
+from fsmcheck.randgen import random_component, random_composable_pair
 
 from demos import coffee_expr, demo
-from oracles import naive_full_product, naive_traces, row_steps, vector_traces
+from oracles import (
+    naive_full_product,
+    naive_product_closure,
+    naive_traces,
+    row_steps,
+    vector_traces,
+)
 from test_project import build_nodes, random_four_leaf_system, random_three_leaf_system
 
 
@@ -382,3 +389,71 @@ def test_pair_names_that_render_alike_are_kept_apart():
         (t,) = [t for t in component.transitions if t.input == "i"]
         assert (t.source, t.output) == (component.initial, "o") and t.target != t.source
 
+
+
+def closure_builds(rng, count: int):
+    """Seeded builds whose composed nodes exercise the product closure, in
+    turn: a pair with disjoint inputs, one with a shared input, one that
+    feeds in one direction only, and a three- and a four-leaf system. All
+    are composed with relax."""
+    shapes = ("balanced", "left-deep", "right-deep")
+    for n in range(count):
+        kind = n % 5
+        if kind < 2:
+            expr = Par(*(Leaf(name, c) for name, c in zip("LR", random_composable_pair(
+                rng, n_states=(3, 7), density=(0.6, 1.0), disjoint=kind == 0))))
+        elif kind == 2:
+            left = random_component(rng, "L", ["a0", "a1"], ["x0", "b0"], (3, 7), (0.6, 1.0))
+            right = random_component(rng, "R", ["b0", "b1"], ["y0", "y1"], (3, 7), (0.6, 1.0))
+            expr = Par(Leaf("L", left), Leaf("R", right))
+        elif kind == 3:
+            expr = random_three_leaf_system(rng)
+        else:
+            expr = random_four_leaf_system(rng, shapes[n // 5 % 3])
+        yield build_system_full(expr, relax=True)
+
+
+def composed_nodes(count: int):
+    return [node for build in closure_builds(random.Random(43), count)
+            for node in build_nodes(build) if node.parts]
+
+
+def test_product_closure_equals_the_literal_closure():
+    nodes = composed_nodes(200)
+    shared = one_way = nested = several = 0
+    for node in nodes:
+        left, right = node.parts
+        assert (node.pairs, node.raw) == naive_product_closure(
+            left.machine, right.machine, node.machine.input_ids)
+        shared += bool(left.machine.input_ids & right.machine.input_ids)
+        one_way += not node.reports[-1][1].synchronizable
+        nested += bool(left.parts or right.parts)
+        # the right side reacts in more than one way to one left output
+        fed = Counter((t[0], t[4], node.pairs[t[3]][0]) for t in node.raw
+                      if t[4] and t[5] and t[5][0] == t[4][1])
+        several += any(ways > 1 for ways in fed.values())
+    assert len(nodes) >= 300
+    assert min(shared, one_way, nested, several) >= 30, (shared, one_way, nested, several)
+
+
+def test_product_closure_numbering_is_pinned():
+    """``raw`` lists each source's transitions in the order the sources
+    were found, each source's sorted by (input, output, left target,
+    right target, left step, right step); each target not seen before
+    takes the next id."""
+    for node in composed_nodes(100):
+        pairs, raw = node.pairs, node.raw
+        left, right = node.parts
+        assert pairs[0] == (left.machine.initial, right.machine.initial)
+        assert len(set(pairs)) == len(pairs)
+        sources = [t[0] for t in raw]
+        assert sources == sorted(sources)
+        order = [(t[0], t[1], t[2], *pairs[t[3]], t[4], t[5]) for t in raw]
+        assert order == sorted(order)
+        unused = 1
+        for t in raw:
+            assert t[0] < unused  # a pair is expanded only once it is found
+            if t[3] >= unused:
+                assert t[3] == unused
+                unused += 1
+        assert unused == len(pairs)

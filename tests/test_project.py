@@ -25,13 +25,14 @@ from fsmcheck.compose import composed_alphabets, subcomponents
 from fsmcheck.conform import _exact_verdict
 from fsmcheck._core import EncodedComponent, bits, encode_pair
 from fsmcheck.machine import Step
-from fsmcheck.project import _encoded_projections, _relabel
+from fsmcheck.project import _closed_steps, _encoded_projections, _relabel
 from fsmcheck.randgen import mutate, prune, random_component, random_composable_pair
 
 from demos import coffee_expr, demo, relay_expr
 from oracles import (
     naive_component_in_context,
     naive_context_edges,
+    naive_silent_closure,
     row_steps,
     step_maps,
     vector_component_in_context,
@@ -268,8 +269,11 @@ class TestComponentInContext:
             else:
                 expr = random_four_leaf_system(rng, shapes[n // 3 % 3])
             build = build_system_full(expr, relax=True)
-            projections = _encoded_projections(build)
             relabelled = _relabel(build)
+            # relabelling reads a composed part's leaf steps, and no other
+            # node's: a two-leaf build reads none
+            assert "steps" not in vars(build)
+            projections = _encoded_projections(build)
             for target in build.leaves:
                 component_in_context(build, target)
             for node in build_nodes(build):
@@ -312,6 +316,24 @@ class TestComponentInContext:
                     if targets
                 }
                 assert (steps, quiet) == naive_context_edges(build, target)
+
+    def test_silent_closure_equals_the_state_by_state_closure(self):
+        rng = random.Random(157)
+        seen = dict.fromkeys(("self-loop", "duplicate", "cycle", "no silent edge"), 0)
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            labelled = [rng.getrandbits(12) for _ in range(n)]
+            silent = [[rng.randrange(n) for _ in range(rng.choice((0, 0, 1, 2, 3)))]
+                      for _ in range(n)]
+            assert _closed_steps(labelled, silent) == naive_silent_closure(labelled, silent)
+            seen["self-loop"] += any(s in out for s, out in enumerate(silent))
+            seen["duplicate"] += any(len(set(out)) < len(out) for out in silent)
+            seen["no silent edge"] += any(not out for out in silent)
+            # which states each one reaches: its closure over one bit per state
+            reach = naive_silent_closure([1 << s for s in range(n)], silent)
+            seen["cycle"] += any(reach[s] >> t & reach[t] >> s & 1
+                                 for s in range(n) for t in range(n) if s != t)
+        assert min(seen.values()) >= 500, seen
 
     def test_single_leaf_is_identity(self):
         c = Component.build("c", "s0", [("s0", "a", "x", "s0")])
