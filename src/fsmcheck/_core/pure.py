@@ -2,17 +2,18 @@
 
 The product closure takes each state's transitions from the machine's
 ``moves``, indexed by input once per call, so that a feeding step reads
-only the fed state's reactions to the fed label. The subset-pair search reads the packed step rows of
-``encode``: it merges the steps of a state subset by ``|``-ing its
-member states' rows, finding the members of a subset wider than three
-states a byte of the mask at a time, then reads the targets of one
-step with one shift and mask. It goes breadth first one level of pairs
-at a time and keeps each pair's parent alone: a failing search finds
-the steps of its witness again from the parents. All iteration orders
-are sorted (slot order is sorted step order), so results are
-deterministic and do not depend on the hash seed; the subset-pair
-search's do not depend on how states are numbered either. Memoization
-lives inside one call: no result is kept from one search to the next.
+only the fed state's reactions to the fed label. The subset-pair search
+reads the packed step rows of ``encode``: it merges the steps of a state
+subset by ``|``-ing its member states' rows, finding the members of a
+subset wider than three states a byte of the mask at a time, then reads
+the targets of one step with one shift and mask. It goes breadth first
+one level of pairs at a time and keeps each pair's parent alone: a
+failing search finds the steps of its witness again from the parents.
+All iteration orders are sorted (slot order is sorted step order), so
+results are deterministic and do not depend on the hash seed; the
+subset-pair search's do not depend on how states are numbered either.
+Memoization lives inside one call: no result is kept from one search to
+the next.
 """
 
 from __future__ import annotations

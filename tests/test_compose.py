@@ -390,7 +390,6 @@ def test_pair_names_that_render_alike_are_kept_apart():
         assert (t.source, t.output) == (component.initial, "o") and t.target != t.source
 
 
-
 def closure_builds(rng, count: int):
     """Seeded builds whose composed nodes exercise the product closure, in
     turn: a pair with disjoint inputs, one with a shared input, one that
@@ -414,6 +413,7 @@ def closure_builds(rng, count: int):
 
 
 def composed_nodes(count: int):
+    """The composed nodes of the first ``count`` of ``closure_builds``."""
     return [node for build in closure_builds(random.Random(43), count)
             for node in build_nodes(build) if node.parts]
 

@@ -270,8 +270,8 @@ class TestComponentInContext:
                 expr = random_four_leaf_system(rng, shapes[n // 3 % 3])
             build = build_system_full(expr, relax=True)
             relabelled = _relabel(build)
-            # relabelling reads a composed part's leaf steps, and no other
-            # node's: a two-leaf build reads none
+            # relabelling builds the steps of a composed part alone, never
+            # the root's, so a two-leaf build builds none
             assert "steps" not in vars(build)
             projections = _encoded_projections(build)
             for target in build.leaves:
