@@ -134,12 +134,9 @@ class Component:
 
     @property
     def _packed(self) -> tuple[list[str], int, list[int]]:
-        """Every integer encoding's states, initial id and rows (``_pack``).
-
-        Packed on the first read and kept in the instance ``__dict__``, as
-        ``cached_property`` would keep it, but without the lock that
-        ``cached_property`` takes on that read (Python 3.11).
-        """
+        """Every integer encoding's states, initial id and rows (``_pack``),
+        kept in ``__dict__`` from the first read on, without the lock that
+        ``cached_property`` takes on that read in Python 3.11."""
         packed = self.__dict__.get("_packed")
         if packed is None:
             packed = self.__dict__["_packed"] = _pack(self)
