@@ -21,7 +21,7 @@ import json
 
 from .compose import Leaf, Par, SystemExpr
 from .errors import ParseError
-from .machine import SEPARATOR, Component, Trace, Transition
+from .machine import SEPARATOR, Component, Trace
 
 
 def component_to_text(c: Component) -> str:
@@ -57,7 +57,7 @@ def component_from_text(text: str, path: str | None = None) -> Component:
                 )
             _, source, label, target = tokens
             left, sep, right = label.partition(SEPARATOR)
-            if not sep or not left or not right:
+            if not sep or not left or not right or SEPARATOR in right:
                 raise ParseError(
                     f"malformed label {label!r}, expected <input>|<output>", lineno, path
                 )
@@ -90,23 +90,15 @@ def _assemble(name, initial, transitions, inputs, outputs, states) -> Component:
     """Explicit declarations are authoritative; omitted ones are inferred.
 
     Keeping declared sets as-is lets validation flag transitions or
-    initial states that reference something undeclared.
+    initial states that reference something undeclared. The transitions
+    stay ``(source, input, output, target)`` tuples (``Component._of_steps``).
     """
-    trans = frozenset(Transition(*t) for t in transitions)
+    steps = frozenset(transitions)
+    sources, step_inputs, step_outputs, targets = zip(*steps) if steps else ((),) * 4
     if not states:
-        states = {initial} | {t.source for t in trans} | {t.target for t in trans}
-    if not inputs:
-        inputs = {t.input for t in trans}
-    if not outputs:
-        outputs = {t.output for t in trans}
-    return Component(
-        name=name,
-        states=frozenset(states),
-        initial=initial,
-        inputs=frozenset(inputs),
-        outputs=frozenset(outputs),
-        transitions=trans,
-    )
+        states = {initial, *sources, *targets}
+    return Component._of_steps(name, frozenset(states), initial, frozenset(inputs or step_inputs),
+                               frozenset(outputs or step_outputs), steps)
 
 
 def component_to_dict(c: Component) -> dict:

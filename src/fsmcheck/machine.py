@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import starmap
 from operator import attrgetter
 from typing import Iterable
 
@@ -80,6 +81,8 @@ class Component:
     Inputs and outputs may overlap within one component; validation only
     warns about it. State identifiers are opaque strings. The packed step
     rows the search kernels read are cached per object, next to ``arrows``.
+    A parsed component (``_of_steps``) holds plain ``(source, input,
+    output, target)`` tuples until ``transitions`` is first read.
     """
 
     name: str
@@ -121,6 +124,17 @@ class Component:
             transitions=trans,
         )
 
+    @staticmethod
+    def _of_steps(name: str, states: frozenset[str], initial: str, inputs: frozenset[str],
+                  outputs: frozenset[str], steps: frozenset[tuple[str, ...]]) -> Component:
+        """The component whose transitions are ``steps``, each
+        ``(source, input, output, target)``; its ``Transition`` set is
+        built when first read, and ``_pack`` reads ``steps`` directly."""
+        c = object.__new__(Component)
+        c.__dict__.update(name=name, states=states, initial=initial, inputs=inputs,
+                          outputs=outputs, _steps=steps)
+        return c
+
     @cached_property
     def arrows(self) -> dict[str, dict[tuple[str, str], frozenset[str]]]:
         """state -> (input, output) -> set of successor states."""
@@ -150,9 +164,30 @@ class Component:
         return sorted(self.transitions, key=_TRANSITION_ORDER)
 
 
+class _DecodedTransitions:
+    """``Component.transitions`` where ``__init__`` did not set it: the
+    ``Transition`` set of ``_of_steps``'s tuples, kept in ``__dict__`` on
+    the first read. A descriptor without ``__set__``, so the field that
+    ``__init__`` sets shadows it, and unlike ``__getattr__`` it leaves
+    every other attribute read on the interpreter's fast path. No lock,
+    as in ``_packed``: racing first reads build equal sets."""
+
+    def __get__(self, c, owner=None):
+        if c is None:
+            return self
+        transitions = c.__dict__["transitions"] = frozenset(starmap(Transition, c._steps))
+        return transitions
+
+
+# set after the class is made, so that the dataclass sees no default
+Component.transitions = _DecodedTransitions()
+
+
 def _pack(c: Component) -> tuple[list[str], int, list[int]]:
     """``c``'s sorted state names, initial id and rows over any label table
-    holding its labels. ``KeyError`` when ``c`` uses what it does not declare."""
+    holding its labels. ``KeyError`` when ``c`` uses what it does not declare.
+    A parsed component's step tuples are read as they are, so packing it
+    builds no ``Transition``."""
     state_names = sorted(c.states)
     state_ids = {s: n for n, s in enumerate(state_names)}
     n = len(state_names)
@@ -161,9 +196,14 @@ def _pack(c: Component) -> tuple[list[str], int, list[int]]:
     input_at = {x: k * len(outputs) * n for k, x in enumerate(inputs)}
     output_at = {x: k * n for k, x in enumerate(outputs)}
     rows = [0] * n
-    for t in c.transitions:
-        step = input_at[t.input] + output_at[t.output]
-        rows[state_ids[t.source]] |= 1 << (step + state_ids[t.target])
+    steps = c.__dict__.get("_steps")
+    if steps is None:
+        for t in c.transitions:
+            step = input_at[t.input] + output_at[t.output]
+            rows[state_ids[t.source]] |= 1 << (step + state_ids[t.target])
+    else:
+        for source, i, o, target in steps:
+            rows[state_ids[source]] |= 1 << (input_at[i] + output_at[o] + state_ids[target])
     return state_names, state_ids[c.initial], rows
 
 
