@@ -38,7 +38,7 @@ from .conform import Counterexample, Verdict, _check_against_projection, check_c
 from .errors import ShapeMismatchError, SignatureMismatchError
 from .machine import Component, Trace, is_input_enabled, out_after
 # component_in_context is unused here: perfbench/spans.py wraps it by this name
-from .project import _encoded_projections, component_in_context, paired_projections  # noqa: F401
+from .project import _encoded_projections, component_in_context, project_trace  # noqa: F401
 
 SOUND_PASS = "sound-pass"
 SOUND_FAIL = "sound-fail"
@@ -250,15 +250,13 @@ def localize_fault(
         name: projection.decode()
         for name, projection in zip(spec_build.leaves, _encoded_projections(spec_build))
     }
-    runs = paired_projections(iut_build, ce.full_trace())  # one replay for every leaf
+    full = ce.full_trace()
 
     located: dict[str, Counterexample | None] = {}
     for name in sorted(iut_leaves):
-        j = iut_build.leaves.index(name)
-        projected = {paired[j] for paired in runs}
         projection = projections[name]
         candidates = []
-        for tr in projected:
+        for tr in project_trace(iut_build, full, name).traces:
             found = _first_step_outside(tr, projection)
             if found is not None:
                 candidates.append(found)

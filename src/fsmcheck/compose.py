@@ -9,11 +9,10 @@ Only the reachable part of the state product is materialized. A system
 expression is built on integer ids over one label table for the whole
 expression. Every composed node keeps its children and the
 transitions of the product closure, each carrying the step each side
-takes in it. Two tables are joined from those steps down the tree on
-first read: the steps each leaf may take in each transition, which
-projection reads, and all the ways each transition decomposes into leaf
-steps, hidden intermediates included. The node's step rows are derived
-from its transitions on first read too. Names are decoded only when read.
+takes in it. From those steps, the steps each leaf may take in each
+transition are joined down the tree on first read; projection reads
+them. The node's step rows are derived from its transitions on first
+read too. Names are decoded only when read.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from functools import cached_property
 
 from . import _core
 from .errors import ComposabilityError
-from .machine import Component, Step, Transition
+from .machine import Component
 
 
 @dataclass(frozen=True)
@@ -109,15 +108,8 @@ def _pair_name(existing: set[str], left: str, right: str) -> str:
     return name
 
 
-#: One way a composed transition decomposes into leaf steps, aligned with
-#: the build's leaf order; None marks a leaf that does not move.
-Decomposition = tuple[Step | None, ...]
-
 #: A composed transition on integer ids: (source, input, output, target).
 TransitionIds = tuple[int, int, int, int]
-
-#: A Decomposition on integer ids: each moving leaf's (input, output).
-WayIds = tuple[tuple[int, int] | None, ...]
 
 #: A transition of a product closure: (source, input, output, target,
 #: left, right), source and target indexing the node's pairs, and left and
@@ -137,11 +129,10 @@ class SystemBuild:
     (each state as the pair of the parts' own state ids) and the ``raw``
     transitions of the product closure between them, each with the step
     each part takes; its machine derives its step rows and its moves
-    from ``raw``. ``ways`` maps every transition ``(source, input,
-    output, target)`` on those ids to all the ways it can be attributed
-    to leaf steps, and ``steps`` to the steps each leaf may take in it;
-    ``component`` and ``decompositions`` are the same machine and map
-    with names. All four are derived on first read.
+    from ``raw``. ``steps`` maps every transition ``(source, input,
+    output, target)`` on those ids to the steps each leaf may take in
+    it, and ``component`` is the same machine with names. Both are
+    derived on first read.
     """
 
     expr: SystemExpr
@@ -167,43 +158,22 @@ class SystemBuild:
         return self.machine.decode()  # every composed state is reachable
 
     @cached_property
-    def ways(self) -> dict[TransitionIds, frozenset[WayIds]]:
-        """Every transition mapped to all its decompositions, on ids.
-
-        There can be exponentially many in the depth of the tree: each
-        composed transition pairs every way of one part's step with
-        every way of the other's.
-        """
-        if not self.parts:  # a leaf: each step is its own single way
-            return {
-                (s, i, o, t): frozenset([((i, o),)])
-                for s, moves in enumerate(self.machine.moves()) for i, o, t in moves
-            }
-        left, right = self.parts
-        left_ways, right_ways = left.ways, right.ways
-        left_silent: WayIds = (None,) * len(left.leaves)
-        right_silent: WayIds = (None,) * len(right.leaves)
-        pairs = self.pairs
-        ways: dict[TransitionIds, set[WayIds]] = {}
-        for (src, i, o, dst, ls, rs) in self.raw:
-            (l1, r1), (l2, r2) = pairs[src], pairs[dst]
-            ways.setdefault((src, i, o, dst), set()).update(
-                wl + wr
-                for wl in (left_ways[(l1, *ls, l2)] if ls else (left_silent,))
-                for wr in (right_ways[(r1, *rs, r2)] if rs else (right_silent,))
-            )
-        return {key: frozenset(found) for key, found in ways.items()}
-
-    @cached_property
     def steps(self) -> dict[TransitionIds, list[set]]:
         """Every composed transition mapped to the steps each leaf may
         take in it.
 
         Aligned with ``leaves``: per leaf, the set of its (input, output)
-        steps over all the transition's ways, holding None when the leaf
-        may not move. Steps of different leaves are not paired up, so the
-        table stays as small as ``raw``; ``ways`` pairs them.
+        steps over all the ways the transition can be attributed to leaf
+        steps, holding None when the leaf may not move. Steps of
+        different leaves are not paired up, so the table stays as small
+        as ``raw``, where the ways can grow exponentially with the depth
+        of the tree. A leaf's own moves each hold just their step.
         """
+        if not self.parts:
+            return {
+                (s, i, o, t): [{(i, o)}]
+                for s, moves in enumerate(self.machine.moves()) for i, o, t in moves
+            }
         steps: dict[TransitionIds, list[set]] = {}
         columns = self.leaf_steps(0) + self.leaf_steps(1)
         for j, column in enumerate(columns):
@@ -234,24 +204,12 @@ class SystemBuild:
                 column.extend((t, x) for x in taken)
         return columns
 
-    @cached_property
-    def decompositions(self) -> dict[Transition, frozenset[Decomposition]]:
-        """Every transition of ``component`` mapped to its decompositions."""
-        names, labels = self.machine.state_names, self.machine.label_names
-        return {
-            Transition(names[s], labels[i], labels[o], names[t]): frozenset(
-                tuple(None if io is None else Step(labels[io[0]], labels[io[1]]) for io in way)
-                for way in ways
-            )
-            for (s, i, o, t), ways in self.ways.items()
-        }
-
     def leaf_component(self, name: str) -> Component:
         return leaf_components(self.expr)[name]
 
 
 def compose_pair(c1: Component, c2: Component, relax: bool = False) -> SystemBuild:
-    """Reachable synchronous product of two components, with decompositions.
+    """Reachable synchronous product of two components, with each side's steps.
 
     The result is the build of ``Par(Leaf("left", c1), Leaf("right",
     c2))``. Unless ``relax`` is set, requires both directions of
@@ -269,7 +227,7 @@ def synchronous_parallel(c1: Component, c2: Component, relax: bool = False) -> C
 
 
 def build_system_full(expr: SystemExpr, relax: bool = False) -> SystemBuild:
-    """Fold the composition over the expression tree, keeping decompositions.
+    """Fold the composition over the expression tree, keeping each side's steps.
 
     Leaf names must be unique. Composability errors carry the path of the
     offending node ("left", "right.left", ... relative to the root).

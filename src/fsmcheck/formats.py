@@ -21,7 +21,7 @@ import json
 
 from .compose import Leaf, Par, SystemExpr
 from .errors import ParseError
-from .machine import SEPARATOR, Component, Trace
+from .machine import COMMENT, SEPARATOR, Component, Trace, _label_problems
 
 
 def component_to_text(c: Component) -> str:
@@ -44,8 +44,8 @@ def component_from_text(text: str, path: str | None = None) -> Component:
     transitions: list[tuple[str, str, str, str]] = []
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
+        if COMMENT in line:
+            line = line.split(COMMENT, 1)[0]
         tokens = line.split()
         if not tokens:
             continue
@@ -83,22 +83,34 @@ def component_from_text(text: str, path: str | None = None) -> Component:
         raise ParseError("missing 'component' directive", None, path)
     if initial is None:
         raise ParseError("missing 'initial' directive", None, path)
-    return _assemble(name, initial, transitions, inputs, outputs, states)
+    return _assemble(name, initial, transitions, inputs, outputs, states, path)
 
 
-def _assemble(name, initial, transitions, inputs, outputs, states) -> Component:
+def _assemble(name, initial, transitions, inputs, outputs, states, path) -> Component:
     """Explicit declarations are authoritative; omitted ones are inferred.
 
     Keeping declared sets as-is lets validation flag transitions or
     initial states that reference something undeclared. The transitions
     stay ``(source, input, output, target)`` tuples (``Component._of_steps``).
+    A name, state or label that the text format cannot write back
+    (``_label_problems``; ``|`` is reserved in labels only) is a
+    ParseError, so that every component that loads can be written as
+    text that loads again.
     """
     steps = frozenset(transitions)
     sources, step_inputs, step_outputs, targets = zip(*steps) if steps else ((),) * 4
-    if not states:
-        states = {initial, *sources, *targets}
-    return Component._of_steps(name, frozenset(states), initial, frozenset(inputs or step_inputs),
-                               frozenset(outputs or step_outputs), steps)
+    states = frozenset(states or (initial, *sources, *targets))
+    inputs, outputs = frozenset(inputs or step_inputs), frozenset(outputs or step_outputs)
+    for role, words, reserved in (
+        ("component name", (name,), COMMENT),
+        ("state", states.union((initial,), sources, targets), COMMENT),
+        ("input label", inputs.union(step_inputs), SEPARATOR + COMMENT),
+        ("output label", outputs.union(step_outputs), SEPARATOR + COMMENT),
+    ):
+        problems = [p for word in words for p in _label_problems(word, role, reserved)]
+        if problems:
+            raise ParseError(min(problems), None, path)
+    return Component._of_steps(name, states, initial, inputs, outputs, steps)
 
 
 def component_to_dict(c: Component) -> dict:
@@ -152,6 +164,7 @@ def component_from_dict(data: dict, path: str | None = None) -> Component:
         strings("inputs"),
         strings("outputs"),
         strings("states"),
+        path,
     )
 
 

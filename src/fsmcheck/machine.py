@@ -18,6 +18,8 @@ from typing import Iterable
 from .errors import TraceLimitError, UnknownInputError
 
 SEPARATOR = "|"
+#: Starts a comment in the text format.
+COMMENT = "#"
 
 #: Default cardinality guard for bounded trace enumeration.
 DEFAULT_TRACE_GUARD = 1_000_000
@@ -227,14 +229,21 @@ class ValidationReport:
         return tuple(i for i in self.issues if i.severity == "warning")
 
 
-def _label_problems(label: str, role: str) -> list[str]:
+_RESERVED = {SEPARATOR: "separator", COMMENT: "comment marker"}
+
+
+def _label_problems(label: str, role: str, reserved: str = SEPARATOR + COMMENT) -> list[str]:
+    """Why the text format cannot write ``label`` back: it is empty, or
+    holds whitespace or one of the ``reserved`` characters. ``role``
+    names it in the messages ("input label", "state")."""
     problems = []
     if not label:
-        problems.append(f"{role} label is empty")
-    if any(ch.isspace() for ch in label):
-        problems.append(f"{role} label {label!r} contains whitespace")
-    if SEPARATOR in label:
-        problems.append(f"{role} label {label!r} contains the reserved separator {SEPARATOR!r}")
+        problems.append(f"{role} is empty")
+    elif label.split() != [label]:  # split() breaks exactly where isspace() holds
+        problems.append(f"{role} {label!r} contains whitespace")
+    for ch in reserved:
+        if ch in label:
+            problems.append(f"{role} {label!r} contains the reserved {_RESERVED[ch]} {ch!r}")
     return problems
 
 
@@ -287,10 +296,10 @@ def validate_component(c: Component) -> ValidationReport:
     if c.initial not in c.states:
         error(f"initial state '{c.initial}' not in states")
     for label in sorted(c.inputs):
-        for p in _label_problems(label, "input"):
+        for p in _label_problems(label, "input label"):
             error(p)
     for label in sorted(c.outputs):
-        for p in _label_problems(label, "output"):
+        for p in _label_problems(label, "output label"):
             error(p)
     for s in c.sorted_states():
         if not s:

@@ -3,9 +3,10 @@
 A composed step is attributed to the leaves that moved in it: a step one
 side performed alone contributes that step to its owner and nothing to
 the other; a synchronized step contributes the hidden half to each side.
-Projection of a trace replays it over all runs of the composed system
-and collects, per run and per attribution, the sequence of steps the
-target component performed.
+Projection of a trace onto one leaf replays it over all runs of the
+composed system, extending each run's record by each step the leaf may
+take in the transition, and collects the sequences of steps the leaf
+performed.
 
 The component-in-context is the machine whose traces are exactly the
 projections of all composed traces. Two constructions are provided: a
@@ -54,32 +55,36 @@ def _leaf_index(build: SystemBuild, target: str) -> int:
         ) from None
 
 
-def _replay(build: SystemBuild, tr: Trace, empty, extend) -> frozenset:
-    """Replay ``tr`` over every run and decomposition of the composed system.
+def _replay(build: SystemBuild, tr: Trace, j: int) -> frozenset[Trace]:
+    """The step sequences leaf ``j`` performs over every run of ``tr``.
 
-    Each run carries a record, ``empty`` at the start and ``extend(record,
-    way)`` after each step taken by way of a decomposition; returns the
-    records at the end of every run.
+    Replays ``tr`` on ids. The frontier holds each composed state reached
+    with the leaf's steps so far; a transition extends them by each step
+    the leaf may take in it, read off ``build.steps``. Each step of a
+    run is attributed independently of the others, so one leaf's column
+    of ``steps`` gives exactly its part of every joint attribution.
     """
-    index: dict[str, dict[tuple[str, str], list]] = {}
-    for t, ways in build.decompositions.items():
-        index.setdefault(t.source, {}).setdefault((t.input, t.output), []).append(
-            (t.target, ways)
-        )
-    frontier = {(build.machine.state_names[build.machine.initial], empty)}
-    for n, s in enumerate(tr):
-        key = (s.input, s.output)
+    m = build.machine
+    index: dict[tuple[int, int, int], list[tuple[int, set]]] = {}
+    for (s, i, o, t), per_leaf in build.steps.items():
+        index.setdefault((s, i, o), []).append((t, per_leaf[j]))
+    frontier = {(m.initial, ())}
+    for n, step in enumerate(tr):
+        i, o = m.label_ids.get(step.input), m.label_ids.get(step.output)
         nxt = set()
-        for (state, record) in frontier:
-            for target_state, ways in index.get(state, {}).get(key, ()):
-                for way in ways:
-                    nxt.add((target_state, extend(record, way)))
+        for state, record in frontier:
+            for target, taken in index.get((state, i, o), ()):
+                for x in taken:
+                    nxt.add((target, record if x is None else record + (x,)))
         if not nxt:
             raise NotATraceError(
-                f"step {n} ({s}) is not executable by the composed system here"
+                f"step {n} ({step}) is not executable by the composed system here"
             )
         frontier = nxt
-    return frozenset(record for (_, record) in frontier)
+    labels = m.label_names
+    return frozenset(
+        tuple(Step(labels[i], labels[o]) for i, o in record) for _, record in frontier
+    )
 
 
 def project_trace(
@@ -90,28 +95,7 @@ def project_trace(
 ) -> ProjectedTraceSet:
     """All target-component step sequences a composed trace can exercise."""
     build = _as_build(system, relax)
-    j = _leaf_index(build, target)
-
-    def extend(proj: Trace, way) -> Trace:
-        return proj + (way[j],) if way[j] else proj
-
-    return ProjectedTraceSet(target=target, traces=_replay(build, tr, (), extend))
-
-
-def paired_projections(
-    system: SystemExpr | SystemBuild, tr: Trace, relax: bool = False
-) -> frozenset[tuple[Trace, ...]]:
-    """Per-run projections onto every leaf at once, aligned with build.leaves.
-
-    Each member is one consistent attribution of the whole trace, so the
-    component traces it contains come from a single composed run.
-    """
-    build = _as_build(system, relax)
-
-    def extend(projs: tuple[Trace, ...], way) -> tuple[Trace, ...]:
-        return tuple(proj + (step,) if step else proj for proj, step in zip(projs, way))
-
-    return _replay(build, tr, ((),) * len(build.leaves), extend)
+    return ProjectedTraceSet(target=target, traces=_replay(build, tr, _leaf_index(build, target)))
 
 
 def _relabel(build: SystemBuild):
@@ -298,21 +282,21 @@ def component_in_context_tree(
     build = _as_build(system, relax)
     j = _leaf_index(build, target)
     leaf = build.leaf_component(target)
-    # relabelled from the joint decomposition table, not from the steps
-    # ``_relabel`` reads, so that the oracle shares no code with the
-    # construction it checks beyond the record of each side's step
+    # relabelled from the root's own ``steps``, which ``_relabel`` never
+    # builds (it reads the parts'), so that the oracle shares with the
+    # construction it checks only the parts' record of each leaf's steps
     n = len(build.machine.state_names)
     ids = build.machine.label_ids
     slots = slot_layout({ids[x] for x in leaf.inputs}, {ids[x] for x in leaf.outputs})
     offset, full = slot_offsets(slots, n), (1 << n) - 1
     labelled = [0] * n
     silent: list[set[int]] = [set() for _ in range(n)]
-    for (s, _, _, t), ways in build.ways.items():
-        for way in ways:
-            if way[j] is None:
+    for (s, _, _, t), per_leaf in build.steps.items():
+        for x in per_leaf[j]:
+            if x is None:
                 silent[s].add(t)
             else:
-                labelled[s] |= 1 << (offset[way[j]] + t)
+                labelled[s] |= 1 << (offset[x] + t)
     labels = build.machine.label_names
 
     initial_set = _silent_closure([build.machine.initial], silent)

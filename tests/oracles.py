@@ -4,9 +4,11 @@ Everything here recomputes semantics from first principles (explicit run
 enumeration, literal rule application on full state products, leaf-state
 vector simulation) without touching the package's search kernels or
 provenance records, so agreement is meaningful. Some check one step
-alone: ``naive_component_in_context`` starts from a build's named
-decompositions, ``naive_silent_closure`` from the relabelled rows and
-silent edges, and ``naive_subset_pair_search`` and
+alone: ``build_ways`` joins every way a build's transitions decompose
+into leaf steps from the side steps its product closure recorded, and
+``naive_component_in_context`` and ``paired_projections`` start from
+those ways by name; ``naive_silent_closure`` starts from the
+relabelled rows and silent edges, and ``naive_subset_pair_search`` and
 ``naive_product_closure`` from the integer encodings their kernels read,
 whose rows ``step_maps`` unpacks by the documented layout with no code
 from the package.
@@ -18,7 +20,7 @@ from collections import deque
 from itertools import product as iproduct
 
 from fsmcheck.compose import Leaf, SystemExpr
-from fsmcheck.machine import Component, Step, Trace
+from fsmcheck.machine import Component, Step, Trace, Transition
 
 
 def naive_runs(c: Component, tr: Trace) -> list[list[str]]:
@@ -292,17 +294,88 @@ def naive_silent_closure(labelled: list[int], silent: list[list[int]]) -> list[i
     return closed
 
 
+def build_ways(build) -> dict[tuple[int, int, int, int], frozenset[tuple]]:
+    """Every transition ``(source, input, output, target)`` of a build
+    mapped to all the ways it decomposes into leaf steps, on ids.
+
+    A way holds each leaf's (input, output) step, aligned with
+    ``build.leaves``, and None for a leaf that does not move. A leaf's
+    steps, read off its rows, are each their own single way; a composed
+    transition pairs every way of one part's step with every way of the
+    other's, through ``raw`` and ``pairs``. So there can be
+    exponentially many in the depth of the tree.
+    """
+    if not build.parts:
+        return {
+            (s, i, o, t): frozenset([((i, o),)])
+            for s, steps in enumerate(step_maps(build.machine))
+            for (i, o), mask in steps.items()
+            for t in range(len(build.machine.state_names)) if mask >> t & 1
+        }
+    left, right = build.parts
+    left_ways, right_ways = build_ways(left), build_ways(right)
+    left_still, right_still = (None,) * len(left.leaves), (None,) * len(right.leaves)
+    ways: dict[tuple[int, int, int, int], set[tuple]] = {}
+    for (src, i, o, dst, ls, rs) in build.raw:
+        (l1, r1), (l2, r2) = build.pairs[src], build.pairs[dst]
+        ways.setdefault((src, i, o, dst), set()).update(
+            wl + wr
+            for wl in (left_ways[(l1, *ls, l2)] if ls else (left_still,))
+            for wr in (right_ways[(r1, *rs, r2)] if rs else (right_still,))
+        )
+    return {key: frozenset(found) for key, found in ways.items()}
+
+
+def build_decompositions(build) -> dict[Transition, frozenset[tuple[Step | None, ...]]]:
+    """``build_ways`` with names: every transition of ``build.component``
+    mapped to the ways it decomposes into leaf steps."""
+    names, labels = build.machine.state_names, build.machine.label_names
+    return {
+        Transition(names[s], labels[i], labels[o], names[t]): frozenset(
+            tuple(None if io is None else Step(labels[io[0]], labels[io[1]]) for io in way)
+            for way in ways
+        )
+        for (s, i, o, t), ways in build_ways(build).items()
+    }
+
+
+def paired_projections(build, tr: Trace, decompositions=None) -> frozenset[tuple[Trace, ...]]:
+    """Per-run projections of ``tr`` onto every leaf at once, aligned with
+    ``build.leaves``, by replaying it over ``build_decompositions``
+    (``decompositions``, when given, is that table, computed once for
+    many traces).
+
+    Each member is one joint attribution of the whole trace, so the leaf
+    traces it holds come from a single composed run. Empty when ``tr``
+    is not a trace of the build.
+    """
+    if decompositions is None:
+        decompositions = build_decompositions(build)
+    index: dict[tuple[str, str, str], list] = {}
+    for t, ways in decompositions.items():
+        index.setdefault((t.source, t.input, t.output), []).append((t.target, ways))
+    frontier = {(build.machine.state_names[build.machine.initial], ((),) * len(build.leaves))}
+    for s in tr:
+        frontier = {
+            (target, tuple(proj + (step,) if step else proj for proj, step in zip(projs, way)))
+            for state, projs in frontier
+            for target, ways in index.get((state, s.input, s.output), ())
+            for way in ways
+        }
+    return frozenset(projs for _, projs in frontier)
+
+
 def naive_context_edges(build, target: str):
     """A build's composed transitions relabelled for one leaf, by name.
 
     Returns ``(labelled, silent)``: state -> target step -> successor
     states, and state -> successors reached while the target does not
-    move. Reads the named ``build.decompositions``.
+    move. Reads ``build_decompositions``.
     """
     j = build.leaves.index(target)
     labelled: dict[str, dict[Step, set[str]]] = {}
     silent: dict[str, set[str]] = {}
-    for t, ways in build.decompositions.items():
+    for t, ways in build_decompositions(build).items():
         for way in ways:
             if way[j] is None:
                 silent.setdefault(t.source, set()).add(t.target)

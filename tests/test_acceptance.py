@@ -22,7 +22,6 @@ from fsmcheck import (
     component_in_context_tree,
     has_trace,
     is_input_enabled,
-    paired_projections,
     trace,
     traces_up_to,
 )
@@ -39,7 +38,12 @@ from fsmcheck.randgen import (
 )
 
 from demos import coffee_expr, demo, relay_expr
-from oracles import agrees_with_naive_inclusion, reassembles
+from oracles import (
+    agrees_with_naive_inclusion,
+    build_decompositions,
+    paired_projections,
+    reassembles,
+)
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -226,8 +230,9 @@ def test_criterion_08_projection_round_trip_suite():
         except TraceLimitError:
             continue
         systems += 1
+        joint = build_decompositions(build)
         for tr in composed_traces:
-            pairs = paired_projections(build, tr)
+            pairs = paired_projections(build, tr, joint)
             if not pairs:
                 violations += 1
                 continue

@@ -12,6 +12,7 @@ import pytest
 
 from fsmcheck import (
     Component,
+    Counterexample,
     Leaf,
     Par,
     ShapeMismatchError,
@@ -39,6 +40,7 @@ from fsmcheck.randgen import (
 )
 
 from demos import coffee_expr, demo, relay_expr
+from test_compose import relay_chain
 from test_project import random_four_leaf_system, random_three_leaf_system
 
 
@@ -282,6 +284,13 @@ def with_mutated_leaves(rng, expr):
     return Par(with_mutated_leaves(rng, expr.left), with_mutated_leaves(rng, expr.right))
 
 
+def with_leaf(expr, component):
+    """``expr`` with the leaf named as ``component`` replaced by it."""
+    if isinstance(expr, Leaf):
+        return Leaf(expr.name, component) if expr.name == component.name else expr
+    return Par(with_leaf(expr.left, component), with_leaf(expr.right, component))
+
+
 def random_merging_relay(rng):
     """A pair where B reads two of A's outputs, ``m0`` and ``m1``, and an
     implementation of A that adds both to two of its specification's
@@ -349,7 +358,7 @@ class TestLocalizeFault:
         monkeypatch.undo()
         assert located == localize_by_leaf(expr_iut, expr_spec, ce)
 
-    def test_replays_the_trace_once(self, monkeypatch):
+    def test_replays_the_trace_for_each_leaf_once(self, monkeypatch):
         rng = random.Random(257)
         while True:
             expr_spec = random_three_leaf_system(rng)
@@ -361,15 +370,39 @@ class TestLocalizeFault:
                 break
         calls = []
 
-        def counted(build, *args, original=project._replay):
-            calls.append(build.leaves)
-            return original(build, *args)
+        def counted(build, tr, j, original=project._replay):
+            calls.append((build, j))
+            return original(build, tr, j)
 
         monkeypatch.setattr(project, "_replay", counted)
         located = localize_fault(expr_iut, expr_spec, ce, relax=True)
-        assert len(calls) == 1 and len(calls[0]) == 3
+        # one build of the implementation, replayed once for each of its leaves
+        assert len({id(build) for build, _ in calls}) == 1
+        assert len(calls[0][0].leaves) == 3
+        assert sorted(j for _, j in calls) == [0, 1, 2]
         monkeypatch.undo()
         assert located == localize_by_leaf(expr_iut, expr_spec, ce, relax=True)
+
+    @pytest.mark.parametrize("shape", ["left-deep", "right-deep"])
+    def test_localizes_a_fault_among_twenty_one_leaves(self, shape):
+        """A relay chain whose specification's last leaf answers only
+        ``a20``. Each composed step of the chain has ``2 ** 20`` ways to
+        attribute it to leaf steps; only the last leaf is implicated, by
+        its least step outside the specification's projection."""
+        expr_iut = relay_chain(20, shape)
+        last = Component.build("L20", "s", [("s", x, "a20", "s") for x in ("a19", "b19")],
+                               outputs=["a20", "b20"])
+        expr_spec = with_leaf(expr_iut, last)
+        ce = check_cioco_exact(
+            build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
+        ).counterexample
+        assert (ce.witness, ce.input, ce.offending_output) == ((), "i", "b20")
+        assert localize_fault(expr_iut, expr_spec, ce, relax=True) == {
+            **{f"L{k}": None for k in range(20)},
+            "L20": Counterexample(witness=(), input="a19", offending_output="b20",
+                                  iut_outputs=frozenset({"b20"}),
+                                  spec_outputs=frozenset({"a20"})),
+        }
 
     def test_fixtures_match_one_projection_per_leaf(self):
         cases = [

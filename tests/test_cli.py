@@ -86,6 +86,20 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "not UTF-8" in err and "Traceback" not in err
 
+    def test_labels_the_text_format_cannot_write_exit_two(self, tmp_path, capsys):
+        """A JSON input ``a|b`` would pass ``check`` and then be written by
+        ``compose`` as a text file that no longer parses."""
+        data = {"name": "M", "initial": "s0", "transitions": [
+            {"from": "s0", "input": "a|b", "output": "x", "to": "s0"}]}
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "out.fsm"
+        assert run("check", bad, bad)[0] == 2
+        assert run("compose", "M", bad, "-o", out)[0] == 2
+        err = capsys.readouterr().err
+        assert err.count("input label 'a|b' contains the reserved separator '|'") == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "fields",
         [

@@ -13,8 +13,9 @@ from fsmcheck import (
     build_system,
     build_system_full,
     component_in_context,
+    component_in_context_tree,
     has_trace,
-    paired_projections,
+    project_trace,
     signature_check,
     subcomponents,
     synchronous_parallel,
@@ -26,9 +27,12 @@ from fsmcheck.randgen import random_component, random_composable_pair
 
 from demos import coffee_expr, demo
 from oracles import (
+    build_decompositions,
+    build_ways,
     naive_full_product,
     naive_product_closure,
     naive_traces,
+    paired_projections,
     row_steps,
     vector_traces,
 )
@@ -221,11 +225,13 @@ def assert_leaf_steps_are_real(node):
     """Every way of every transition of a composed ``node`` is made of
     steps its leaves really take, off their own rows, reaching each
     leaf's state through ``pairs`` down the tree; a leaf that does not
-    move keeps its state. ``steps`` holds each leaf's steps of the ways."""
+    move keeps its state. ``steps`` holds each leaf's steps of the ways,
+    which the oracle ``build_ways`` joins."""
     leaves = [part for part in build_nodes(node) if not part.parts]
     assert [leaf.leaves[0] for leaf in leaves] == list(node.leaves)
-    assert node.ways.keys() == node.steps.keys() == {t[:4] for t in node.raw}
-    for key, ways in node.ways.items():
+    joint = build_ways(node)
+    assert joint.keys() == node.steps.keys() == {t[:4] for t in node.raw}
+    for key, ways in joint.items():
         before, after = _leaf_states(node, key[0]), _leaf_states(node, key[3])
         for way in ways:
             assert len(way) == len(leaves)
@@ -305,6 +311,26 @@ def test_each_rule_records_both_sides_steps(left, right, expected):
     assert_side_steps_are_real(build)
 
 
+def test_a_leaf_maps_each_move_to_its_own_step():
+    """A leaf's ``steps`` holds each of its moves with just its step, so
+    trace projection and the tree oracle read a leaf as any build."""
+    moves = [("p", "a", "x", "q"), ("q", "a", "y", "p"), ("q", "b", "x", "q")]
+    c = Component.build("C", "p", moves)
+    build = build_system_full(Leaf("C", c))
+    names, labels = build.machine.state_names, build.machine.label_names
+    assert {
+        (names[s], labels[i], labels[o], names[t]):
+            [{(labels[x], labels[y]) for x, y in taken} for taken in per_leaf]
+        for (s, i, o, t), per_leaf in build.steps.items()
+    } == {(s, i, o, t): [{(i, o)}] for s, i, o, t in moves}
+    assert build.steps == {key: [{way for (way,) in ways}] for key, ways in build_ways(build).items()}
+    assert project_trace(build, trace("a|x a|y a|x b|x"), "C").traces == {
+        trace("a|x a|y a|x b|x")
+    }
+    tree = component_in_context_tree(build, "C", 3).component
+    assert traces_up_to(tree, 3) == traces_up_to(c, 3)
+
+
 def relay_chain(depth: int, shape: str):
     """``depth + 1`` one-state leaves in a chain: ``L0`` answers ``i`` with
     ``a0`` or ``b0``, and each next leaf answers either label of the one
@@ -329,7 +355,7 @@ def relay_chain(depth: int, shape: str):
 def test_relay_chains_keep_the_record_as_small_as_the_machines(shape):
     """Each node records the step each side takes, once per pair of side
     steps, not once per way: the ways multiply with the depth, and only
-    reading ``ways`` pays for them."""
+    the oracle that joins them, ``build_ways``, pays for them."""
     depth = 12
     build = build_system_full(relay_chain(depth, shape), relax=True)
     for node in build_nodes(build):
@@ -340,8 +366,13 @@ def test_relay_chains_keep_the_record_as_small_as_the_machines(shape):
         assert {(t.input, t.output) for t in projection.transitions} == {
             (t.input, t.output) for t in own.transitions
         }
-    assert all("ways" not in vars(node) for node in build_nodes(build))
-    assert {len(ways) for ways in build.ways.values()} == {2 ** depth}
+    # each leaf takes one of at most four steps, whatever the depth
+    built = [node for node in build_nodes(build) if "steps" in vars(node)]
+    assert len(built) == depth - 1
+    for node in built:
+        assert len(node.steps) <= 8
+        assert all(len(taken) <= 4 for per_leaf in node.steps.values() for taken in per_leaf)
+    assert {len(ways) for ways in build_ways(build).values()} == {2 ** depth}
 
 
 def test_ways_keep_each_leaf_step_with_its_partners():
@@ -360,7 +391,7 @@ def test_ways_keep_each_leaf_step_with_its_partners():
         }
         runs = paired_projections(build, trace("i|z"))
         assert {frozenset(zip(build.leaves, run)) for run in runs} == expected
-        (ways,) = build.decompositions.values()
+        (ways,) = build_decompositions(build).values()
         assert len(ways) == 2
         assert_side_steps_are_real(build)
 

@@ -3,6 +3,7 @@
 import json
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,7 +141,64 @@ def test_text_round_trip_is_lossless(c):
     assert component_from_text(component_to_text(c)) == c
 
 
+def text_writable(c: Component) -> bool:
+    """Can the text format write back the name, states and labels of
+    ``c``? None may be empty or hold whitespace or '#', and no label
+    may hold '|'."""
+    def word(w: str, reserved: str) -> bool:
+        return w != "" and not any(ch.isspace() or ch in reserved for ch in w)
+
+    return (word(c.name, "#") and all(word(s, "#") for s in c.states)
+            and all(word(x, "#|") for x in c.inputs | c.outputs))
+
+
 @deterministic
 @given(components(st.text(max_size=5)))
 def test_json_round_trip_is_lossless(c):
+    """Lossless for every component the text format can write; any other
+    does not load, since it would load and then be written as text that
+    does not parse."""
+    text = component_to_json(c)
+    if text_writable(c):
+        assert component_from_json(text) == c
+    else:
+        with pytest.raises(ParseError):
+            component_from_json(text)
+
+
+@deterministic
+@given(components(st.text(max_size=5).filter(
+    lambda w: w.split() == [w] and "#" not in w and "|" not in w)))
+def test_json_round_trip_is_lossless_for_any_writable_word(c):
     assert component_from_json(component_to_json(c)) == c
+
+
+# Words a JSON component may hold, mostly ones the text format can
+# write, so that many components load.
+_json_word = st.one_of(
+    *[st.sampled_from(["s0", "s1", "a", "b", "x", "y", "s|0", "é~("])] * 6,
+    st.text(alphabet="ab|#é \t\x1c\u2028", max_size=3),
+    st.text(max_size=3),
+)
+_json_component = st.fixed_dictionaries(
+    {"name": _json_word, "initial": _json_word},
+    optional={
+        "states": st.lists(_json_word, max_size=4),
+        "inputs": st.lists(_json_word, max_size=3),
+        "outputs": st.lists(_json_word, max_size=3),
+        "transitions": st.lists(
+            st.fixed_dictionaries({key: _json_word for key in ("from", "input", "output", "to")}),
+            max_size=4,
+        ),
+    },
+)
+
+
+@settings(deterministic, max_examples=300)
+@given(_json_component)
+def test_json_components_that_load_write_text_that_loads(data):
+    try:
+        c = component_from_json(json.dumps(data))
+    except ParseError:
+        return
+    assert component_from_text(component_to_text(c)) == c

@@ -110,12 +110,52 @@ TRANS = "expected: trans <state> <input>|<output> <state>"
                  id="no initial"),
     pytest.param(HEAD + "trans s0 a|x s1\ntrans s1 a|x|y s0\n",
                  "malformed label 'a|x|y', expected <input>|<output>", 4, id="second separator"),
+    pytest.param("component M\ninputs a a|b\ninitial s0\ntrans s0 a|x s0\n",
+                 "input label 'a|b' contains the reserved separator '|'", None,
+                 id="separator in a declared input"),
+    pytest.param("component M\noutputs x|y\ninitial s0\n",
+                 "output label 'x|y' contains the reserved separator '|'", None,
+                 id="separator in a declared output"),
 ])
 def test_parse_error_messages_and_lines(text, message, line):
     with pytest.raises(ParseError) as err:
         component_from_text(text, "m.fsm")
     assert err.value.line == line
     assert str(err.value) == (f"m.fsm:{line}: {message}" if line else f"m.fsm: {message}")
+
+
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"inputs": ["a", "a|b"]},
+                 "input label 'a|b' contains the reserved separator '|'", id="separator"),
+    pytest.param({"inputs": ["a", "a b"]}, "input label 'a b' contains whitespace",
+                 id="whitespace"),
+    pytest.param({"outputs": ["x", "x#"]},
+                 "output label 'x#' contains the reserved comment marker '#'", id="comment"),
+    pytest.param({"outputs": ["x", ""]}, "output label is empty", id="empty label"),
+    pytest.param({"transitions": [{"from": "s0", "input": "a\tb", "output": "x", "to": "s0"}]},
+                 "input label 'a\\tb' contains whitespace", id="undeclared step label"),
+    pytest.param({"states": ["s0", "s 0"]}, "state 's 0' contains whitespace", id="state"),
+    pytest.param({"transitions": [{"from": "s0", "input": "a", "output": "x", "to": "s 1"}]},
+                 "state 's 1' contains whitespace", id="undeclared step state"),
+    pytest.param({"initial": "s#0"}, "state 's#0' contains the reserved comment marker '#'",
+                 id="initial state"),
+    pytest.param({"name": "M N"}, "component name 'M N' contains whitespace", id="name"),
+    pytest.param({"inputs": ["a|b", "a b"], "outputs": ["x#"]},
+                 "input label 'a b' contains whitespace", id="the least of several"),
+])
+def test_json_words_the_text_format_cannot_write_are_parse_errors(fields, message):
+    """The text format splits lines at whitespace, starts comments at
+    ``#`` and splits a step at ``|``: a JSON component holding such a
+    name, state or label does not load."""
+    data = {"name": "M", "states": ["s0"], "inputs": ["a"], "outputs": ["x"], "initial": "s0",
+            "transitions": [{"from": "s0", "input": "a", "output": "x", "to": "s0"}]}
+    with pytest.raises(ParseError) as err:
+        component_from_json(json.dumps({**data, **fields}), "m.json")
+    assert str(err.value) == f"m.json: {message}"
+    # a state may hold the separator: only labels are split at it
+    assert component_from_json(json.dumps({**data, "states": ["s0", "s|0"]})).states == {
+        "s0", "s|0"
+    }
 
 
 def test_round_trip_through_comments_crlf_and_tabs():

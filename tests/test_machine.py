@@ -121,6 +121,8 @@ class TestValidate:
              [("warning", "input alphabet is empty (only the empty trace is executable)"),
               ("warning", "output alphabet is empty"),
               ("warning", "state 's0' has no outgoing transitions")]),
+            ({"outputs": ["x", "x#"]},
+             [("error", "output label 'x#' contains the reserved comment marker '#'")]),
         ],
     )
     def test_each_issue_with_its_message_and_severity(self, declared, issues):

@@ -15,7 +15,6 @@ from fsmcheck import (
     component_in_context,
     component_in_context_tree,
     has_trace,
-    paired_projections,
     project_trace,
     sorted_traces,
     trace,
@@ -30,9 +29,11 @@ from fsmcheck.randgen import mutate, prune, random_component, random_composable_
 
 from demos import coffee_expr, demo, relay_expr
 from oracles import (
+    build_decompositions,
     naive_component_in_context,
     naive_context_edges,
     naive_silent_closure,
+    paired_projections,
     row_steps,
     step_maps,
     vector_component_in_context,
@@ -124,8 +125,9 @@ class TestProjectTrace:
             c1, c2 = random_composable_pair(rng, names=("L", "R"), n_states=(2, 3))
             expr = Par(Leaf("L", c1), Leaf("R", c2))
             build = build_system_full(expr, relax=True)
+            joint = build_decompositions(build)
             for tr in sorted_traces(traces_up_to(build.component, 4))[:60]:
-                pairs = paired_projections(build, tr)
+                pairs = paired_projections(build, tr, joint)
                 assert pairs
                 for (trl, trr) in pairs:
                     assert has_trace(c1, trl)
@@ -277,8 +279,8 @@ class TestComponentInContext:
             for target in build.leaves:
                 component_in_context(build, target)
             for node in build_nodes(build):
-                assert "ways" not in vars(node)
-                assert "decompositions" not in vars(node)
+                # a leaf's steps ride on its parent's transitions
+                assert node.parts or "steps" not in vars(node)
                 # composing a node again reads its transitions, not its rows
                 assert not node.parts or not rows_built(node.machine)
 
@@ -292,10 +294,10 @@ class TestComponentInContext:
                 for s, steps in enumerate(step_maps(build.machine))
                 for (i, o), mask in steps.items()
                 for t in bits(mask)
-            } == {(t.source, t.input, t.output, t.target) for t in build.decompositions}
+            } == {(t.source, t.input, t.output, t.target) for t in build_decompositions(build)}
 
             fresh = build_system_full(expr, relax=True)
-            assert build.decompositions == fresh.decompositions
+            assert build_decompositions(build) == build_decompositions(fresh)
             for target, projection, (leaf, labelled, silent) in zip(
                 build.leaves, projections, relabelled
             ):
