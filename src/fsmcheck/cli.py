@@ -160,11 +160,10 @@ def _load_named(paths) -> dict:
     return components
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(human)
+def _emit(args, payload, human) -> None:
+    """Print ``payload()`` as JSON with ``--json``, else ``human()``: only
+    the form printed is built."""
+    print(json.dumps(payload(), indent=2) if args.json else human())
 
 
 def _save(c: Component, out: str, dot: str | None) -> None:
@@ -239,23 +238,28 @@ def cmd_compose(args) -> int:
     expr = parse_system_expr(args.expr, components)
     build = build_system_full(expr, relax=args.relax)
     _save(build.component, args.out, args.dot)
-    payload = {
-        "component": component_to_dict(build.component),
-        "reports": [{"node": path, **rep.to_dict()} for path, rep in build.reports],
-    }
-    relaxed = [path for path, rep in build.reports if not rep.synchronizable]
-    human = [
-        f"wrote '{build.component.name}' to {args.out} "
-        f"({len(build.component.states)} states, {len(build.component.transitions)} transitions)"
-    ]
-    for path, rep in build.reports:
-        human.append(
-            f"node {path}: synchronizable={rep.synchronizable} "
-            f"alphabets_disjoint={rep.alphabets_disjoint}"
-        )
-    if relaxed:
-        human.append(f"warning: composed with relax at: {relaxed}")
-    _emit(args, payload, "\n".join(human))
+
+    def payload() -> dict:
+        return {
+            "component": component_to_dict(build.component),
+            "reports": [{"node": path, **rep.to_dict()} for path, rep in build.reports],
+        }
+
+    def human() -> str:
+        c = build.component
+        lines = [f"wrote '{c.name}' to {args.out} "
+                 f"({len(c.states)} states, {len(c.transitions)} transitions)"]
+        for path, rep in build.reports:
+            lines.append(
+                f"node {path}: synchronizable={rep.synchronizable} "
+                f"alphabets_disjoint={rep.alphabets_disjoint}"
+            )
+        relaxed = [path for path, rep in build.reports if not rep.synchronizable]
+        if relaxed:
+            lines.append(f"warning: composed with relax at: {relaxed}")
+        return "\n".join(lines)
+
+    _emit(args, payload, human)
     return EXIT_OK
 
 
@@ -307,7 +311,7 @@ def cmd_check(args) -> int:
         if args.guard is not None:
             raise ParseError("--guard requires --method bounded")
         verdict = check_cioco_exact(iut, spec, unspecified=args.unspecified)
-    _emit(args, verdict.to_dict(), _verdict_human(verdict))
+    _emit(args, verdict.to_dict, lambda: _verdict_human(verdict))
     return _verdict_exit(verdict)
 
 
@@ -317,11 +321,11 @@ def cmd_project(args) -> int:
     build = build_system_full(expr, relax=args.relax)
     ctx = component_in_context(build, args.target)
     _save(ctx.component, args.out, args.dot)
-    payload = {
-        "component": component_to_dict(ctx.component),
-        "provenance": ctx.provenance,
-    }
-    _emit(args, payload, f"wrote projection onto '{args.target}' to {args.out}")
+    _emit(
+        args,
+        lambda: {"component": component_to_dict(ctx.component), "provenance": ctx.provenance},
+        lambda: f"wrote projection onto '{args.target}' to {args.out}",
+    )
     return EXIT_OK
 
 
@@ -337,21 +341,24 @@ def cmd_compositional(args) -> int:
     else:
         report = certify_in_context(iut1, spec1, iut2, spec2, relax=args.relax)
 
-    human = [f"strategy: {report.strategy}", f"conclusion: {report.global_conclusion}"]
-    for a in report.assumptions:
-        state = "holds" if a.holds else "FAILS"
-        human.append(f"assumption {a.name}: {state}" + (f" ({a.detail})" if a.detail else ""))
-    for name, verdict in sorted(report.local_verdicts.items()):
-        human.append(f"local check '{name}': {verdict.result}")
-        if verdict.counterexample is not None:
-            ce = verdict.counterexample
-            human.append(
-                f"  witness {format_trace(ce.witness) if ce.witness else '<empty>'}"
-                f" + {ce.input}|{ce.offending_output}"
-            )
-    for note in report.notes:
-        human.append(f"note: {note}")
-    _emit(args, report.to_dict(), "\n".join(human))
+    def human() -> str:
+        lines = [f"strategy: {report.strategy}", f"conclusion: {report.global_conclusion}"]
+        for a in report.assumptions:
+            state = "holds" if a.holds else "FAILS"
+            lines.append(f"assumption {a.name}: {state}" + (f" ({a.detail})" if a.detail else ""))
+        for name, verdict in sorted(report.local_verdicts.items()):
+            lines.append(f"local check '{name}': {verdict.result}")
+            if verdict.counterexample is not None:
+                ce = verdict.counterexample
+                lines.append(
+                    f"  witness {format_trace(ce.witness) if ce.witness else '<empty>'}"
+                    f" + {ce.input}|{ce.offending_output}"
+                )
+        for note in report.notes:
+            lines.append(f"note: {note}")
+        return "\n".join(lines)
+
+    _emit(args, report.to_dict, human)
 
     if report.global_conclusion == certify_mod.SOUND_PASS:
         return EXIT_OK

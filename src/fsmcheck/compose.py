@@ -101,13 +101,6 @@ def composed_alphabets(
     return inputs, outputs
 
 
-def _pair_name(existing: set[str], left: str, right: str) -> str:
-    name = f"({left},{right})"
-    while name in existing:  # distinct pairs may render identically
-        name += "~"
-    return name
-
-
 #: A composed transition on integer ids: (source, input, output, target).
 TransitionIds = tuple[int, int, int, int]
 
@@ -319,12 +312,15 @@ def _compose(
     input_ids = frozenset(label_ids[x] for x in inputs)
     pairs, raw = _core.product_closure(enc1, enc2, input_ids)
 
-    state_names: list[str] = []
-    taken: set[str] = set()
-    for (s1, s2) in pairs:
-        sname = _pair_name(taken, enc1.state_names[s1], enc2.state_names[s2])
-        taken.add(sname)
-        state_names.append(sname)
+    n1, n2 = enc1.state_names, enc2.state_names
+    state_names = [f"({n1[s1]},{n2[s2]})" for s1, s2 in pairs]
+    if len(set(state_names)) < len(state_names):  # distinct pairs may render alike
+        taken: set[str] = set()
+        for k, name in enumerate(state_names):
+            while name in taken:
+                name += "~"
+            taken.add(name)
+            state_names[k] = name
 
     machine = _ComposedMachine(
         f"({enc1.name}*{enc2.name})",

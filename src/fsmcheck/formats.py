@@ -83,33 +83,36 @@ def component_from_text(text: str, path: str | None = None) -> Component:
         raise ParseError("missing 'component' directive", None, path)
     if initial is None:
         raise ParseError("missing 'initial' directive", None, path)
-    return _assemble(name, initial, transitions, inputs, outputs, states, path)
+    # Each token is non-empty and holds no whitespace or '#', and a step's
+    # label was split at its only '|': only a declared label can hold one.
+    _refuse_unwritable(path, ("input label", [w for w in inputs if SEPARATOR in w], SEPARATOR),
+                       ("output label", [w for w in outputs if SEPARATOR in w], SEPARATOR))
+    return _assemble(name, initial, transitions, inputs, outputs, states)
 
 
-def _assemble(name, initial, transitions, inputs, outputs, states, path) -> Component:
+def _refuse_unwritable(path, *checks) -> None:
+    """Raise the least problem (``_label_problems``) of the first
+    ``(role, words, reserved)`` check that finds one, as a ParseError
+    without a line: a word the text format cannot write back."""
+    for role, words, reserved in checks:
+        problems = [p for word in words for p in _label_problems(word, role, reserved)]
+        if problems:
+            raise ParseError(min(problems), None, path)
+
+
+def _assemble(name, initial, transitions, inputs, outputs, states) -> Component:
     """Explicit declarations are authoritative; omitted ones are inferred.
 
     Keeping declared sets as-is lets validation flag transitions or
     initial states that reference something undeclared. The transitions
     stay ``(source, input, output, target)`` tuples (``Component._of_steps``).
-    A name, state or label that the text format cannot write back
-    (``_label_problems``; ``|`` is reserved in labels only) is a
-    ParseError, so that every component that loads can be written as
-    text that loads again.
+    Each loader has already refused the words its own syntax lets
+    through and the text format cannot write back.
     """
     steps = frozenset(transitions)
     sources, step_inputs, step_outputs, targets = zip(*steps) if steps else ((),) * 4
     states = frozenset(states or (initial, *sources, *targets))
     inputs, outputs = frozenset(inputs or step_inputs), frozenset(outputs or step_outputs)
-    for role, words, reserved in (
-        ("component name", (name,), COMMENT),
-        ("state", states.union((initial,), sources, targets), COMMENT),
-        ("input label", inputs.union(step_inputs), SEPARATOR + COMMENT),
-        ("output label", outputs.union(step_outputs), SEPARATOR + COMMENT),
-    ):
-        problems = [p for word in words for p in _label_problems(word, role, reserved)]
-        if problems:
-            raise ParseError(min(problems), None, path)
     return Component._of_steps(name, states, initial, inputs, outputs, steps)
 
 
@@ -157,15 +160,18 @@ def component_from_dict(data: dict, path: str | None = None) -> Component:
     transitions = data.get("transitions", [])
     if not isinstance(transitions, list) or not all(isinstance(t, dict) for t in transitions):
         raise malformed("'transitions' must be a list of objects")
-    return _assemble(
-        string(data, "name"),
-        string(data, "initial"),
-        [tuple(string(t, key) for key in ("from", "input", "output", "to")) for t in transitions],
-        strings("inputs"),
-        strings("outputs"),
-        strings("states"),
+    name, initial = string(data, "name"), string(data, "initial")
+    steps = [tuple(string(t, key) for key in ("from", "input", "output", "to")) for t in transitions]
+    inputs, outputs, states = strings("inputs"), strings("outputs"), strings("states")
+    sources, step_inputs, step_outputs, targets = zip(*steps) if steps else ((),) * 4
+    _refuse_unwritable(  # JSON words may be any text
         path,
+        ("component name", (name,), COMMENT),
+        ("state", {initial, *states, *sources, *targets}, COMMENT),
+        ("input label", {*inputs, *step_inputs}, SEPARATOR + COMMENT),
+        ("output label", {*outputs, *step_outputs}, SEPARATOR + COMMENT),
     )
+    return _assemble(name, initial, steps, inputs, outputs, states)
 
 
 def component_to_json(c: Component) -> str:

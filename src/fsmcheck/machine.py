@@ -304,7 +304,7 @@ def validate_component(c: Component) -> ValidationReport:
     for s in c.sorted_states():
         if not s:
             error("state identifier is empty")
-        elif any(ch.isspace() for ch in s) or SEPARATOR in s:
+        elif _label_problems(s, "state", COMMENT):  # the loaders refuse it
             warn(f"state '{s}' is not representable in the text format")
 
     for t in c.sorted_transitions():

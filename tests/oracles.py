@@ -152,6 +152,26 @@ def naive_product_closure(enc1, enc2, composed_inputs):
     return pairs, transitions
 
 
+def _pair_name(existing: set[str], left: str, right: str) -> str:
+    name = f"({left},{right})"
+    while name in existing:  # distinct pairs may render identically
+        name += "~"
+    return name
+
+
+def naive_pair_names(enc1, enc2, pairs) -> list[str]:
+    """The names of a product closure's states, one pair at a time in
+    ``pairs`` order: ``(left,right)``, with ``~`` appended until it
+    differs from every earlier name."""
+    names: list[str] = []
+    taken: set[str] = set()
+    for (s1, s2) in pairs:
+        name = _pair_name(taken, enc1.state_names[s1], enc2.state_names[s2])
+        taken.add(name)
+        names.append(name)
+    return names
+
+
 def naive_cioco_bounded(iut, spec, k, strict=False):
     """Quantify the output-inclusion condition over explicitly enumerated traces.
 

@@ -30,6 +30,7 @@ from oracles import (
     build_decompositions,
     build_ways,
     naive_full_product,
+    naive_pair_names,
     naive_product_closure,
     naive_traces,
     paired_projections,
@@ -411,6 +412,11 @@ def test_pair_names_that_render_alike_are_kept_apart():
     pair = Par(Leaf("A", a), Leaf("B", b))
     for expr in (pair, Par(Leaf("C", third), pair), Par(pair, Leaf("C", third))):
         build = build_system_full(expr, relax=True)
+        for node in build_nodes(build):
+            if node.parts:
+                left, right = node.parts
+                assert node.machine.state_names == naive_pair_names(
+                    left.machine, right.machine, node.pairs)
         names = build.machine.state_names
         assert len(set(names)) == len(names) == 2
         assert sum("~" in name for name in names) == 1
@@ -419,6 +425,17 @@ def test_pair_names_that_render_alike_are_kept_apart():
         # the joint step leads from the initial state to the other one
         (t,) = [t for t in component.transitions if t.input == "i"]
         assert (t.source, t.output) == (component.initial, "o") and t.target != t.source
+
+
+def test_three_pairs_that_render_alike_take_growing_suffixes():
+    """(a, b,c,d), (a,b, c,d) and (a,b,c, d) all render as ``(a,b,c,d)``;
+    each later one takes one more ``~``."""
+    a = Component.build("A", "a", [("a", "i", "m", "a,b"), ("a,b", "i", "m", "a,b,c")])
+    b = Component.build("B", "b,c,d", [("b,c,d", "m", "o", "c,d"), ("c,d", "m", "o", "d")])
+    build = build_system_full(Par(Leaf("A", a), Leaf("B", b)), relax=True)
+    assert build.machine.state_names == ["(a,b,c,d)", "(a,b,c,d)~", "(a,b,c,d)~~"]
+    assert build.machine.state_names == naive_pair_names(
+        build.parts[0].machine, build.parts[1].machine, build.pairs)
 
 
 def closure_builds(rng, count: int):
@@ -456,6 +473,8 @@ def test_product_closure_equals_the_literal_closure():
         left, right = node.parts
         assert (node.pairs, node.raw) == naive_product_closure(
             left.machine, right.machine, node.machine.input_ids)
+        assert node.machine.state_names == naive_pair_names(
+            left.machine, right.machine, node.pairs)
         shared += bool(left.machine.input_ids & right.machine.input_ids)
         one_way += not node.reports[-1][1].synchronizable
         nested += bool(left.parts or right.parts)

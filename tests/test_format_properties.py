@@ -16,6 +16,7 @@ from fsmcheck.formats import (
     component_to_text,
     parse_system_expr,
 )
+from fsmcheck.machine import COMMENT, _label_problems
 
 # Deterministic, and no example database left behind.
 deterministic = settings(derandomize=True, database=None, deadline=None)
@@ -201,4 +202,43 @@ def test_json_components_that_load_write_text_that_loads(data):
         c = component_from_json(json.dumps(data))
     except ParseError:
         return
+    assert component_from_text(component_to_text(c)) == c
+
+
+# Words of a text file: seven in eight drawn from a few that mostly load,
+# the others mixing the separator, the comment marker, and ASCII and
+# Unicode whitespace (tab, vertical tab, file separator, NEL, no-break
+# space, line separator, ideographic space).
+_text_word = st.integers(0, 7).flatmap(lambda k: st.sampled_from(
+    ["s0", "s1", "a", "b", "x", "y", "s|0", "a|b", "é~("]) if k else st.text(
+    alphabet="ab|#é \t\x0b\x1c\x85\xa0\u2028\u3000", min_size=1, max_size=3))
+
+
+@st.composite
+def _component_text(draw):
+    lines = [f"component {draw(_text_word)}", f"initial {draw(_text_word)}"]
+    for directive in ("states", "inputs", "outputs"):
+        if draw(st.booleans()):
+            lines.append(" ".join([directive, *draw(st.lists(_text_word, max_size=3))]))
+    lines += draw(st.lists(st.builds("trans {} {}|{} {}".format, *[_text_word] * 4), max_size=4))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\u2028"]))
+    return newline.join(draw(st.permutations(lines)))
+
+
+@settings(deterministic, max_examples=300)
+@given(_component_text())
+def test_text_components_that_load_hold_only_writable_words(text):
+    """What the text loader accepts, the text format writes back: the
+    tokenizer already keeps whitespace and '#' out of every word, and the
+    loader refuses a declared label holding '|'."""
+    try:
+        c = component_from_text(text)
+    except ParseError:
+        return
+    steps = c.transitions
+    assert not _label_problems(c.name, "component name", COMMENT)
+    for s in {c.initial, *c.states, *(t.source for t in steps), *(t.target for t in steps)}:
+        assert not _label_problems(s, "state", COMMENT)
+    for label in {*c.inputs, *c.outputs, *(t.input for t in steps), *(t.output for t in steps)}:
+        assert not _label_problems(label, "label")
     assert component_from_text(component_to_text(c)) == c

@@ -110,7 +110,7 @@ class TestValidate:
              [("warning", "state 's 1' is not representable in the text format")]),
             ({"states": ["s0", "s|1"],
               "transitions": [("s0", "a", "x", "s|1"), ("s|1", "a", "x", "s0")]},
-             [("warning", "state 's|1' is not representable in the text format")]),
+             []),
             ({"transitions": [("s0", "a", "x", "s0"), ("s9", "a", "x", "s0")]},
              [("error", "transition source 's9' not in states: s9 -a|x-> s0")]),
             ({"transitions": [("s0", "a", "x", "s9")]},
@@ -123,6 +123,9 @@ class TestValidate:
               ("warning", "state 's0' has no outgoing transitions")]),
             ({"outputs": ["x", "x#"]},
              [("error", "output label 'x#' contains the reserved comment marker '#'")]),
+            ({"states": ["s0", "s#0"],
+              "transitions": [("s0", "a", "x", "s#0"), ("s#0", "a", "x", "s0")]},
+             [("warning", "state 's#0' is not representable in the text format")]),
         ],
     )
     def test_each_issue_with_its_message_and_severity(self, declared, issues):
