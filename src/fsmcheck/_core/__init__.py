@@ -7,16 +7,14 @@ subset-pair conformance search, which also decides trace inclusion
 and returns the ``CheckStats`` its verdict carries.
 """
 
-from .encode import EncodedComponent, bits, encode_pair, label_table, slot_layout, slot_offsets
+from .encode import EncodedComponent, encode_pair, label_table, slot_offsets
 from .pure import CheckStats, cioco_bfs, inclusion_bfs, product_closure
 
 __all__ = [
     "CheckStats",
     "EncodedComponent",
-    "bits",
     "encode_pair",
     "label_table",
-    "slot_layout",
     "slot_offsets",
     "product_closure",
     "cioco_bfs",

@@ -140,11 +140,3 @@ def label_table(*components: Component) -> tuple[list[str], dict[str, int]]:
 def encode_pair(c1: Component, c2: Component):
     names, ids = label_table(c1, c2)
     return EncodedComponent.of(c1, names, ids), EncodedComponent.of(c2, names, ids), names, ids
-
-
-def bits(mask: int):
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -160,42 +160,35 @@ class SystemBuild:
         steps, holding None when the leaf may not move. Steps of
         different leaves are not paired up, so the table stays as small
         as ``raw``, where the ways can grow exponentially with the depth
-        of the tree. A leaf's own moves each hold just their step.
+        of the tree. A leaf's own moves each hold just their step. A
+        composed node's are joined in one pass over ``raw``: a basic
+        part's leaf takes the part's step, a composed part's leaves the
+        steps its ``steps`` gives them, each None where the part does not
+        move.
         """
         if not self.parts:
             return {
                 (s, i, o, t): [{(i, o)}]
                 for s, moves in enumerate(self.machine.moves()) for i, o, t in moves
             }
-        steps: dict[TransitionIds, list[set]] = {}
-        columns = self.leaf_steps(0) + self.leaf_steps(1)
-        for j, column in enumerate(columns):
-            for t, step in column:
-                per_leaf = steps.get(t[:4])
-                if per_leaf is None:
-                    per_leaf = steps[t[:4]] = [set() for _ in columns]
-                per_leaf[j].add(step)
-        return steps
-
-    def leaf_steps(self, side: int) -> list[list[tuple[RawTransition, tuple[int, int] | None]]]:
-        """Per leaf of one part, aligned with its leaves, every transition
-        of ``raw`` with each step the leaf may take in it, None where it
-        does not move. A composed part's leaves' steps are read off its
-        ``steps``."""
-        part, pairs = self.parts[side], self.pairs
-        if not part.parts:
-            return [[(t, t[4 + side] or None) for t in self.raw]]
-        table = part.steps
-        columns: list[list] = [[] for _ in part.leaves]
+        pairs, steps = self.pairs, {}
         for t in self.raw:
-            step = t[4 + side]
-            if not step:
-                for column in columns:
-                    column.append((t, None))
-                continue
-            for column, taken in zip(columns, table[(pairs[t[0]][side], *step, pairs[t[3]][side])]):
-                column.extend((t, x) for x in taken)
-        return columns
+            per_leaf = steps.get(t[:4])
+            if per_leaf is None:
+                per_leaf = steps[t[:4]] = [set() for _ in self.leaves]
+            j = 0
+            for side, part in enumerate(self.parts):
+                step = t[4 + side]
+                if not part.parts:
+                    taken = [{step or None}]
+                elif step:
+                    taken = part.steps[(pairs[t[0]][side], *step, pairs[t[3]][side])]
+                else:
+                    taken = [{None}] * len(part.leaves)
+                for column, x in zip(per_leaf[j:], taken):
+                    column |= x
+                j += len(taken)
+        return steps
 
     def leaf_component(self, name: str) -> Component:
         return leaf_components(self.expr)[name]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._core import EncodedComponent, bits, slot_layout, slot_offsets
+from ._core import EncodedComponent, slot_offsets
 from .compose import Leaf, SystemBuild, SystemExpr, build_system_full
 from .errors import NotATraceError, TraceLimitError, UnknownTargetError
 from .machine import Component, Step, Trace, DEFAULT_TRACE_GUARD
@@ -251,18 +251,6 @@ def _encoded_projections(build: SystemBuild) -> list[EncodedComponent]:
     return projections
 
 
-def _silent_closure(states, silent: list[set[int]]) -> frozenset[int]:
-    seen = set(states)
-    stack = list(seen)
-    while stack:
-        s = stack.pop()
-        for t in silent[s]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return frozenset(seen)
-
-
 def component_in_context_tree(
     system: SystemExpr | SystemBuild,
     target: str,
@@ -282,40 +270,40 @@ def component_in_context_tree(
     build = _as_build(system, relax)
     j = _leaf_index(build, target)
     leaf = build.leaf_component(target)
-    # relabelled from the root's own ``steps``, which ``_relabel`` never
-    # builds (it reads the parts'), so that the oracle shares with the
-    # construction it checks only the parts' record of each leaf's steps
-    n = len(build.machine.state_names)
-    ids = build.machine.label_ids
-    slots = slot_layout({ids[x] for x in leaf.inputs}, {ids[x] for x in leaf.outputs})
-    offset, full = slot_offsets(slots, n), (1 << n) - 1
-    labelled = [0] * n
-    silent: list[set[int]] = [set() for _ in range(n)]
+    # the root's own ``steps``, which ``_relabel`` never builds (it reads
+    # the parts'), as each state's moves (step or None, target): the
+    # oracle shares with the construction it checks only the parts'
+    # record of each leaf's steps, and no row code
+    m = build.machine
+    moves: list[list[tuple[tuple[int, int] | None, int]]] = [[] for _ in m.state_names]
     for (s, _, _, t), per_leaf in build.steps.items():
-        for x in per_leaf[j]:
-            if x is None:
-                silent[s].add(t)
-            else:
-                labelled[s] |= 1 << (offset[x] + t)
-    labels = build.machine.label_names
+        moves[s].extend((x, t) for x in per_leaf[j])
 
-    initial_set = _silent_closure([build.machine.initial], silent)
-    histories: dict[Trace, frozenset[int]] = {(): initial_set}
+    def closure(states) -> frozenset[int]:
+        seen, stack = set(states), list(states)
+        while stack:
+            for x, t in moves[stack.pop()]:
+                if x is None and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
+
+    labels = m.label_names
+    histories: dict[Trace, frozenset[int]] = {(): closure([m.initial])}
     names: dict[Trace, str] = {(): "h0"}
     transitions: list[tuple[str, str, str, str]] = []
     level: list[Trace] = [()]
     for _ in range(k):
         nxt: list[Trace] = []
         for h in level:
-            row = 0
+            after: dict[tuple[int, int], set[int]] = {}
             for s in histories[h]:
-                row |= labelled[s]
-            for at, (i, o) in enumerate(slots):  # label ids sort as their names
-                targets = row >> at * n & full
-                if not targets:
-                    continue
+                for x, t in moves[s]:
+                    if x is not None:
+                        after.setdefault(x, set()).add(t)
+            for i, o in sorted(after):  # label ids sort as their names
                 extended = h + (Step(labels[i], labels[o]),)
-                histories[extended] = _silent_closure(bits(targets), silent)
+                histories[extended] = closure(after[i, o])
                 if len(histories) > guard:
                     raise TraceLimitError(guard, f"context tree for '{target}' up to depth {k}")
                 names[extended] = f"h{len(names)}"
@@ -326,7 +314,7 @@ def component_in_context_tree(
             break
 
     component = Component.build(
-        name=f"{build.machine.name}.tree.{target}",
+        name=f"{m.name}.tree.{target}",
         initial="h0",
         transitions=transitions,
         inputs=leaf.inputs,

@@ -220,6 +220,14 @@ def step_maps(enc) -> list[dict[tuple[int, int], int]]:
     return [row_steps(row, n, enc.input_ids, enc.output_ids) for row in enc.rows]
 
 
+def bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def naive_subset_pair_search(enc_iut, enc_spec, strict: bool):
     """The subset-pair search with the union of step maps rebuilt per pair.
 

@@ -881,6 +881,52 @@ def test_exit_codes_of_the_commands_that_compose(machines, expr, quadruple, unwr
                     assert conclusion.endswith("sound-fail"), call
 
 
+#: What each of ``_MALFORMED_EXPRS`` is refused for, in its order.
+_MALFORMED_REASONS = (
+    "unexpected end of expression",
+    "expected 'par' after '('",
+    "expected ')'",
+    "unexpected ')'",
+    "unknown component 'Z'",
+    "expression nested too deeply",
+    "trailing tokens after expression: C",
+)
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["compose", "project"])
+@pytest.mark.parametrize(
+    "expr, names, reason",
+    [(expr, "AB", why) for expr, why in zip(_MALFORMED_EXPRS, _MALFORMED_REASONS, strict=True)]
+    + [("(par A B)", "AAB", "component name 'A' already bound")],
+    ids=[f"expr{k}" for k in range(len(_MALFORMED_EXPRS))] + ["name-bound-twice"],
+)
+def test_every_expression_and_binding_error_exits_2_and_writes_nothing(
+    tmp_path, capsys, expr, names, reason, command, flags
+):
+    """Each error branch of ``parse_system_expr`` and ``cli._load_named``,
+    reached deterministically: exit 2, one ``error:`` line naming the
+    reason, nothing on stdout and no file written."""
+    machines = {
+        "A": Component.build("A", "a0", [("a0", "a", "m", "a0")], inputs={"a"}, outputs={"m"}),
+        "B": Component.build("B", "b0", [("b0", "m", "a", "b0")], inputs={"m"}, outputs={"a"}),
+    }
+    paths = []
+    for k, name in enumerate(names):
+        paths.append(tmp_path / f"{k}.fsm")
+        save_component(machines[name], str(paths[-1]))
+    argv = [command, expr, *paths, "-o", tmp_path / "out.fsm", "--dot", tmp_path / "g.dot"]
+    if command == "project":
+        argv += ["--target", "A"]
+    inputs = sorted(os.listdir(tmp_path))
+    assert run(*argv, *flags) == (2, "")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+    assert sorted(os.listdir(tmp_path)) == inputs
+
+
 #: Files that load but cannot be checked (``INVALID_COMPONENTS``), that
 #: no loader accepts, or whose alphabets are empty, by file name.
 _ODD_FILES = {

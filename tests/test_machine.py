@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from fsmcheck import (
     is_input_enabled,
     out_after,
     states_after,
+    step,
     trace,
     traces_up_to,
     validate_component,
@@ -179,6 +181,8 @@ class TestHasTrace:
 class TestTracesUpTo:
     def test_depth_zero(self):
         assert traces_up_to(chain(), 0) == {()}
+        with pytest.raises(ValueError, match="depth bound must be non-negative"):
+            traces_up_to(chain(), -1)
 
     def test_single_loop(self):
         assert traces_up_to(single_loop(), 2) == {(), trace("a|x"), trace("a|x a|x")}
@@ -262,6 +266,8 @@ class TestComplete:
         c = single_loop()
         assert complete(c, "loop") == c
         assert complete(c, "sink") == c
+        with pytest.raises(ValueError, match="unknown completion policy 'bogus'"):
+            complete(c, "bogus")
 
     def test_loop_policy_fills_missing_pairs(self):
         c = Component.build("c", "s0", [("s0", "a", "x", "s1")], inputs=["a", "b"])
@@ -344,6 +350,13 @@ class TestValueTypes:
                 setattr(value, field.name, "z")
         with pytest.raises((AttributeError, TypeError)):
             value.extra = "z"
+
+    def test_step_parses_its_own_text_and_nothing_malformed(self):
+        assert step(str(Step("a", "x"))) == Step("a", "x")
+        for text in ("ax", "|x", "a|", ""):
+            message = f"malformed step '{text}', expected 'input|output'"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                step(text)
 
     def test_replace_keeps_the_other_fields(self):
         assert dataclasses.replace(Step("a", "x"), output="y") == Step("a", "y")

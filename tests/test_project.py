@@ -22,13 +22,14 @@ from fsmcheck import (
 )
 from fsmcheck.compose import composed_alphabets, subcomponents
 from fsmcheck.conform import _exact_verdict
-from fsmcheck._core import EncodedComponent, bits, encode_pair
+from fsmcheck._core import EncodedComponent, encode_pair
 from fsmcheck.machine import Step
 from fsmcheck.project import _closed_steps, _encoded_projections, _relabel
 from fsmcheck.randgen import mutate, prune, random_component, random_composable_pair
 
 from demos import coffee_expr, demo, relay_expr
 from oracles import (
+    bits,
     build_decompositions,
     naive_component_in_context,
     naive_context_edges,
@@ -465,12 +466,21 @@ def test_projection_traces_all_realized_by_some_composed_trace():
             assert proj_traces == realized
 
 
+def numbered_breadth_first(tree) -> bool:
+    """Are a trace tree's histories ``h1``, ``h2``, ... numbered level by
+    level, each history's extensions in sorted step order?"""
+    order = sorted(tree.transitions, key=lambda t: (int(t.source[1:]), t.input, t.output))
+    return [t.target for t in order] == [f"h{n}" for n in range(1, len(tree.states))]
+
+
 class TestTreeConstruction:
     def test_depth_zero_is_a_single_silent_state(self):
         expr = feeding_expr()
         tree = component_in_context_tree(expr, "C1", 0).component
         assert len(tree.states) == 1
         assert not tree.transitions
+        with pytest.raises(ValueError, match="depth bound must be non-negative"):
+            component_in_context_tree(expr, "C1", -1)
 
     def test_provenance_string(self):
         expr = feeding_expr()
@@ -505,6 +515,7 @@ class TestTreeConstruction:
                 finite = component_in_context(build, target).component
                 tree = component_in_context_tree(build, target, 4).component
                 assert traces_up_to(finite, 4) == traces_up_to(tree, 4), target
+                assert numbered_breadth_first(tree), target
 
     def test_tree_equals_finite_construction_on_random_systems(self):
         rng = random.Random(127)
@@ -516,3 +527,4 @@ class TestTreeConstruction:
                 k = 4
                 tree = component_in_context_tree(build, target, k).component
                 assert traces_up_to(finite, k) == traces_up_to(tree, k)
+                assert numbered_breadth_first(tree)
