@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import _core, project
 from .compose import (
     Leaf,
     Par,
@@ -35,10 +36,11 @@ from .compose import (
     signature_check,
 )
 from .conform import Counterexample, Verdict, _check_against_projection, check_cioco_exact
+from .conform import _decode_counterexample
 from .errors import ShapeMismatchError, SignatureMismatchError
-from .machine import Component, Trace, is_input_enabled, out_after
+from .machine import Component, is_input_enabled
 # component_in_context is unused here: perfbench/spans.py wraps it by this name
-from .project import _encoded_projections, component_in_context, project_trace  # noqa: F401
+from .project import _encoded_projections, component_in_context  # noqa: F401
 
 SOUND_PASS = "sound-pass"
 SOUND_FAIL = "sound-fail"
@@ -223,10 +225,13 @@ def localize_fault(
     """Map a global counterexample back onto the basic components.
 
     Projects the violating trace onto every implementation leaf and
-    replays each projection against the in-context projection of the
-    specification, with unspecified inputs forbidden. The result maps
-    every leaf to a local counterexample or None; a pass verdict (no
-    counterexample) yields an empty map.
+    checks each projection against the in-context projection of the
+    specification, with unspecified inputs forbidden, all on ids: each
+    projected trace is a one-run machine for the strict subset-pair
+    search, whose violation is the trace's first step outside the
+    projection. The result maps every leaf to its least violation
+    (shortest witness first), the only one decoded, or None; a pass
+    verdict (no counterexample) yields an empty map.
 
     Raises ``ShapeMismatchError`` when the two expressions have different
     leaf names, and ``SignatureMismatchError`` when an implementation
@@ -246,44 +251,29 @@ def localize_fault(
 
     iut_build = build_system_full(expr_iut, relax=relax)
     spec_build = build_system_full(expr_spec, relax=relax)
-    projections = {  # one pass projects the specification onto every leaf
-        name: projection.decode()
-        for name, projection in zip(spec_build.leaves, _encoded_projections(spec_build))
-    }
+    # one pass projects the specification onto every leaf; both builds
+    # share one label table, since their leaves share signatures
+    projections = dict(zip(spec_build.leaves, _encoded_projections(spec_build)))
     full = ce.full_trace()
 
     located: dict[str, Counterexample | None] = {}
     for name in sorted(iut_leaves):
         projection = projections[name]
-        candidates = []
-        for tr in project_trace(iut_build, full, name).traces:
-            found = _first_step_outside(tr, projection)
-            if found is not None:
-                candidates.append(found)
-        located[name] = min(candidates, key=_ce_order) if candidates else None
+        found = [_core.cioco_bfs(_one_run(record, projection), projection, strict=True)[0]
+                 for record in project._replay(iut_build, full, iut_build.leaves.index(name))]
+        # label ids sort as their names, so this is the least by name
+        least = min(filter(None, found), key=lambda v: (len(v[0]), *v[:3]), default=None)
+        located[name] = least and _decode_counterexample(least, projection.label_names)
     return located
 
 
-def _first_step_outside(tr: Trace, projection: Component) -> Counterexample | None:
-    """Earliest step of ``tr`` that leaves the projection's behaviour.
-
-    The scanned prefix stays a trace of the projection until the first
-    disallowed step, so the returned witness satisfies the
-    counterexample invariants. Every input of ``tr`` is one of the
-    projection's, since the two leaves share a signature.
-    """
-    for n, s in enumerate(tr):
-        allowed = out_after(projection, tr[:n], s.input)
-        if s.output not in allowed:
-            return Counterexample(
-                witness=tr[:n],
-                input=s.input,
-                offending_output=s.output,
-                iut_outputs=frozenset([s.output]),
-                spec_outputs=allowed,
-            )
-    return None
-
-
-def _ce_order(ce: Counterexample):
-    return (len(ce.witness), ce.witness, ce.input, ce.offending_output)
+def _one_run(record: tuple[tuple[int, int], ...], projection: _core.EncodedComponent):
+    """The machine whose one run performs ``record``, on the projection's
+    slots: state ``k`` takes step ``record[k]`` to state ``k + 1``. Its
+    states are numbers, not names: it is searched, never decoded."""
+    n = len(record) + 1
+    offset = _core.slot_offsets(projection.slots, n)
+    rows = [1 << (offset[step] + k + 1) for k, step in enumerate(record)] + [0]
+    return _core.EncodedComponent("run", range(n), 0, projection.label_names,
+                                  projection.label_ids, projection.input_ids,
+                                  projection.output_ids, rows)

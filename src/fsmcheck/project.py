@@ -6,7 +6,8 @@ the other; a synchronized step contributes the hidden half to each side.
 Projection of a trace onto one leaf replays it over all runs of the
 composed system, extending each run's record by each step the leaf may
 take in the transition, and collects the sequences of steps the leaf
-performed.
+performed, on the build's integer ids: ``project_trace`` decodes them,
+fault localization checks them as they are.
 
 The component-in-context is the machine whose traces are exactly the
 projections of all composed traces. Two constructions are provided: a
@@ -55,14 +56,14 @@ def _leaf_index(build: SystemBuild, target: str) -> int:
         ) from None
 
 
-def _replay(build: SystemBuild, tr: Trace, j: int) -> frozenset[Trace]:
-    """The step sequences leaf ``j`` performs over every run of ``tr``.
+def _replay(build: SystemBuild, tr: Trace, j: int) -> frozenset[tuple[tuple[int, int], ...]]:
+    """The (input, output) id steps leaf ``j`` performs over every run of ``tr``.
 
-    Replays ``tr`` on ids. The frontier holds each composed state reached
-    with the leaf's steps so far; a transition extends them by each step
-    the leaf may take in it, read off ``build.steps``. Each step of a
-    run is attributed independently of the others, so one leaf's column
-    of ``steps`` gives exactly its part of every joint attribution.
+    The frontier holds each composed state reached with the leaf's steps
+    so far; a transition extends them by each step the leaf may take in
+    it, read off ``build.steps``. Each step of a run is attributed
+    independently of the others, so one leaf's column of ``steps`` gives
+    exactly its part of every joint attribution.
     """
     m = build.machine
     index: dict[tuple[int, int, int], list[tuple[int, set]]] = {}
@@ -81,10 +82,7 @@ def _replay(build: SystemBuild, tr: Trace, j: int) -> frozenset[Trace]:
                 f"step {n} ({step}) is not executable by the composed system here"
             )
         frontier = nxt
-    labels = m.label_names
-    return frozenset(
-        tuple(Step(labels[i], labels[o]) for i, o in record) for _, record in frontier
-    )
+    return frozenset(record for _, record in frontier)
 
 
 def project_trace(
@@ -95,7 +93,10 @@ def project_trace(
 ) -> ProjectedTraceSet:
     """All target-component step sequences a composed trace can exercise."""
     build = _as_build(system, relax)
-    return ProjectedTraceSet(target=target, traces=_replay(build, tr, _leaf_index(build, target)))
+    labels = build.machine.label_names
+    records = _replay(build, tr, _leaf_index(build, target))
+    traces = frozenset(tuple(Step(labels[i], labels[o]) for i, o in r) for r in records)
+    return ProjectedTraceSet(target=target, traces=traces)
 
 
 def _relabel(build: SystemBuild):

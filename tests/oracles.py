@@ -11,7 +11,8 @@ those ways by name; ``naive_silent_closure`` starts from the
 relabelled rows and silent edges, and ``naive_subset_pair_search`` and
 ``naive_product_closure`` from the integer encodings their kernels read,
 whose rows ``step_maps`` unpacks by the documented layout with no code
-from the package.
+from the package. Nothing here imports a private name of the package
+(``test_public_api.py`` pins it).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections import deque
 from itertools import product as iproduct
 
 from fsmcheck.compose import Leaf, SystemExpr
+from fsmcheck.conform import Counterexample
 from fsmcheck.machine import Component, Step, Trace, Transition
 
 
@@ -66,6 +68,32 @@ def naive_out_after(c: Component, tr: Trace, i: str) -> frozenset[str]:
         if naive_has_trace(c, tr + (Step(i, o),)):
             outs.add(o)
     return frozenset(outs)
+
+
+def naive_first_step_outside(tr: Trace, c: Component) -> Counterexample | None:
+    """The first step of ``tr`` outside ``c``'s behaviour, as the
+    counterexample of ``tr`` against ``c`` with unspecified inputs
+    forbidden, or None when ``c`` has the whole trace.
+
+    Each prefix is tried with ``naive_out_after``; the prefix before the
+    first disallowed step is a trace of ``c``, so it is the witness.
+    """
+    for n, s in enumerate(tr):
+        allowed = naive_out_after(c, tr[:n], s.input)
+        if s.output not in allowed:
+            return Counterexample(
+                witness=tr[:n],
+                input=s.input,
+                offending_output=s.output,
+                iut_outputs=frozenset([s.output]),
+                spec_outputs=allowed,
+            )
+    return None
+
+
+def counterexample_order(ce: Counterexample):
+    """Shortest witness first, then by witness, input and offending output."""
+    return (len(ce.witness), ce.witness, ce.input, ce.offending_output)
 
 
 def naive_full_product(c1: Component, c2: Component) -> Component:

@@ -17,6 +17,7 @@ from fsmcheck import (
     Par,
     ShapeMismatchError,
     SignatureMismatchError,
+    Step,
     build_system,
     build_system_full,
     check_cioco_exact,
@@ -40,6 +41,7 @@ from fsmcheck.randgen import (
 )
 
 from demos import coffee_expr, demo, relay_expr
+from oracles import counterexample_order, naive_first_step_outside
 from test_compose import relay_chain
 from test_project import random_four_leaf_system, random_three_leaf_system
 
@@ -255,7 +257,7 @@ def local_candidates(expr_iut, expr_spec, ce, relax=False):
         projection = component_in_context(spec_build, name).component
         found[name] = {
             v for v in (
-                certify._first_step_outside(tr, projection)
+                naive_first_step_outside(tr, projection)
                 for tr in project_trace(iut_build, full, name).traces
             ) if v is not None
         }
@@ -265,7 +267,7 @@ def local_candidates(expr_iut, expr_spec, ce, relax=False):
 def least_candidates(candidates):
     """Per leaf, the least of its candidates, or None."""
     return {
-        name: min(found, key=certify._ce_order) if found else None
+        name: min(found, key=counterexample_order) if found else None
         for name, found in candidates.items()
     }
 
@@ -274,6 +276,16 @@ def localize_by_leaf(expr_iut, expr_spec, ce, relax=False):
     """``localize_fault`` projecting the specification once per leaf, with
     ``component_in_context``: the maps one projection pass must give."""
     return least_candidates(local_candidates(expr_iut, expr_spec, ce, relax))
+
+
+def counting_chain(length, last):
+    """A answers ``a|m`` ``length`` times and then ``a|{last}``; B relays
+    each ``m`` as ``y``. The pair composes only under ``relax``."""
+    steps = [(f"s{k}", "a", "m", f"s{k + 1}") for k in range(length)]
+    steps.append((f"s{length}", "a", last, f"s{length + 1}"))
+    a = Component.build("A", "s0", steps, inputs=["a"], outputs=["m", "x", "z"])
+    b = Component.build("B", "b", [("b", "m", "y", "b")], outputs=["y"])
+    return Par(Leaf("A", a), Leaf("B", b))
 
 
 def with_mutated_leaves(rng, expr):
@@ -403,6 +415,47 @@ class TestLocalizeFault:
                                   iut_outputs=frozenset({"b20"}),
                                   spec_outputs=frozenset({"a20"})),
         }
+
+    @pytest.mark.parametrize("length", [50, 200])
+    def test_counting_chain_fails_after_a_witness_of_its_length(self, length):
+        """Leaf A answers ``a|m`` ``length`` times and then ``a|x``, which
+        its implementation answers with ``a|z``; B relays each ``m``.
+        Only A is implicated, after a witness of ``length`` steps."""
+        expr_iut, expr_spec = counting_chain(length, "z"), counting_chain(length, "x")
+        ce = check_cioco_exact(
+            build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
+        ).counterexample
+        located = localize_fault(expr_iut, expr_spec, ce, relax=True)
+        assert located == localize_by_leaf(expr_iut, expr_spec, ce, relax=True)
+        assert len(located["A"].witness) == length
+        assert (located["A"].offending_output, located["A"].spec_outputs) == ("z", {"x"})
+        assert located["B"] is None
+
+    def test_the_least_candidate_is_a_shortest_one(self):
+        """B answers ``m0`` and ``m1`` alike, so the composed trace
+        ``i|y i|y i|y`` projects onto A as ``i|m0 i|m0 i|m1`` and as
+        ``i|m1 i|m0 i|m0``. The first leaves A's specification after two
+        steps, the second after one: the second is A's counterexample,
+        though the first's witness ``i|m0 i|m0`` sorts before ``i|m1``."""
+        spec_steps = [("a0", "i", "m0", "a1"), ("a1", "i", "m0", "a2"), ("a2", "i", "m2", "a2"),
+                      ("a0", "i", "m1", "a3"), ("a3", "i", "m1", "a4")]
+        iut_steps = spec_steps + [("a2", "i", "m1", "a5"), ("a3", "i", "m0", "a6"),
+                                  ("a6", "i", "m0", "a7")]
+        sig = {"inputs": ["i"], "outputs": ["m0", "m1", "m2"]}
+        b = Component.build("B", "b", [("b", "m0", "y", "b"), ("b", "m1", "y", "b"),
+                                       ("b", "m2", "z", "b")], outputs=["y", "z"])
+        expr_iut, expr_spec = (Par(Leaf("A", Component.build("A", "a0", steps, **sig)),
+                                   Leaf("B", b)) for steps in (iut_steps, spec_steps))
+        ce = check_cioco_exact(
+            build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
+        ).counterexample
+        assert format_trace(ce.full_trace()) == "i|y i|y i|y"
+        located = localize_fault(expr_iut, expr_spec, ce, relax=True)
+        assert located == localize_by_leaf(expr_iut, expr_spec, ce, relax=True)
+        assert located["A"] == Counterexample(
+            witness=(Step("i", "m1"),), input="i", offending_output="m0",
+            iut_outputs=frozenset({"m0"}), spec_outputs=frozenset({"m1"}),
+        )
 
     def test_fixtures_match_one_projection_per_leaf(self):
         cases = [

@@ -174,30 +174,55 @@ def test_json_round_trip_is_lossless_for_any_writable_word(c):
     assert component_from_json(component_to_json(c)) == c
 
 
-# Words a JSON component may hold: six in eight drawn from a few the
-# text format can write, so that many components load. (``one_of``
-# keeps a repeated strategy once, so it cannot weight them.)
-_json_word = st.integers(0, 7).flatmap(lambda k: (
-    st.sampled_from(["s0", "s1", "a", "b", "x", "y", "s|0", "é~("]) if k < 6
-    else st.text(alphabet="ab|#é \t\x1c\u2028", max_size=3) if k == 6
-    else st.text(max_size=3)
-))
-_json_component = st.fixed_dictionaries(
-    {"name": _json_word, "initial": _json_word},
-    optional={
-        "states": st.lists(_json_word, max_size=4),
-        "inputs": st.lists(_json_word, max_size=3),
-        "outputs": st.lists(_json_word, max_size=3),
-        "transitions": st.lists(
-            st.fixed_dictionaries({key: _json_word for key in ("from", "input", "output", "to")}),
-            max_size=4,
-        ),
-    },
+# Words a JSON component may hold: most are ones the text format can
+# write in any role; an odd one may be a state the format writes but a
+# label it refuses, or any short text, mostly of its separator, comment
+# marker and whitespace.
+_writable_word = st.sampled_from(["s0", "s1", "a", "b", "x", "y", "é~("])
+_odd_word = st.one_of(
+    st.sampled_from(["s|0", "a|b", "", "#"]),
+    st.text(alphabet="ab|#é \t\x1c\u2028", max_size=3),
+    st.text(max_size=3),
 )
 
 
+@st.composite
+def _json_component(draw):
+    """A component object of writable words. One in three holds one odd
+    word, in a field drawn at random: a component with several would be
+    refused for its first, and few would load."""
+    data = draw(st.fixed_dictionaries(
+        {
+            "name": _writable_word,
+            "initial": _writable_word,
+            # as good as omitted when empty: the loader reads a missing list as []
+            "transitions": st.lists(
+                st.fixed_dictionaries(
+                    {key: _writable_word for key in ("from", "input", "output", "to")}
+                ),
+                max_size=4,
+            ),
+        },
+        optional={
+            "states": st.lists(_writable_word, max_size=4),
+            "inputs": st.lists(_writable_word, max_size=3),
+            "outputs": st.lists(_writable_word, max_size=3),
+        },
+    ))
+    if draw(st.integers(0, 2)) == 0:
+        # each place a word sits: the object holding it and its key or index
+        places = [(data, "name"), (data, "initial")]
+        for key in ("states", "inputs", "outputs"):
+            places += [(data[key], k) for k in range(len(data.get(key, ())))]
+        for t in data["transitions"]:
+            places += [(t, key) for key in sorted(t)]
+        holder, key = draw(st.sampled_from(places))
+        holder[key] = draw(_odd_word)
+    return data
+
+
 @settings(deterministic, max_examples=300)
-@given(_json_component)
+@given(_json_component())
 def test_json_components_that_load_write_text_that_loads(data):
     try:
         c = component_from_json(json.dumps(data))
