@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 from . import _core, project
 from .compose import (
+    CompositionReport,
     Leaf,
     Par,
     SystemExpr,
@@ -90,8 +91,7 @@ def _require_pair_signature(iut: Component, spec: Component, which: str) -> None
         )
 
 
-def _disjointness(spec1: Component, spec2: Component) -> list[Assumption]:
-    report = signature_check(spec1, spec2)
+def _disjointness(report: CompositionReport) -> list[Assumption]:
     return [
         Assumption(
             "inputs-disjoint",
@@ -131,7 +131,7 @@ def certify_by_parts(
     _require_pair_signature(iut2, spec2, "second pair")
     n1, n2 = _distinct_names(spec1, spec2)
 
-    assumptions = _disjointness(spec1, spec2)
+    assumptions = _disjointness(signature_check(spec1, spec2))
     for n, spec in ((1, spec1), (2, spec2)):
         enabled = is_input_enabled(spec)
         assumptions.append(
@@ -178,10 +178,10 @@ def certify_in_context(
     _require_pair_signature(iut2, spec2, "second pair")
     n1, n2 = _distinct_names(spec1, spec2)
 
-    assumptions = _disjointness(spec1, spec2)
     build = build_system_full(Par(Leaf(n1, spec1), Leaf(n2, spec2)), relax=relax)
-    notes = []
     root_report = build.reports[-1][1]
+    assumptions = _disjointness(root_report)
+    notes = []
     if not root_report.synchronizable:
         notes.append("pair cannot synchronize in both directions; composed with relax")
 

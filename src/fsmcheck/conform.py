@@ -312,7 +312,7 @@ def _count_continuations(counts: dict, children: dict, lengths: int, cap: int) -
             total = min(cap, total + sum(ways * sums[node] for node, ways in counts.items()))
             counts = _times(counts, power, cap)
         lengths >>= 1
-        if not lengths:
+        if not lengths or total == cap:
             return total
         sums = {node: min(cap, own + sum(paths * sums[child]
                                          for child, paths in power[node].items()))
@@ -360,11 +360,12 @@ def check_cioco_bounded(
 
     ``guard`` bounds the number of specification traces up to ``k``
     exactly as in ``traces_up_to``: TraceLimitError is raised whenever
-    that enumeration would raise it, even if a violation exists. The
-    traces are counted before any is examined, unless a bound on their
-    number from the specification's distinct steps is within the guard;
-    that count, too, stops walking lengths once one brings no new
-    specification state set.
+    that enumeration would raise it, even if a violation exists. Each
+    specification trace reaches one pair, so the walk counts them as it
+    goes. When a bound on their number from the specification's distinct
+    steps is within the guard, the first violation ends the walk;
+    otherwise the walk keeps counting, without comparing, until no pair
+    is new or it reaches ``k``, and only then returns the violation.
     """
     _require_same_signature(iut, spec)
     iut_table, spec_table = _step_table(iut), _step_table(spec)
@@ -376,15 +377,17 @@ def check_cioco_bounded(
         raise ValueError("depth bound must be non-negative")
 
     spec_moves = _union_per_state_set(spec_table)
-    start = frozenset([spec.initial])
+    iut_moves = _union_per_state_set(iut_table)
+    nowhere: frozenset[str] = frozenset()
 
     # The guard bounds the specification's traces up to k as traces_up_to
-    # counts them: tested only when a trace is added, and whether or not
-    # a violation comes first. No state set has more children than the
-    # specification has distinct steps, B, so there are at most the sum
-    # of B**d for d <= k such traces, a sum that stops once it passes the
-    # guard. Only past that bound are the traces counted, which needs
-    # only how many of them reach each specification state set.
+    # counts them: tested only when a trace is added (a guard below 1 acts
+    # as 1), whether or not a violation comes first. Each such trace
+    # reaches one pair, so the walk counts them. No state set has more
+    # children than the specification has distinct steps, B, so there are
+    # at most the sum of B**d for d <= k such traces, summed until it
+    # passes the guard. Within it, the first violation ends the walk;
+    # past it, the walk goes on counting without comparing.
     branching = len(set().union(*spec_table.values()))
     bound = 1 + branching * k  # exact for B <= 1
     if branching > 1:
@@ -394,34 +397,7 @@ def check_cioco_bounded(
             bound += width
             if bound > guard:
                 break
-    if bound > guard:
-        limit = f"traces of '{spec.name}' up to depth {k}"
-        enumerated = 1
-        reaching = {start: 1}
-        seen = {start}
-        for depth in range(1, k + 1):
-            longer_reaching: dict[frozenset[str], int] = {}
-            for spec_states, n in reaching.items():
-                for target in spec_moves(spec_states).values():
-                    longer_reaching[target] = longer_reaching.get(target, 0) + n
-                    enumerated += n
-                    if enumerated > guard:
-                        raise TraceLimitError(guard, limit)
-            if not longer_reaching:
-                break
-            reaching = longer_reaching
-            if seen.issuperset(reaching):
-                # no new state set at this length, so none later: the
-                # longer traces are counted without walking their lengths
-                children = {states: list(spec_moves(states).values()) for states in seen}
-                rest = _count_continuations(reaching, children, k - depth, guard + 1 - enumerated)
-                if enumerated + rest > guard:
-                    raise TraceLimitError(guard, limit)
-                break
-            seen.update(reaching)
-
-    iut_moves = _union_per_state_set(iut_table)
-    nowhere: frozenset[str] = frozenset()
+    limit = max(guard, 1)
 
     # Each level maps the (specification states, implementation states)
     # pairs that the traces of one length reach to how many traces reach
@@ -429,10 +405,11 @@ def check_cioco_bounded(
     # length, where they had no violation, so only the other (fresh)
     # pairs are compared, and extended at the next length.
     extensions: dict[_Pair, list[_Pair]] = {}  # a pair's children, in sorted step order
-    root: _Pair = (start, frozenset([iut.initial]))
+    root: _Pair = (frozenset([spec.initial]), frozenset([iut.initial]))
     shorter: list[tuple[_Pair, ...]] = []  # the pairs of each shorter length
     level = {root: 1}
     checked = 0
+    failure = None
     for depth in range(k + 1):
         if depth:
             for pair in fresh:
@@ -449,47 +426,54 @@ def check_cioco_bounded(
                 break
             level = longer
         fresh = level.keys() - extensions.keys()
+        found = {}
+        if failure is None:
+            for spec_states, iut_states in fresh:
+                violation = _first_violation(iut_moves(iut_states), spec_moves(spec_states), strict)
+                if violation is not None:
+                    found[spec_states, iut_states] = violation
+        if found:
+            # Back from this level: each shorter pair's number of
+            # continuations to this length, and the pairs with a violating
+            # one among them.
+            counts, violating = [dict.fromkeys(level, 1)], [found.keys()]
+            for parents in reversed(shorter):
+                below, ends = counts[-1], violating[-1]
+                counts.append({p: sum(map(below.__getitem__, extensions[p])) for p in parents})
+                violating.append({p for p in parents if not ends.isdisjoint(extensions[p])})
+            # Forward from the root: the first child with a violating
+            # continuation, after every continuation of the children before it.
+            pair, position, witness = root, 0, []
+            for below, ends in zip(reversed(counts[:-1]), reversed(violating[:-1])):
+                for step, child in zip(spec_moves(pair[0]), extensions[pair]):
+                    if child in ends:
+                        break
+                    position += below[child]
+                witness.append(Step(*step))
+                pair = child
+            failure = Verdict(
+                "fail",
+                "bounded",
+                counterexample=Counterexample(tuple(witness), *found[pair]),
+                stats=CheckStats(checked + position + 1, depth),
+                depth=k,
+                warnings=warnings,
+            )
+            if bound <= guard:
+                return failure
+        checked += sum(level.values())
         if not fresh:
             # Every pair of this length was compared at a shorter length,
             # and so was every pair reachable from one: no longer trace
             # violates, and the traces longer than this one are only
-            # counted. The guard has bounded them.
-            checked += sum(level.values())
-            checked += _count_continuations(level, extensions, k - depth, guard + 1)
+            # counted.
+            checked += _count_continuations(level, extensions, k - depth, limit + 1)
+        if checked > limit:
+            raise TraceLimitError(guard, f"traces of '{spec.name}' up to depth {k}")
+        if not fresh:
             break
-        found = {}
-        for spec_states, iut_states in fresh:
-            violation = _first_violation(iut_moves(iut_states), spec_moves(spec_states), strict)
-            if violation is not None:
-                found[spec_states, iut_states] = violation
-        if not found:
-            checked += sum(level.values())
-            continue
-        # Back from this level: each shorter pair's number of continuations
-        # to this length, and the pairs with a violating one among them.
-        counts, violating = [dict.fromkeys(level, 1)], [found.keys()]
-        for parents in reversed(shorter):
-            below, ends = counts[-1], violating[-1]
-            counts.append({p: sum(map(below.__getitem__, extensions[p])) for p in parents})
-            violating.append({p for p in parents if not ends.isdisjoint(extensions[p])})
-        # Forward from the root: the first child with a violating
-        # continuation, after every continuation of the children before it.
-        pair, position, witness = root, 0, []
-        for below, ends in zip(reversed(counts[:-1]), reversed(violating[:-1])):
-            for step, child in zip(spec_moves(pair[0]), extensions[pair]):
-                if child in ends:
-                    break
-                position += below[child]
-            witness.append(Step(*step))
-            pair = child
-        return Verdict(
-            "fail",
-            "bounded",
-            counterexample=Counterexample(tuple(witness), *found[pair]),
-            stats=CheckStats(checked + position + 1, depth),
-            depth=k,
-            warnings=warnings,
-        )
+    if failure is not None:
+        return failure
     return Verdict(
         "inconclusive",
         "bounded",

@@ -292,6 +292,27 @@ class TestBounded:
             check_cioco_bounded(spec, spec, k, guard=count - 1)
         assert str(checked.value) == str(enumerated.value)
 
+    def test_violation_past_the_bound_from_distinct_steps_waits_for_the_count(self):
+        # one trace per length, but the unreachable a|y makes two distinct
+        # steps, so at k = 10**9 the bound does not settle a guard near
+        # the 10**9 + 1 traces: the violation at the root is kept while
+        # the traces are counted, and returned only if they fit the guard
+        started = time.perf_counter()
+        spec = Component.build("s", "s0", [("s0", "a", "x", "s0"), ("u", "a", "y", "u")],
+                               outputs=["x", "y", "z"])
+        iut = Component.build("i", "s0", [("s0", "a", "x", "s0"), ("s0", "a", "z", "s0")],
+                              outputs=["x", "y", "z"])
+        short = check_cioco_bounded(iut, spec, 3)
+        assert short.failed and short.counterexample.witness == ()
+        v = check_cioco_bounded(iut, spec, 10**9, guard=10**9 + 1)
+        assert (v.counterexample, v.stats) == (short.counterexample, short.stats)
+        assert (v.stats.explored_pairs, v.stats.max_depth) == (1, 0)
+        with pytest.raises(TraceLimitError) as checked:
+            check_cioco_bounded(iut, spec, 10**9, guard=10**9)
+        limit = "enumeration exceeded the cardinality guard of 1000000000: "
+        assert str(checked.value) == limit + "traces of 's' up to depth 1000000000"
+        assert time.perf_counter() - started < 1.0
+
     def test_guard_bound_grows_with_steps_not_inputs(self):
         # one input, two outputs: 2**d traces of length d, so no bound
         # from the number of inputs alone (4 up to depth 3) holds
