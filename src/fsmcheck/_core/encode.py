@@ -12,16 +12,19 @@ states the targets of the step in slot k sit at bits k*n to k*n + n - 1,
 so the steps of a state subset are the ``|`` of its rows, and reading a
 row slot by slot meets the steps in sorted order. A row takes |I|*|O|*n
 bits whatever the state enables, which is smaller than a dict from each
-enabled step to its target mask below a few hundred states. A composed
-node builds its rows only when they are read (``compose``). A
+enabled step to its target mask below a few hundred states. A
 component's rows depend on it alone, since ids sort as names: they are
 packed once per ``Component`` object and a label table adds only the id sets.
+
+A system build's machines (``compose``) are ``LazyEncodedComponent``s:
+the product closure reads their moves, and their rows are derived only
+when read. A leaf reads its moves off its component's steps.
 """
 
 from __future__ import annotations
 
 from ..errors import InvalidComponentError
-from ..machine import Component, Transition, _undeclared
+from ..machine import Component, Transition, _step_tuples, _undeclared
 
 
 class EncodedComponent:
@@ -39,7 +42,8 @@ class EncodedComponent:
 
     def __init__(self, name: str, state_names: list[str], initial: int,
                  label_names: list[str], label_ids: dict[str, int],
-                 input_ids: frozenset[int], output_ids: frozenset[int], rows: list[int]):
+                 input_ids: frozenset[int], output_ids: frozenset[int],
+                 rows: list[int] | None = None):
         self.name = name
         self.state_names = state_names
         self.initial = initial
@@ -48,7 +52,8 @@ class EncodedComponent:
         self.input_ids = input_ids
         self.output_ids = output_ids
         self.slots = slot_layout(input_ids, output_ids)
-        self.rows = rows
+        if rows is not None:  # else left unset, for a ``LazyEncodedComponent``
+            self.rows = rows
 
     @classmethod
     def of(cls, c: Component, label_names: list[str], label_ids: dict[str, int]):
@@ -75,10 +80,6 @@ class EncodedComponent:
         width = len(self.output_ids) * len(self.state_names)
         masks = [((1 << width) - 1) << k * width for k in range(len(self.input_ids))]
         return all(row & mask for row in self.rows for mask in masks)
-
-    def moves(self) -> list[list[tuple[int, int, int]]]:
-        """Per state, ``moves_of`` its row."""
-        return [self.moves_of(row) for row in self.rows]
 
     def moves_of(self, row: int) -> list[tuple[int, int, int]]:
         """The transitions in a row as (input, output, target), in slot order."""
@@ -115,6 +116,53 @@ class EncodedComponent:
             outputs=frozenset(labels[x] for x in self.output_ids),
             transitions=frozenset(transitions),
         )
+
+
+class LazyEncodedComponent(EncodedComponent):
+    """An encoding whose ``moves()`` are per state its (input, output,
+    target) steps in slot order, and whose rows ``_rows()`` derives on the
+    first read; they are kept. A plain encoding's rows are set when it is
+    made, so reading them never reaches ``__getattr__``."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "rows":
+            raise AttributeError(name)
+        self.rows = rows = self._rows()
+        return rows
+
+
+class EncodedLeaf(LazyEncodedComponent):
+    """``EncodedComponent.of(c, ...)`` as a leaf of a system build, with the
+    same errors: its moves are read off ``c``'s steps, and its rows are
+    ``c``'s packed ones. Only ``c``'s own alphabets declare a label."""
+
+    __slots__ = ("component", "_moves")
+
+    def __init__(self, c: Component, label_names: list[str], label_ids: dict[str, int]):
+        state_names = sorted(c.states)
+        state_ids = {s: n for n, s in enumerate(state_names)}
+        own_inputs = {x: label_ids[x] for x in c.inputs}
+        own_outputs = {x: label_ids[x] for x in c.outputs}
+        self._moves = moves = [[] for _ in state_names]
+        try:
+            for source, i, o, target in _step_tuples(c):
+                moves[state_ids[source]].append((own_inputs[i], own_outputs[o], state_ids[target]))
+            initial = state_ids[c.initial]
+        except KeyError:
+            raise InvalidComponentError(_undeclared(c)) from None
+        for found in moves:
+            found.sort()  # ids sort as names: slot order, then targets
+        super().__init__(c.name, state_names, initial, label_names, label_ids,
+                         frozenset(own_inputs.values()), frozenset(own_outputs.values()))
+        self.component = c
+
+    def moves(self) -> list[list[tuple[int, int, int]]]:
+        return self._moves
+
+    def _rows(self) -> list[int]:
+        return self.component._packed[2]
 
 
 def slot_layout(input_ids, output_ids) -> list[tuple[int, int]]:

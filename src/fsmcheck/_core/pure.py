@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encode import EncodedComponent
+from .encode import EncodedComponent, LazyEncodedComponent
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,8 @@ class CheckStats:
     max_depth: int
 
 
-def product_closure(enc1: EncodedComponent, enc2: EncodedComponent, composed_inputs: frozenset):
+def product_closure(enc1: LazyEncodedComponent, enc2: LazyEncodedComponent,
+                    composed_inputs: frozenset):
     """Reachable synchronous product of two encoded components.
 
     Returns (pairs, transitions) where pairs is the list of discovered

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 
@@ -28,6 +27,7 @@ from .conform import Verdict, check_cioco_bounded, check_cioco_exact
 from .errors import FsmCheckError, ParseError
 from .formats import (
     component_to_dict,
+    indented_json,
     load_component,
     parse_system_expr,
     render_component,
@@ -163,7 +163,7 @@ def _load_named(paths) -> dict:
 def _emit(args, payload, human) -> None:
     """Print ``payload()`` as JSON with ``--json``, else ``human()``: only
     the form printed is built."""
-    print(json.dumps(payload(), indent=2) if args.json else human())
+    print(indented_json(payload()) if args.json else human())
 
 
 def _save(c: Component, out: str, dot: str | None) -> None:
@@ -222,7 +222,7 @@ def cmd_validate(args) -> int:
         )
         all_ok = all_ok and report.ok
     if args.json:
-        print(json.dumps(results, indent=2))
+        print(indented_json(results))
     else:
         for r in results:
             status = "ok" if r["ok"] else "INVALID"
@@ -267,7 +267,7 @@ def cmd_traces(args) -> int:
     c = load_component(args.path)
     result = sorted_traces(traces_up_to(c, args.depth, guard=_guard(args)))
     if args.json:
-        print(json.dumps([trace_to_list(tr) for tr in result], indent=2))
+        print(indented_json([trace_to_list(tr) for tr in result]))
     else:
         for tr in result:
             print(format_trace(tr) if tr else "<empty>")

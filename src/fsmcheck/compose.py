@@ -247,12 +247,12 @@ def _build(
 
 
 def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -> SystemBuild:
-    """A leaf on integer ids: its encoding."""
-    machine = _core.EncodedComponent.of(expr.component, label_names, label_ids)
+    """A leaf on integer ids: its encoding, moves read off its steps."""
+    machine = _core.EncodedLeaf(expr.component, label_names, label_ids)
     return SystemBuild(expr, (expr.name,), (), machine)
 
 
-class _ComposedMachine(_core.EncodedComponent):
+class _ComposedMachine(_core.LazyEncodedComponent):
     """A composed node's machine, its rows derived on first read.
 
     Certification and the next composition up read the transitions of
@@ -262,21 +262,15 @@ class _ComposedMachine(_core.EncodedComponent):
 
     __slots__ = ("raw",)
 
-    def __init__(self, name, state_names, initial, label_names, label_ids,
-                 input_ids, output_ids, raw: list[RawTransition]):
-        super().__init__(name, state_names, initial, label_names, label_ids,
-                         input_ids, output_ids, None)
-        del self.rows  # unset, so that the first read reaches __getattr__
+    def __init__(self, *encoding, raw: list[RawTransition]):
+        super().__init__(*encoding)
         self.raw = raw
 
-    def __getattr__(self, name: str):
-        if name != "rows":
-            raise AttributeError(name)
+    def _rows(self) -> list[int]:
         offset = _core.slot_offsets(self.slots, len(self.state_names))
         rows = [0] * len(self.state_names)
         for (src, i, o, dst, _, _) in self.raw:
             rows[src] |= 1 << (offset[(i, o)] + dst)
-        self.rows = rows
         return rows
 
     def moves(self) -> list[list[tuple[int, int, int]]]:
@@ -323,7 +317,7 @@ def _compose(
         label_ids,
         input_ids,
         frozenset(label_ids[x] for x in outputs),
-        raw,
+        raw=raw,
     )
     return SystemBuild(
         expr=expr,

@@ -18,6 +18,7 @@ System expressions use s-expression syntax: ``(par M D)``,
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .compose import Leaf, Par, SystemExpr
 from .errors import ParseError
@@ -175,7 +176,30 @@ def component_from_dict(data: dict, path: str | None = None) -> Component:
 
 
 def component_to_json(c: Component) -> str:
-    return json.dumps(component_to_dict(c), indent=2, sort_keys=False) + "\n"
+    return indented_json(component_to_dict(c)) + "\n"
+
+
+def indented_json(value, margin: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for dicts with string
+    keys, lists, tuples, strings, None, booleans and integers, without the
+    pure-Python encoder that ``indent`` makes CPython run. ``margin`` is
+    the line break and indentation ``value`` starts at."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = margin + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + indented_json(v, inner)
+                 for k, v in value.items()]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [indented_json(v, inner) for v in value], "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return ends[0] + inner + ("," + inner).join(items) + margin + ends[1] if items else ends
 
 
 def component_from_json(text: str, path: str | None = None) -> Component:

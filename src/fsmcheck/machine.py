@@ -189,7 +189,8 @@ def _pack(c: Component) -> tuple[list[str], int, list[int]]:
     """``c``'s sorted state names, initial id and rows over any label table
     holding its labels. ``KeyError`` when ``c`` uses what it does not declare.
     A parsed component's step tuples are read as they are, so packing it
-    builds no ``Transition``."""
+    builds no ``Transition``; an eager one's fields are read in place,
+    which is faster than building ``_step_tuples``'s tuples."""
     state_names = sorted(c.states)
     state_ids = {s: n for n, s in enumerate(state_names)}
     n = len(state_names)
@@ -207,6 +208,16 @@ def _pack(c: Component) -> tuple[list[str], int, list[int]]:
         for source, i, o, target in steps:
             rows[state_ids[source]] |= 1 << (input_at[i] + output_at[o] + state_ids[target])
     return state_names, state_ids[c.initial], rows
+
+
+def _step_tuples(c: Component) -> Iterable[tuple[str, str, str, str]]:
+    """``c``'s steps as ``(source, input, output, target)`` tuples: a
+    parsed component's as they are, so that reading them builds no
+    ``Transition``, else its transitions' fields."""
+    steps = c.__dict__.get("_steps")
+    if steps is None:
+        return [(t.source, t.input, t.output, t.target) for t in c.transitions]
+    return steps
 
 
 @dataclass(frozen=True)

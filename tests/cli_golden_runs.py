@@ -3,7 +3,10 @@ with and without ``--json``, and the generator of ``cli_golden.json``.
 
 This module imports no pytest, so any interpreter can regenerate the
 goldens: run ``python tests/cli_golden_runs.py > tests/cli_golden.json``
-with ``src`` on the path.
+with ``src`` on the path. With ``--check`` it writes nothing: it compares
+the runs with ``cli_golden.json``, names each run that differs on
+stderr and exits 1 if any does, so that every interpreter the package
+supports can be checked for the same bytes.
 """
 
 import contextlib
@@ -12,6 +15,7 @@ import json
 import os
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from fsmcheck.cli import main
@@ -83,14 +87,28 @@ def copy_fixtures(directory: Path) -> None:
         shutil.copytree(FIXTURES / name, directory / name)
 
 
-if __name__ == "__main__":
-    import tempfile
-
+def generate() -> dict:
+    """Every run's exit code and stdout, in ``cli_golden.json``'s form."""
     with tempfile.TemporaryDirectory() as tmp:
         copy_fixtures(Path(tmp))
         entries = {}
         for run_id, argv in RUNS.items():
             code, out = run_in(Path(tmp), argv)
             entries[run_id] = {"exit": code, "stdout": out}
+    return entries
+
+
+def differences(expected: dict, got: dict) -> list[str]:
+    """The run ids whose entries differ, or that only one side has."""
+    return sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+
+
+if __name__ == "__main__":
+    entries = generate()
+    if sys.argv[1:] == ["--check"]:
+        differ = differences(json.loads(GOLDEN.read_text(encoding="utf-8")), entries)
+        for run_id in differ:
+            print(f"differs from {GOLDEN.name}: {run_id}", file=sys.stderr)
+        sys.exit(1 if differ else 0)
     json.dump(entries, sys.stdout, indent=2, ensure_ascii=False)
     print()

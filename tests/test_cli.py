@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsmcheck import InvalidComponentError, Leaf, Par, build_system_full, certify_in_context
 from fsmcheck.cli import main
 from fsmcheck.formats import (
     component_to_json,
@@ -515,14 +516,22 @@ class TestCompositional:
 
 
 #: One component A over the alphabets of fixtures/relay/spec_left.fsm,
-#: broken three ways: each body follows ``INVALID_HEADER``. ``i2`` is
-#: declared by relay/right.fsm (component B), so in a composition with B
-#: only A's own alphabet rules it out.
+#: broken five ways: each body follows ``INVALID_HEADER``. ``i2`` and
+#: ``o3`` are declared by relay/right.fsm (component B), so in a
+#: composition with B only A's own alphabets rule them out.
 INVALID_HEADER = "component A\nstates a0 a1\ninputs i1 x\noutputs m o5\n"
 INVALID_COMPONENTS = {
+    "undeclared source": (
+        "initial a0\ntrans a0 i1|m a1\ntrans a9 i1|m a0\n",
+        "transition a9 -i1|m-> a0 uses undeclared state 'a9'",
+    ),
     "undeclared state": (
         "initial a0\ntrans a0 i1|m a9\n",
         "transition a0 -i1|m-> a9 uses undeclared state 'a9'",
+    ),
+    "output of another leaf": (
+        "initial a0\ntrans a0 i1|o3 a1\n",
+        "transition a0 -i1|o3-> a1 uses output 'o3' not in its output alphabet",
     ),
     "label of another leaf": (
         "initial a0\ntrans a0 i1|m a1\ntrans a1 i2|o5 a0\n",
@@ -544,7 +553,8 @@ class TestInvalidComponent:
         return path, f"error: component 'A': {message}"
 
     @pytest.mark.parametrize(
-        "command", ["check", "bounded", "compose", "project", "compositional"]
+        "command",
+        ["check", "bounded", "compose", "project", "compositional", "compositional-spec"],
     )
     def test_exits_two_naming_the_component(self, invalid, command, tmp_path, capsys):
         bad, message = invalid
@@ -557,12 +567,31 @@ class TestInvalidComponent:
                         "--target", "B", "-o", out],
             "compositional": ["compositional", "--theorem", "2",
                               bad, bad, RELAY / "right.fsm", RELAY / "right.fsm"],
+            # a valid implementation: only the specification's leaf is invalid
+            "compositional-spec": ["compositional", "--theorem", "2", RELAY / "spec_left.fsm",
+                                   bad, RELAY / "right.fsm", RELAY / "right.fsm"],
         }[command]
         assert main([str(a) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == message + "\n"
         assert captured.out == ""
         assert not out.exists()
+
+    def test_the_library_raises_the_same_message(self, invalid):
+        bad, message = invalid
+        right, good = load_component(RELAY / "right.fsm"), load_component(RELAY / "spec_left.fsm")
+        parsed = load_component(bad)
+        eager = dataclasses.replace(parsed, transitions=parsed.transitions)
+        for c in (parsed, eager):
+            for attempt in (
+                lambda: build_system_full(Par(Leaf("A", c), Leaf("B", right)), relax=True),
+                lambda: build_system_full(Par(Leaf("B", right), Leaf("A", c)), relax=True),
+                lambda: certify_in_context(good, c, right, right),
+                lambda: certify_in_context(right, right, good, c, relax=True),
+            ):
+                with pytest.raises(InvalidComponentError) as raised:
+                    attempt()
+                assert f"error: {raised.value}" == message
 
     def test_validate_and_traces_still_read_it(self, invalid, capsys):
         bad, _ = invalid

@@ -15,8 +15,9 @@ from fsmcheck import (
     trace,
 )
 from fsmcheck.errors import InvalidComponentError
-from fsmcheck._core import EncodedComponent, cioco_bfs, encode_pair, label_table
+from fsmcheck._core import EncodedComponent, EncodedLeaf, cioco_bfs, encode_pair, label_table
 from fsmcheck.conform import _exact_verdict
+from fsmcheck.formats import component_from_text, component_to_text
 from fsmcheck.project import _encoded_projections
 from fsmcheck.randgen import mutate, prune, random_component
 
@@ -175,16 +176,23 @@ class TestSharedRows:
         ([("s0", "a", "x", "s9")], "s0", "uses undeclared state 's9'"),
         ([("s0", "b", "x", "s0")], "s0", "uses input 'b' not in its input alphabet"),
         ([("s0", "a", "x", "s0")], "s7", "initial state 's7' is not declared"),
+        ([("s9", "a", "x", "s0")], "s0", "transition s9 -a|x-> s0 uses undeclared state 's9'"),
+        ([("s0", "a", "o", "s0")], "s0", "uses output 'o' not in its output alphabet"),
     ])
     def test_an_invalid_component_raises_on_every_encoding(self, transitions, initial, message):
         c = Component(
             name="M", states=frozenset({"s0"}), initial=initial, inputs=frozenset({"a"}),
             outputs=frozenset({"x"}), transitions=frozenset(Transition(*t) for t in transitions),
         )
-        names, ids = label_table(c)
-        for _ in range(2):
-            with pytest.raises(InvalidComponentError, match=f"component 'M': .*{message}"):
-                EncodedComponent.of(c, names, ids)
+        # the wider table holds ``b`` and ``o`` as another component's
+        # labels: only a component's own alphabets declare a label
+        other = Component.build("O", "o0", [("o0", "b", "o", "o0")])
+        for names, ids in (label_table(c), label_table(c, other)):
+            for _ in range(2):
+                for encode in (EncodedComponent.of, EncodedLeaf):
+                    with pytest.raises(InvalidComponentError,
+                                       match=f"component 'M': .*{message}"):
+                        encode(c, names, ids)
 
     def test_checks_on_the_same_objects_answer_as_on_fresh_copies(self):
         rng = random.Random(641)
@@ -205,6 +213,23 @@ class TestSharedRows:
                 assert seen == (expected if order is checks else expected[::-1])
             results.update(v["result"] for v in expected)
         assert results == {"pass", "fail"}
+
+
+def test_leaf_moves_are_those_of_the_packed_rows():
+    # a system build's leaf reads its moves off its component's steps,
+    # parsed or built, and packs its rows only when they are read
+    rng = random.Random(653)
+    for c in random_machines(rng, 60):
+        for names, ids in (label_table(c), label_table(c, TestSharedRows.WIDER)):
+            for copy in (fresh(c), component_from_text(component_to_text(c))):
+                leaf = EncodedLeaf(copy, names, ids)
+                assert "_packed" not in vars(copy)
+                enc = EncodedComponent.of(copy, names, ids)
+                assert leaf.moves() == [enc.moves_of(row) for row in enc.rows]
+                assert (leaf.state_names, leaf.initial, leaf.input_ids, leaf.output_ids,
+                        leaf.slots) == (enc.state_names, enc.initial, enc.input_ids,
+                                        enc.output_ids, enc.slots)
+                assert leaf.rows is enc.rows and leaf.decode() == enc.decode()
 
 
 def test_projection_rows_of_nested_builds_lie_in_the_leaf_slots():

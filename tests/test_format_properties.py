@@ -14,6 +14,7 @@ from fsmcheck.formats import (
     component_from_text,
     component_to_json,
     component_to_text,
+    indented_json,
     parse_system_expr,
 )
 from fsmcheck.machine import COMMENT, _label_problems
@@ -268,3 +269,40 @@ def test_text_components_that_load_hold_only_writable_words(text):
     for label in {*c.inputs, *c.outputs, *(t.input for t in steps), *(t.output for t in steps)}:
         assert not _label_problems(label, "label")
     assert component_from_text(component_to_text(c)) == c
+
+
+# Every code point, lone surrogates and control characters included, and
+# the characters JSON escapes.
+_any_text = st.text(st.characters(exclude_categories=())) | st.lists(
+    st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "é", "\u2028", "\ud800",
+                     "\udfff", "\U0001f600"]), max_size=4).map("".join)
+_scalar = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+           | st.integers(max_value=-2**64) | _any_text)
+
+
+def _nested(depth: int):
+    """JSON-like values whose containers nest at most ``depth`` deep."""
+    if not depth:
+        return _scalar
+    inner = _nested(depth - 1)
+    return _scalar | st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple) | (
+        st.dictionaries(_any_text, inner, max_size=3))
+
+
+@settings(deterministic, max_examples=500)
+@given(_nested(4))
+def test_indented_json_is_json_dumps_with_indent_two(value):
+    assert indented_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{}, [], (), [{}, [], ()], {"": [[[{}]]]}, True, 0, -2**70])
+def test_indented_json_writes_empty_containers_and_scalars_as_json_dumps(value):
+    assert indented_json(value) == json.dumps(value, indent=2)
+
+
+def test_indented_json_refuses_what_it_does_not_write():
+    # json.dumps writes floats, and turns number keys into strings: the
+    # writer refuses them rather than write other bytes
+    for value in ({1: 2}, {"a": [1.5]}, [object()], {"a": {"b"}}):
+        with pytest.raises(TypeError):
+            indented_json(value)

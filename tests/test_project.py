@@ -12,6 +12,7 @@ from fsmcheck import (
     TraceLimitError,
     UnknownTargetError,
     build_system_full,
+    certify_in_context,
     component_in_context,
     component_in_context_tree,
     has_trace,
@@ -22,6 +23,7 @@ from fsmcheck import (
 )
 from fsmcheck.compose import composed_alphabets, subcomponents
 from fsmcheck.conform import _exact_verdict
+from fsmcheck.formats import component_from_text, component_to_text
 from fsmcheck._core import EncodedComponent, encode_pair
 from fsmcheck.machine import Step
 from fsmcheck.project import _closed_steps, _encoded_projections, _relabel
@@ -282,14 +284,16 @@ class TestComponentInContext:
             for node in build_nodes(build):
                 # a leaf's steps ride on its parent's transitions
                 assert node.parts or "steps" not in vars(node)
-                # composing a node again reads its transitions, not its rows
-                assert not node.parts or not rows_built(node.machine)
+                # composing and projecting read each node's moves and
+                # transitions, never its rows
+                assert not rows_built(node.machine)
 
             names, labels = build.machine.state_names, build.machine.label_names
             eager = [{} for _ in names]
             for (s, i, o, t, _, _) in build.raw:
                 eager[s][(i, o)] = eager[s].get((i, o), 0) | (1 << t)
             assert step_maps(build.machine) == eager
+            assert rows_built(build.machine) and build.machine.rows is build.machine.rows
             assert {
                 (names[s], labels[i], labels[o], names[t])
                 for s, steps in enumerate(step_maps(build.machine))
@@ -319,6 +323,23 @@ class TestComponentInContext:
                     if targets
                 }
                 assert (steps, quiet) == naive_context_edges(build, target)
+
+    def test_certification_packs_no_row_of_a_parsed_specification(self):
+        rng = random.Random(163)
+        conclusions = set()
+        for n in range(30):
+            spec1, spec2 = random_composable_pair(rng, names=("L", "R"), n_states=(2, 4))
+            iut1 = (prune if n % 2 else mutate)(rng, spec1, name="L")
+            iut2 = (mutate if n % 3 else prune)(rng, spec2, name="R")
+            quadruple = (iut1, spec1, iut2, spec2)
+            parsed = [component_from_text(component_to_text(c)) for c in quadruple]
+            report = certify_in_context(*parsed, relax=True)
+            assert report == certify_in_context(*quadruple, relax=True)
+            # the implementations are packed for their checks; the
+            # specifications' leaves read their moves off the parsed steps
+            assert ["_packed" in vars(c) for c in parsed] == [True, False, True, False]
+            conclusions.add(report.global_conclusion)
+        assert conclusions == {"sound-pass", "sound-fail"}
 
     def test_silent_closure_equals_the_state_by_state_closure(self):
         rng = random.Random(157)
