@@ -7,15 +7,13 @@ subset-pair conformance search, which also decides trace inclusion
 and returns the ``CheckStats`` its verdict carries.
 """
 
-from .encode import (EncodedComponent, EncodedLeaf, LazyEncodedComponent, encode_pair,
-                     label_table, slot_offsets)
+from .encode import EncodedComponent, EncodedLeaf, encode_pair, label_table, slot_offsets
 from .pure import CheckStats, cioco_bfs, inclusion_bfs, product_closure
 
 __all__ = [
     "CheckStats",
     "EncodedComponent",
     "EncodedLeaf",
-    "LazyEncodedComponent",
     "encode_pair",
     "label_table",
     "slot_offsets",

@@ -16,12 +16,15 @@ enabled step to its target mask below a few hundred states. A
 component's rows depend on it alone, since ids sort as names: they are
 packed once per ``Component`` object and a label table adds only the id sets.
 
-A system build's machines (``compose``) are ``LazyEncodedComponent``s:
-the product closure reads their moves, and their rows are derived only
-when read. A leaf reads its moves off its component's steps.
+A system build's machines (``compose``) carry per state their (input,
+output, target) ``moves()`` in slot order, which the product closure
+reads; their rows are a ``cached_property``, derived only when read. A
+leaf reads its moves off its component's steps.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from ..errors import InvalidComponentError
 from ..machine import Component, Transition, _step_tuples, _undeclared
@@ -52,7 +55,7 @@ class EncodedComponent:
         self.input_ids = input_ids
         self.output_ids = output_ids
         self.slots = slot_layout(input_ids, output_ids)
-        if rows is not None:  # else left unset, for a ``LazyEncodedComponent``
+        if rows is not None:  # else a subclass derives them on first read
             self.rows = rows
 
     @classmethod
@@ -118,27 +121,11 @@ class EncodedComponent:
         )
 
 
-class LazyEncodedComponent(EncodedComponent):
-    """An encoding whose ``moves()`` are per state its (input, output,
-    target) steps in slot order, and whose rows ``_rows()`` derives on the
-    first read; they are kept. A plain encoding's rows are set when it is
-    made, so reading them never reaches ``__getattr__``."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        if name != "rows":
-            raise AttributeError(name)
-        self.rows = rows = self._rows()
-        return rows
-
-
-class EncodedLeaf(LazyEncodedComponent):
+class EncodedLeaf(EncodedComponent):
     """``EncodedComponent.of(c, ...)`` as a leaf of a system build, with the
     same errors: its moves are read off ``c``'s steps, and its rows are
-    ``c``'s packed ones. Only ``c``'s own alphabets declare a label."""
-
-    __slots__ = ("component", "_moves")
+    ``c``'s packed ones, read on first use. Only ``c``'s own alphabets
+    declare a label."""
 
     def __init__(self, c: Component, label_names: list[str], label_ids: dict[str, int]):
         state_names = sorted(c.states)
@@ -161,7 +148,8 @@ class EncodedLeaf(LazyEncodedComponent):
     def moves(self) -> list[list[tuple[int, int, int]]]:
         return self._moves
 
-    def _rows(self) -> list[int]:
+    @cached_property
+    def rows(self) -> list[int]:
         return self.component._packed[2]
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .encode import EncodedComponent, LazyEncodedComponent
+from .encode import EncodedComponent
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ class CheckStats:
     max_depth: int
 
 
-def product_closure(enc1: LazyEncodedComponent, enc2: LazyEncodedComponent,
-                    composed_inputs: frozenset):
-    """Reachable synchronous product of two encoded components.
+def product_closure(enc1, enc2, composed_inputs: frozenset):
+    """Reachable synchronous product of two system build machines, read
+    through their ``moves()``.
 
     Returns (pairs, transitions) where pairs is the list of discovered
     (s1, s2) state pairs in BFS order and each transition is a tuple

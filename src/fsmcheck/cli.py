@@ -221,15 +221,17 @@ def cmd_validate(args) -> int:
             }
         )
         all_ok = all_ok and report.ok
-    if args.json:
-        print(indented_json(results))
-    else:
+
+    def human() -> str:
+        lines = []
         for r in results:
             status = "ok" if r["ok"] else "INVALID"
             enabled = "input-enabled" if r["input_enabled"] else "not input-enabled"
-            print(f"{r['path']}: component '{r['component']}' {status}, {enabled}")
-            for issue in r["issues"]:
-                print(f"  {issue['severity']}: {issue['message']}")
+            lines.append(f"{r['path']}: component '{r['component']}' {status}, {enabled}")
+            lines += [f"  {issue['severity']}: {issue['message']}" for issue in r["issues"]]
+        return "\n".join(lines)
+
+    _emit(args, lambda: results, human)
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
@@ -266,11 +268,8 @@ def cmd_compose(args) -> int:
 def cmd_traces(args) -> int:
     c = load_component(args.path)
     result = sorted_traces(traces_up_to(c, args.depth, guard=_guard(args)))
-    if args.json:
-        print(indented_json([trace_to_list(tr) for tr in result]))
-    else:
-        for tr in result:
-            print(format_trace(tr) if tr else "<empty>")
+    _emit(args, lambda: [trace_to_list(tr) for tr in result],
+          lambda: "\n".join(format_trace(tr) if tr else "<empty>" for tr in result))
     return EXIT_OK
 
 

@@ -201,10 +201,7 @@ def compose_pair(c1: Component, c2: Component, relax: bool = False) -> SystemBui
     c2))``. Unless ``relax`` is set, requires both directions of
     synchronization to be possible at the signature level.
     """
-    expr = Par(Leaf("left", c1), Leaf("right", c2))
-    labels = _core.label_table(c1, c2)
-    left, right = _leaf_build(expr.left, *labels), _leaf_build(expr.right, *labels)
-    return _compose(expr, left, right, relax, "root")
+    return build_system_full(Par(Leaf("left", c1), Leaf("right", c2)), relax)
 
 
 def synchronous_parallel(c1: Component, c2: Component, relax: bool = False) -> Component:
@@ -240,10 +237,7 @@ def _build(
         return _leaf_build(expr, *labels)
     left = _build(expr.left, relax, path + ("." if path else "") + "left", labels)
     right = _build(expr.right, relax, path + ("." if path else "") + "right", labels)
-    try:
-        return _compose(expr, left, right, relax, path or "root")
-    except ComposabilityError as exc:
-        raise ComposabilityError(str(exc), path=path or "root") from None
+    return _compose(expr, left, right, relax, path or "root")
 
 
 def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -> SystemBuild:
@@ -252,7 +246,7 @@ def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -
     return SystemBuild(expr, (expr.name,), (), machine)
 
 
-class _ComposedMachine(_core.LazyEncodedComponent):
+class _ComposedMachine(_core.EncodedComponent):
     """A composed node's machine, its rows derived on first read.
 
     Certification and the next composition up read the transitions of
@@ -260,13 +254,12 @@ class _ComposedMachine(_core.LazyEncodedComponent):
     moves are read off the transitions, once per (input, output, target).
     """
 
-    __slots__ = ("raw",)
-
     def __init__(self, *encoding, raw: list[RawTransition]):
         super().__init__(*encoding)
         self.raw = raw
 
-    def _rows(self) -> list[int]:
+    @cached_property
+    def rows(self) -> list[int]:
         offset = _core.slot_offsets(self.slots, len(self.state_names))
         rows = [0] * len(self.state_names)
         for (src, i, o, dst, _, _) in self.raw:
@@ -284,19 +277,18 @@ def _compose(
     expr: Par, left: SystemBuild, right: SystemBuild, relax: bool, node: str
 ) -> SystemBuild:
     """Compose two built sides over their shared label table."""
+    enc1, enc2 = left.machine, right.machine
     report = signature_check(left, right)
     if not report.synchronizable and not relax:
-        names = left.machine.name, right.machine.name
         raise ComposabilityError(
-            f"components '{names[0]}' and '{names[1]}' cannot synchronize in both "
+            f"components '{enc1.name}' and '{enc2.name}' cannot synchronize in both "
             f"directions (outputs1&inputs2={sorted(report.o1_cap_i2)}, "
-            f"outputs2&inputs1={sorted(report.o2_cap_i1)}); pass relax to force"
+            f"outputs2&inputs1={sorted(report.o2_cap_i1)}); pass relax to force",
+            path=node,
         )
 
-    inputs, outputs = composed_alphabets(left, right)
-    enc1, enc2 = left.machine, right.machine
-    label_ids = enc1.label_ids
-    input_ids = frozenset(label_ids[x] for x in inputs)
+    output_ids = enc1.output_ids | enc2.output_ids
+    input_ids = (enc1.input_ids | enc2.input_ids) - output_ids
     pairs, raw = _core.product_closure(enc1, enc2, input_ids)
 
     n1, n2 = enc1.state_names, enc2.state_names
@@ -314,9 +306,9 @@ def _compose(
         state_names,
         0,
         enc1.label_names,
-        label_ids,
+        enc1.label_ids,
         input_ids,
-        frozenset(label_ids[x] for x in outputs),
+        output_ids,
         raw=raw,
     )
     return SystemBuild(

@@ -148,15 +148,10 @@ class Component:
             for s, by_io in table.items()
         }
 
-    @property
+    @cached_property
     def _packed(self) -> tuple[list[str], int, list[int]]:
-        """Every integer encoding's states, initial id and rows (``_pack``),
-        kept in ``__dict__`` from the first read on, without the lock that
-        ``cached_property`` takes on that read in Python 3.11."""
-        packed = self.__dict__.get("_packed")
-        if packed is None:
-            packed = self.__dict__["_packed"] = _pack(self)
-        return packed
+        """Every integer encoding's states, initial id and rows (``_pack``)."""
+        return _pack(self)
 
     def sorted_states(self) -> list[str]:
         return sorted(self.states)
@@ -166,23 +161,11 @@ class Component:
         return sorted(self.transitions, key=_TRANSITION_ORDER)
 
 
-class _DecodedTransitions:
-    """``Component.transitions`` where ``__init__`` did not set it: the
-    ``Transition`` set of ``_of_steps``'s tuples, kept in ``__dict__`` on
-    the first read. A descriptor without ``__set__``, so the field that
-    ``__init__`` sets shadows it, and unlike ``__getattr__`` it leaves
-    every other attribute read on the interpreter's fast path. No lock,
-    as in ``_packed``: racing first reads build equal sets."""
-
-    def __get__(self, c, owner=None):
-        if c is None:
-            return self
-        transitions = c.__dict__["transitions"] = frozenset(starmap(Transition, c._steps))
-        return transitions
-
-
-# set after the class is made, so that the dataclass sees no default
-Component.transitions = _DecodedTransitions()
+# set after the class is made, so that the dataclass sees no default: the
+# field that ``__init__`` sets shadows it, and on a parsed component the
+# first read builds the ``Transition`` set of ``_of_steps``'s tuples
+Component.transitions = cached_property(lambda c: frozenset(starmap(Transition, c._steps)))
+Component.transitions.__set_name__(Component, "transitions")
 
 
 def _pack(c: Component) -> tuple[list[str], int, list[int]]:

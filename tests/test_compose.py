@@ -202,6 +202,11 @@ class TestSystemTrees:
         with pytest.raises(ComposabilityError) as err:
             build_system_full(expr)
         assert "left" in str(err.value)
+        assert err.value.path == "left" and str(err.value).endswith(" (at node left)")
+        # a pair's build names its node as any build does
+        with pytest.raises(ComposabilityError) as err:
+            compose_pair(a, b)
+        assert err.value.path == "root" and str(err.value).endswith(" (at node root)")
 
 
 def _moves(part, source: int, step, target: int) -> bool:

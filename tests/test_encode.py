@@ -229,7 +229,9 @@ def test_leaf_moves_are_those_of_the_packed_rows():
                 assert (leaf.state_names, leaf.initial, leaf.input_ids, leaf.output_ids,
                         leaf.slots) == (enc.state_names, enc.initial, enc.input_ids,
                                         enc.output_ids, enc.slots)
+                assert "rows" not in vars(leaf)
                 assert leaf.rows is enc.rows and leaf.decode() == enc.decode()
+                assert vars(leaf)["rows"] is enc.rows  # kept from the first read
 
 
 def test_projection_rows_of_nested_builds_lie_in_the_leaf_slots():

@@ -260,6 +260,9 @@ class TestParsedComponents:
                 assert "transitions" not in vars(parsed)
                 assert parsed._packed == c._packed
                 assert "transitions" not in vars(parsed)
+                # the first read builds the set and keeps it
+                assert parsed.transitions is parsed.transitions == c.transitions
+                assert "transitions" in vars(parsed)
                 assert load() == c and c == load()
                 assert hash(load()) == hash(c)
                 # a set's repr follows its insertion order, so read the repr back
@@ -403,5 +406,13 @@ class TestParsedComponents:
                 assert not errors, errors
                 for got in results:
                     assert [got[j] for j in range(len(parsed))] == expected
+                # with both caches filled, a component still equals, hashes,
+                # pickles, copies and replaces as its eager twin
+                for c, twin in zip(parsed, twins):
+                    assert {"transitions", "_packed"} <= vars(c).keys()
+                    for copied in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+                        assert copied == c == twin and hash(copied) == hash(twin)
+                        assert copied._packed == twin._packed
+                    assert dataclasses.replace(c, name="z") == dataclasses.replace(twin, name="z")
         finally:
             sys.setswitchinterval(interval)

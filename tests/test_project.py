@@ -179,13 +179,9 @@ def build_nodes(build):
 
 
 def rows_built(machine) -> bool:
-    """Have the composed machine's rows been built? Reads the slot
-    without the first read that would build them."""
-    try:
-        EncodedComponent.rows.__get__(machine)
-    except AttributeError:
-        return False
-    return True
+    """Have the composed machine's rows been built? Looks for the value
+    their first read keeps, without making that read."""
+    return "rows" in vars(machine)
 
 
 def has_silent_cycle(build, target) -> bool:
