@@ -1,8 +1,9 @@
 """Pure-Python search kernels.
 
-The product closure takes each state's transitions from the machine's
-``moves``, indexed by input once per call, so that a feeding step reads
-only the fed state's reactions to the fed label. The subset-pair search
+The product closure reads each state's transitions from the machine's
+``moves`` and indexes each side's moves once per call, each move's step
+built once, so that a feeding step reads only the fed state's reactions
+to the fed label. The subset-pair search
 reads the packed step rows of ``encode``: it merges the steps of a state
 subset by ``|``-ing its member states' rows, finding the members of a
 subset wider than three states a byte of the mask at a time, then reads
@@ -46,62 +47,63 @@ def product_closure(enc1, enc2, composed_inputs: frozenset):
 
     A transition is produced when one of the four composition rules
     applies and its trigger is a composed input (a label that is an input
-    of either side and an output of neither).
+    of either side and an output of neither). Every transition takes the
+    steps ``_index`` built as its ``left`` and ``right``, and a discovered
+    pair is keyed by ``s1 * width + s2``, ``width`` being side 2's state count.
     """
-    in1 = enc1.input_ids
-    in2 = enc2.input_ids
-    moves1 = enc1.moves()
-    moves2 = enc2.moves()
-    reactions1 = _reactions(moves1)
-    reactions2 = _reactions(moves2)
+    moves1, reactions1 = _index(enc1.moves(), composed_inputs, enc2)
+    moves2, reactions2 = _index(enc2.moves(), composed_inputs, enc1)
+    width = len(enc2.state_names)
     pairs = [(enc1.initial, enc2.initial)]
-    pair_index = {pairs[0]: 0}
+    pair_index = {enc1.initial * width + enc2.initial: 0}
     transitions = []
 
     # ``pairs`` is the BFS queue: it grows while it is walked, and a
     # pair's place in it is its index
     for src, (s1, s2) in enumerate(pairs):
         found = []
-        for (i, o, t1) in moves1[s1]:
-            if i not in composed_inputs:
-                continue
-            # left moves alone: its output is not consumable by the right
-            if o not in in2:
-                found.append((i, o, t1, s2, (i, o), ()))
+        for (i, o, t1, step, fed) in moves1[s1]:
+            if not fed:  # left moves alone
+                found.append((i, o, t1, s2, step, ()))
+            else:  # left output feeds the right, whose reaction is observed
+                for (o2, t2, step2) in reactions2[s2].get(o, ()):
+                    found.append((i, o2, t1, t2, step, step2))
+        for (i, o, t2, step, fed) in moves2[s2]:
+            if not fed:
+                found.append((i, o, s1, t2, (), step))
             else:
-                # left output feeds the right, whose reaction is observed
-                for (o2, t2) in reactions2[s2].get(o, ()):
-                    found.append((i, o2, t1, t2, (i, o), (o, o2)))
-        for (i, o, t2) in moves2[s2]:
-            if i not in composed_inputs:
-                continue
-            if o not in in1:
-                found.append((i, o, s1, t2, (), (i, o)))
-            else:
-                for (o1, t1) in reactions1[s1].get(o, ()):
-                    found.append((i, o1, t1, t2, (o, o1), (i, o)))
+                for (o1, t1, step1) in reactions1[s1].get(o, ()):
+                    found.append((i, o1, t1, t2, step1, step))
 
         found.sort()  # fixes the numbering of the composed states
         for (i, o, t1, t2, left, right) in found:
-            dst_pair = (t1, t2)
-            dst = pair_index.get(dst_pair)
+            dst = pair_index.get(key := t1 * width + t2)
             if dst is None:
-                dst = pair_index[dst_pair] = len(pairs)
-                pairs.append(dst_pair)
+                dst = pair_index[key] = len(pairs)
+                pairs.append((t1, t2))
             transitions.append((src, i, o, dst, left, right))
 
     return pairs, transitions
 
 
-def _reactions(moves):
-    """Per state, each input mapped to the (output, target) moves on it."""
-    table = []
+def _index(moves, composed_inputs, partner):
+    """Per state, its moves on composed inputs as (input, output, target,
+    step, fed), in slot order, and its reactions to the partner's outputs
+    as each such input mapped to its (output, target, step) moves. ``fed``
+    says whether the partner consumes the output."""
+    fed_by, consumes = partner.output_ids, partner.input_ids
+    table, reactions = [], []
     for state_moves in moves:
-        by_input: dict[int, list[tuple[int, int]]] = {}
+        on_inputs: list[tuple] = []
+        by_input: dict[int, list[tuple]] = {}
         for (i, o, t) in state_moves:
-            by_input.setdefault(i, []).append((o, t))
-        table.append(by_input)
-    return table
+            if i in composed_inputs:
+                on_inputs.append((i, o, t, (i, o), o in consumes))
+            elif i in fed_by:
+                by_input.setdefault(i, []).append((o, t, (i, o)))
+        table.append(on_inputs)
+        reactions.append(by_input)
+    return table, reactions
 
 
 #: Per byte value, the offsets of its set bits, ascending.

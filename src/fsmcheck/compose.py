@@ -79,15 +79,21 @@ class CompositionReport:
 def signature_check(
     c1: Component | SystemBuild, c2: Component | SystemBuild
 ) -> CompositionReport:
-    o1_i2 = c1.outputs & c2.inputs
-    o2_i1 = c2.outputs & c1.inputs
-    i1_i2 = c1.inputs & c2.inputs
-    o1_o2 = c1.outputs & c2.outputs
+    return _report(c1.inputs, c1.outputs, c2.inputs, c2.outputs, str)
+
+
+def _report(i1, o1, i2, o2, name) -> CompositionReport:
+    """The report of a pair from its label sets, each intersection's
+    labels read through ``name``."""
+    o1_i2 = frozenset(map(name, o1 & i2))
+    o2_i1 = frozenset(map(name, o2 & i1))
+    i1_i2 = frozenset(map(name, i1 & i2))
+    o1_o2 = frozenset(map(name, o1 & o2))
     return CompositionReport(
-        o1_cap_i2=frozenset(o1_i2),
-        o2_cap_i1=frozenset(o2_i1),
-        i1_cap_i2=frozenset(i1_i2),
-        o1_cap_o2=frozenset(o1_o2),
+        o1_cap_i2=o1_i2,
+        o2_cap_i1=o2_i1,
+        i1_cap_i2=i1_i2,
+        o1_cap_o2=o1_o2,
         synchronizable=bool(o1_i2) and bool(o2_i1),
         alphabets_disjoint=not i1_i2 and not o1_o2,
     )
@@ -278,7 +284,8 @@ def _compose(
 ) -> SystemBuild:
     """Compose two built sides over their shared label table."""
     enc1, enc2 = left.machine, right.machine
-    report = signature_check(left, right)
+    report = _report(enc1.input_ids, enc1.output_ids, enc2.input_ids, enc2.output_ids,
+                     enc1.label_names.__getitem__)
     if not report.synchronizable and not relax:
         raise ComposabilityError(
             f"components '{enc1.name}' and '{enc2.name}' cannot synchronize in both "

@@ -473,13 +473,14 @@ def composed_nodes(count: int):
 
 def test_product_closure_equals_the_literal_closure():
     nodes = composed_nodes(200)
-    shared = one_way = nested = several = 0
+    shared = one_way = nested = several = unanswered = wider_right = wider_left = 0
     for node in nodes:
         left, right = node.parts
         assert (node.pairs, node.raw) == naive_product_closure(
             left.machine, right.machine, node.machine.input_ids)
         assert node.machine.state_names == naive_pair_names(
             left.machine, right.machine, node.pairs)
+        assert node.reports[-1][1] == signature_check(left, right)
         shared += bool(left.machine.input_ids & right.machine.input_ids)
         one_way += not node.reports[-1][1].synchronizable
         nested += bool(left.parts or right.parts)
@@ -487,8 +488,18 @@ def test_product_closure_equals_the_literal_closure():
         fed = Counter((t[0], t[4], node.pairs[t[3]][0]) for t in node.raw
                       if t[4] and t[5] and t[5][0] == t[4][1])
         several += any(ways > 1 for ways in fed.values())
+        # a side feeds the other a label the other cannot react to there
+        moves = [part.machine.moves() for part in node.parts]
+        unanswered += any(
+            i in node.machine.input_ids and o in node.parts[1 - side].machine.input_ids
+            and all(fed_label != o for fed_label, _, _ in moves[1 - side][pair[1 - side]])
+            for pair in node.pairs for side in (0, 1) for i, o, _ in moves[side][pair[side]])
+        n1, n2 = len(left.machine.state_names), len(right.machine.state_names)
+        wider_right += n2 > n1
+        wider_left += n1 > n2
     assert len(nodes) >= 300
-    assert min(shared, one_way, nested, several) >= 30, (shared, one_way, nested, several)
+    counts = (shared, one_way, nested, several, unanswered, wider_right, wider_left)
+    assert min(counts) >= 30, counts
 
 
 def test_product_closure_numbering_is_pinned():
