@@ -16,10 +16,11 @@ enabled step to its target mask below a few hundred states. A
 component's rows depend on it alone, since ids sort as names: they are
 packed once per ``Component`` object and a label table adds only the id sets.
 
-A system build's machines (``compose``) carry per state their (input,
-output, target) ``moves()`` in slot order, which the product closure
-reads; their rows are a ``cached_property``, derived only when read. A
-leaf reads its moves off its component's steps.
+A system build's machines (``compose``) are ``BuildMachine``s: they
+carry per state their (input, output, target) ``moves`` in slot order,
+which the product closure reads, and pack their rows from them only
+when the rows are read. A leaf reads its moves off its component's
+steps, a composed node off its product closure's transitions.
 """
 
 from __future__ import annotations
@@ -121,18 +122,33 @@ class EncodedComponent:
         )
 
 
-class EncodedLeaf(EncodedComponent):
-    """``EncodedComponent.of(c, ...)`` as a leaf of a system build, with the
-    same errors: its moves are read off ``c``'s steps, and its rows are
-    ``c``'s packed ones, read on first use. Only ``c``'s own alphabets
-    declare a label."""
+class BuildMachine(EncodedComponent):
+    """A machine of a system build: per state, its (input, output, target)
+    ``moves`` in slot order, which the product closure reads.
 
-    def __init__(self, c: Component, label_names: list[str], label_ids: dict[str, int]):
+    The moves are given when the machine is made (``leaf``, fault
+    localization's one-run machines), or a composed node reads them off
+    ``raw``, its product closure's transitions, on first read. The rows
+    are packed from the moves on first read.
+    """
+
+    def __init__(self, *encoding, moves: list[list[tuple[int, int, int]]] | None = None,
+                 raw: list[tuple] | tuple[()] = ()):
+        super().__init__(*encoding)
+        if moves is not None:
+            self.moves = moves
+        self.raw = raw
+
+    @classmethod
+    def leaf(cls, c: Component, label_names: list[str], label_ids: dict[str, int]):
+        """``EncodedComponent.of(c, ...)`` as a leaf of a system build, with
+        the same errors, its moves read off ``c``'s steps. Only ``c``'s
+        own alphabets declare a label."""
         state_names = sorted(c.states)
         state_ids = {s: n for n, s in enumerate(state_names)}
         own_inputs = {x: label_ids[x] for x in c.inputs}
         own_outputs = {x: label_ids[x] for x in c.outputs}
-        self._moves = moves = [[] for _ in state_names]
+        moves = [[] for _ in state_names]
         try:
             for source, i, o, target in _step_tuples(c):
                 moves[state_ids[source]].append((own_inputs[i], own_outputs[o], state_ids[target]))
@@ -141,16 +157,25 @@ class EncodedLeaf(EncodedComponent):
             raise InvalidComponentError(_undeclared(c)) from None
         for found in moves:
             found.sort()  # ids sort as names: slot order, then targets
-        super().__init__(c.name, state_names, initial, label_names, label_ids,
-                         frozenset(own_inputs.values()), frozenset(own_outputs.values()))
-        self.component = c
+        return cls(c.name, state_names, initial, label_names, label_ids,
+                   frozenset(own_inputs.values()), frozenset(own_outputs.values()),
+                   moves=moves)
 
+    @cached_property
     def moves(self) -> list[list[tuple[int, int, int]]]:
-        return self._moves
+        moves: list[set[tuple[int, int, int]]] = [set() for _ in self.state_names]
+        for (src, i, o, dst, _, _) in self.raw:
+            moves[src].add((i, o, dst))
+        return [sorted(found) for found in moves]
 
     @cached_property
     def rows(self) -> list[int]:
-        return self.component._packed[2]
+        offset = slot_offsets(self.slots, len(self.state_names))
+        rows = [0] * len(self.state_names)
+        for s, found in enumerate(self.moves):
+            for i, o, t in found:
+                rows[s] |= 1 << (offset[(i, o)] + t)
+        return rows
 
 
 def slot_layout(input_ids, output_ids) -> list[tuple[int, int]]:

@@ -36,7 +36,7 @@ class CheckStats:
 
 def product_closure(enc1, enc2, composed_inputs: frozenset):
     """Reachable synchronous product of two system build machines, read
-    through their ``moves()``.
+    through their ``moves``.
 
     Returns (pairs, transitions) where pairs is the list of discovered
     (s1, s2) state pairs in BFS order and each transition is a tuple
@@ -51,8 +51,8 @@ def product_closure(enc1, enc2, composed_inputs: frozenset):
     steps ``_index`` built as its ``left`` and ``right``, and a discovered
     pair is keyed by ``s1 * width + s2``, ``width`` being side 2's state count.
     """
-    moves1, reactions1 = _index(enc1.moves(), composed_inputs, enc2)
-    moves2, reactions2 = _index(enc2.moves(), composed_inputs, enc1)
+    moves1, reactions1 = _index(enc1.moves, composed_inputs, enc2)
+    moves2, reactions2 = _index(enc2.moves, composed_inputs, enc1)
     width = len(enc2.state_names)
     pairs = [(enc1.initial, enc2.initial)]
     pair_index = {enc1.initial * width + enc2.initial: 0}

@@ -11,8 +11,9 @@ expression. Every composed node keeps its children and the
 transitions of the product closure, each carrying the step each side
 takes in it. From those steps, the steps each leaf may take in each
 transition are joined down the tree on first read; projection reads
-them. The node's step rows are derived from its transitions on first
-read too. Names are decoded only when read.
+them. The node's machine reads its moves off its transitions and packs
+its step rows from them, each on first read too. Names are decoded only
+when read.
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ SystemExpr = Leaf | Par
 
 def subcomponents(expr: SystemExpr) -> frozenset[str]:
     """Names of the basic components a system expression is built from."""
-    if isinstance(expr, Leaf):
-        return frozenset([expr.name])
-    return subcomponents(expr.left) | subcomponents(expr.right)
+    return frozenset(leaf.name for leaf in _leaves(expr))
 
 
 def leaf_components(expr: SystemExpr) -> dict[str, Component]:
@@ -127,17 +126,17 @@ class SystemBuild:
     state. A composed node keeps its two built ``parts``, its ``pairs``
     (each state as the pair of the parts' own state ids) and the ``raw``
     transitions of the product closure between them, each with the step
-    each part takes; its machine derives its step rows and its moves
-    from ``raw``. ``steps`` maps every transition ``(source, input,
-    output, target)`` on those ids to the steps each leaf may take in
-    it, and ``component`` is the same machine with names. Both are
+    each part takes; its machine reads its moves off ``raw`` and packs
+    its step rows from them. ``steps`` maps every transition ``(source,
+    input, output, target)`` on those ids to the steps each leaf may take
+    in it, and ``component`` is the same machine with names. Both are
     derived on first read.
     """
 
     expr: SystemExpr
     leaves: tuple[str, ...]
     reports: tuple[tuple[str, CompositionReport], ...]  # (node path, report)
-    machine: _core.EncodedComponent
+    machine: _core.BuildMachine
     parts: tuple[SystemBuild, SystemBuild] | tuple[()] = ()
     pairs: list[tuple[int, int]] = field(default_factory=list)
     raw: list[RawTransition] = field(default_factory=list)
@@ -175,7 +174,7 @@ class SystemBuild:
         if not self.parts:
             return {
                 (s, i, o, t): [{(i, o)}]
-                for s, moves in enumerate(self.machine.moves()) for i, o, t in moves
+                for s, moves in enumerate(self.machine.moves) for i, o, t in moves
             }
         pairs, steps = self.pairs, {}
         for t in self.raw:
@@ -248,35 +247,8 @@ def _build(
 
 def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -> SystemBuild:
     """A leaf on integer ids: its encoding, moves read off its steps."""
-    machine = _core.EncodedLeaf(expr.component, label_names, label_ids)
+    machine = _core.BuildMachine.leaf(expr.component, label_names, label_ids)
     return SystemBuild(expr, (expr.name,), (), machine)
-
-
-class _ComposedMachine(_core.EncodedComponent):
-    """A composed node's machine, its rows derived on first read.
-
-    Certification and the next composition up read the transitions of
-    the product closure, not the rows: only decoding reads them. Its
-    moves are read off the transitions, once per (input, output, target).
-    """
-
-    def __init__(self, *encoding, raw: list[RawTransition]):
-        super().__init__(*encoding)
-        self.raw = raw
-
-    @cached_property
-    def rows(self) -> list[int]:
-        offset = _core.slot_offsets(self.slots, len(self.state_names))
-        rows = [0] * len(self.state_names)
-        for (src, i, o, dst, _, _) in self.raw:
-            rows[src] |= 1 << (offset[(i, o)] + dst)
-        return rows
-
-    def moves(self) -> list[list[tuple[int, int, int]]]:
-        moves: list[set[tuple[int, int, int]]] = [set() for _ in self.state_names]
-        for (src, i, o, dst, _, _) in self.raw:
-            moves[src].add((i, o, dst))
-        return [sorted(found) for found in moves]
 
 
 def _compose(
@@ -308,7 +280,7 @@ def _compose(
             taken.add(name)
             state_names[k] = name
 
-    machine = _ComposedMachine(
+    machine = _core.BuildMachine(
         f"({enc1.name}*{enc2.name})",
         state_names,
         0,

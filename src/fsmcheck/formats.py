@@ -66,6 +66,8 @@ def component_from_text(text: str, path: str | None = None) -> Component:
         elif directive == "component":
             if len(tokens) != 2:
                 raise ParseError("expected: component <name>", lineno, path)
+            if name is not None:
+                raise ParseError("repeated 'component' directive", lineno, path)
             name = tokens[1]
         elif directive == "states":
             states.extend(tokens[1:])
@@ -76,6 +78,8 @@ def component_from_text(text: str, path: str | None = None) -> Component:
         elif directive == "initial":
             if len(tokens) != 2:
                 raise ParseError("expected: initial <state>", lineno, path)
+            if initial is not None:
+                raise ParseError("repeated 'initial' directive", lineno, path)
             initial = tokens[1]
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno, path)

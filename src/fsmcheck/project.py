@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._core import EncodedComponent, slot_offsets
-from .compose import Leaf, SystemBuild, SystemExpr, build_system_full
+from .compose import SystemBuild, SystemExpr, build_system_full
 from .errors import NotATraceError, TraceLimitError, UnknownTargetError
 from .machine import Component, Step, Trace, DEFAULT_TRACE_GUARD
 
@@ -221,12 +221,9 @@ def component_in_context(
     forward closure. The alphabets are the target component's own.
     """
     build = _as_build(system, relax)
-    if isinstance(build.expr, Leaf):
-        # projecting a basic component on itself
-        if build.expr.name != target:
-            raise UnknownTargetError(f"'{target}' is not a leaf of the expression")
-        return ContextComponent(build.expr.component, "finite")
     j = _leaf_index(build, target)
+    if not build.parts:  # projecting a basic component on itself
+        return ContextComponent(build.expr.component, "finite")
     return ContextComponent(_encoded_projections(build)[j].decode(), "finite")
 
 

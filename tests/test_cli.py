@@ -445,6 +445,19 @@ class TestProject:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("expr, files, leaves", [
+        ("M", ["spec_money.fsm"], "['M']"),
+        ("(par M D)", ["spec_money.fsm", "drink.fsm"], "['M', 'D']"),
+    ])
+    def test_unknown_target_names_the_leaves(self, tmp_path, capsys, expr, files, leaves):
+        # a one-leaf expression is looked up as any other
+        out = tmp_path / "proj.fsm"
+        code, _ = run("project", expr, *(COFFEE / f for f in files), "--target", "B", "-o", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: 'B' is not a leaf of the expression (leaves: {leaves})\n")
+        assert not out.exists()
+
     def test_repeated_leaf_exits_two(self, tmp_path, capsys):
         out = tmp_path / "proj.fsm"
         code, _ = run(

@@ -489,7 +489,7 @@ def test_product_closure_equals_the_literal_closure():
                       if t[4] and t[5] and t[5][0] == t[4][1])
         several += any(ways > 1 for ways in fed.values())
         # a side feeds the other a label the other cannot react to there
-        moves = [part.machine.moves() for part in node.parts]
+        moves = [part.machine.moves for part in node.parts]
         unanswered += any(
             i in node.machine.input_ids and o in node.parts[1 - side].machine.input_ids
             and all(fed_label != o for fed_label, _, _ in moves[1 - side][pair[1 - side]])

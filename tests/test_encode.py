@@ -15,14 +15,15 @@ from fsmcheck import (
     trace,
 )
 from fsmcheck.errors import InvalidComponentError
-from fsmcheck._core import EncodedComponent, EncodedLeaf, cioco_bfs, encode_pair, label_table
+from fsmcheck._core import BuildMachine, EncodedComponent, cioco_bfs, encode_pair, label_table
 from fsmcheck.conform import _exact_verdict
 from fsmcheck.formats import component_from_text, component_to_text
 from fsmcheck.project import _encoded_projections
 from fsmcheck.randgen import mutate, prune, random_component
 
 from oracles import naive_cioco_bounded, step_maps
-from test_project import random_four_leaf_system, random_three_leaf_system
+from test_compose import relay_chain
+from test_project import build_nodes, random_four_leaf_system, random_three_leaf_system
 
 
 def reachable_part(c: Component) -> Component:
@@ -189,7 +190,7 @@ class TestSharedRows:
         other = Component.build("O", "o0", [("o0", "b", "o", "o0")])
         for names, ids in (label_table(c), label_table(c, other)):
             for _ in range(2):
-                for encode in (EncodedComponent.of, EncodedLeaf):
+                for encode in (EncodedComponent.of, BuildMachine.leaf):
                     with pytest.raises(InvalidComponentError,
                                        match=f"component 'M': .*{message}"):
                         encode(c, names, ids)
@@ -222,16 +223,42 @@ def test_leaf_moves_are_those_of_the_packed_rows():
     for c in random_machines(rng, 60):
         for names, ids in (label_table(c), label_table(c, TestSharedRows.WIDER)):
             for copy in (fresh(c), component_from_text(component_to_text(c))):
-                leaf = EncodedLeaf(copy, names, ids)
+                leaf = BuildMachine.leaf(copy, names, ids)
                 assert "_packed" not in vars(copy)
                 enc = EncodedComponent.of(copy, names, ids)
-                assert leaf.moves() == [enc.moves_of(row) for row in enc.rows]
+                assert leaf.moves == [enc.moves_of(row) for row in enc.rows]
                 assert (leaf.state_names, leaf.initial, leaf.input_ids, leaf.output_ids,
                         leaf.slots) == (enc.state_names, enc.initial, enc.input_ids,
                                         enc.output_ids, enc.slots)
                 assert "rows" not in vars(leaf)
-                assert leaf.rows is enc.rows and leaf.decode() == enc.decode()
-                assert vars(leaf)["rows"] is enc.rows  # kept from the first read
+                assert leaf.rows == enc.rows and leaf.decode() == enc.decode()
+                assert vars(leaf)["rows"] is leaf.rows  # kept from the first read
+
+
+def test_build_machines_pack_their_rows_from_their_moves():
+    # a composed node's moves are its closure's (input, output, target)
+    # per source, each once, in slot order; every build machine's rows
+    # hold exactly its moves, unpacked by the documented layout
+    rng = random.Random(659)
+    shapes = ("balanced", "left-deep", "right-deep")
+    exprs = [random_three_leaf_system(rng) if n % 2 else random_four_leaf_system(
+        rng, shapes[n // 2 % 3]) for n in range(12)]
+    # in a relay chain, two closure transitions take the same composed step
+    exprs += [relay_chain(3, shape) for shape in shapes[1:]]
+    for expr in exprs:
+        for node in build_nodes(build_system_full(expr, relax=True)):
+            m = node.machine
+            if node.parts:
+                steps = [set() for _ in m.state_names]
+                for s, i, o, t, _, _ in node.raw:
+                    steps[s].add((i, o, t))
+                assert m.moves == [sorted(found) for found in steps]
+            for moves, row in zip(m.moves, step_maps(m), strict=True):
+                assert moves == sorted(set(moves))
+                targets: dict[tuple[int, int], int] = {}
+                for i, o, t in moves:
+                    targets[i, o] = targets.get((i, o), 0) | 1 << t
+                assert row == targets
 
 
 def test_projection_rows_of_nested_builds_lie_in_the_leaf_slots():

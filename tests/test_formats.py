@@ -95,6 +95,12 @@ TRANS = "expected: trans <state> <input>|<output> <state>"
     pytest.param("component M N\ninitial s0\n", "expected: component <name>", 1,
                  id="component with 2 arguments"),
     pytest.param("component\n", "expected: component <name>", 1, id="component alone"),
+    pytest.param("component A\ncomponent Z\ninitial s0\ninitial s1\n",
+                 "repeated 'component' directive", 2, id="component twice"),
+    pytest.param("component M\ninitial s0\ntrans s0 a|x s1\ninitial s1\n",
+                 "repeated 'initial' directive", 4, id="initial twice"),
+    pytest.param("component M\ninitial s0\ninitial s0\n",
+                 "repeated 'initial' directive", 3, id="initial twice, the same state"),
     pytest.param("component M\ninitial s0 s1\n", "expected: initial <state>", 2,
                  id="initial with 2 arguments"),
     pytest.param("component M\ninitial\n", "expected: initial <state>", 2, id="initial alone"),
