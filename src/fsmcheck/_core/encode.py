@@ -16,11 +16,10 @@ enabled step to its target mask below a few hundred states. A
 component's rows depend on it alone, since ids sort as names: they are
 packed once per ``Component`` object and a label table adds only the id sets.
 
-A system build's machines (``compose``) are ``BuildMachine``s: they
-carry per state their (input, output, target) ``moves`` in slot order,
-which the product closure reads, and pack their rows from them only
-when the rows are read. A leaf reads its moves off its component's
-steps, a composed node off its product closure's transitions.
+A system build's machines (``compose``) are ``BuildMachine``s: the
+product closure reads their (input, output, target) ``moves``, a leaf's
+read off its component's steps, and their rows are packed from the
+moves only when read.
 """
 
 from __future__ import annotations
@@ -123,14 +122,10 @@ class EncodedComponent:
 
 
 class BuildMachine(EncodedComponent):
-    """A machine of a system build: per state, its (input, output, target)
-    ``moves`` in slot order, which the product closure reads.
-
-    The moves are given when the machine is made (``leaf``, fault
-    localization's one-run machines), or a composed node reads them off
-    ``raw``, its product closure's transitions, on first read. The rows
-    are packed from the moves on first read.
-    """
+    """A machine with each state's (input, output, target) ``moves`` in
+    slot order: given when it is made, or read on first use off ``raw``,
+    a composed node's product closure transitions. Its rows are packed
+    from its moves on first read."""
 
     def __init__(self, *encoding, moves: list[list[tuple[int, int, int]]] | None = None,
                  raw: list[tuple] | tuple[()] = ()):
