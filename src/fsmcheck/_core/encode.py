@@ -16,10 +16,13 @@ enabled step to its target mask below a few hundred states. A
 component's rows depend on it alone, since ids sort as names: they are
 packed once per ``Component`` object and a label table adds only the id sets.
 
-A system build's machines (``compose``) are ``BuildMachine``s: the
-product closure reads their (input, output, target) ``moves``, a leaf's
-read off its component's steps, and their rows are packed from the
-moves only when read.
+The same steps as (input, output, target) triples in slot order are a
+machine's ``moves``, which the product closure reads. One class holds
+every machine on ids, made from one of three sources: its rows (``of``,
+and projections), its moves (``leaf``, a system build's leaf read off
+its component's steps, and one-run machines) or ``raw``, a composed
+node's product closure transitions. The view it is not given is derived
+on first read.
 """
 
 from __future__ import annotations
@@ -31,22 +34,22 @@ from ..machine import Component, Transition, _step_tuples, _undeclared
 
 
 class EncodedComponent:
-    """A component on dense integer ids over a shared label table.
+    """A machine on dense integer ids over a shared label table.
 
     ``label_names[x]`` names label id ``x`` and ``label_ids`` is its
     inverse; ``state_names[s]`` names state ``s``. ``slots`` is the
-    ``slot_layout`` of the input and output ids and ``rows[s]`` is state
-    ``s``'s row: the targets of each of its steps, slot by slot. Encoded
-    components are never modified, so several may share their rows.
+    ``slot_layout`` of the input and output ids, ``rows[s]`` is state
+    ``s``'s row and ``moves[s]`` its moves; a machine is given its rows,
+    its moves or ``raw``, and reads the rest off it. Machines are never
+    modified, so several may share their rows.
     """
-
-    __slots__ = ("name", "state_names", "initial", "label_names", "label_ids",
-                 "input_ids", "output_ids", "slots", "rows")
 
     def __init__(self, name: str, state_names: list[str], initial: int,
                  label_names: list[str], label_ids: dict[str, int],
                  input_ids: frozenset[int], output_ids: frozenset[int],
-                 rows: list[int] | None = None):
+                 rows: list[int] | None = None, *,
+                 moves: list[list[tuple[int, int, int]]] | None = None,
+                 raw: list[tuple] | None = None):
         self.name = name
         self.state_names = state_names
         self.initial = initial
@@ -55,8 +58,11 @@ class EncodedComponent:
         self.input_ids = input_ids
         self.output_ids = output_ids
         self.slots = slot_layout(input_ids, output_ids)
-        if rows is not None:  # else a subclass derives them on first read
+        if rows is not None:
             self.rows = rows
+        if moves is not None:
+            self.moves = moves
+        self.raw = raw
 
     @classmethod
     def of(cls, c: Component, label_names: list[str], label_ids: dict[str, int]):
@@ -77,6 +83,46 @@ class EncodedComponent:
                    frozenset(label_ids[x] for x in c.inputs),
                    frozenset(label_ids[x] for x in c.outputs), rows)
 
+    @classmethod
+    def leaf(cls, c: Component, label_names: list[str], label_ids: dict[str, int]):
+        """``of(c, ...)`` as a leaf of a system build, with the same errors,
+        its moves read off ``c``'s steps. Only ``c``'s own alphabets
+        declare a label."""
+        state_names = sorted(c.states)
+        state_ids = {s: n for n, s in enumerate(state_names)}
+        own_inputs = {x: label_ids[x] for x in c.inputs}
+        own_outputs = {x: label_ids[x] for x in c.outputs}
+        moves = [[] for _ in state_names]
+        try:
+            for source, i, o, target in _step_tuples(c):
+                moves[state_ids[source]].append((own_inputs[i], own_outputs[o], state_ids[target]))
+            initial = state_ids[c.initial]
+        except KeyError:
+            raise InvalidComponentError(_undeclared(c)) from None
+        for found in moves:
+            found.sort()  # ids sort as names: slot order, then targets
+        return cls(c.name, state_names, initial, label_names, label_ids,
+                   frozenset(own_inputs.values()), frozenset(own_outputs.values()),
+                   moves=moves)
+
+    @cached_property
+    def rows(self) -> list[int]:
+        offset = slot_offsets(self.slots, len(self.state_names))
+        rows = [0] * len(self.state_names)
+        for s, found in enumerate(self.moves):
+            for i, o, t in found:
+                rows[s] |= 1 << (offset[(i, o)] + t)
+        return rows
+
+    @cached_property
+    def moves(self) -> list[list[tuple[int, int, int]]]:
+        if self.raw is None:
+            return [self._moves_of(row) for row in self.rows]
+        moves: list[set[tuple[int, int, int]]] = [set() for _ in self.state_names]
+        for (src, i, o, dst, _, _) in self.raw:
+            moves[src].add((i, o, dst))
+        return [sorted(found) for found in moves]
+
     def input_enabled(self) -> bool:
         """Does every state have a step on every input? An input's slots
         lie side by side, so each input is one mask over a row."""
@@ -84,7 +130,7 @@ class EncodedComponent:
         masks = [((1 << width) - 1) << k * width for k in range(len(self.input_ids))]
         return all(row & mask for row in self.rows for mask in masks)
 
-    def moves_of(self, row: int) -> list[tuple[int, int, int]]:
+    def _moves_of(self, row: int) -> list[tuple[int, int, int]]:
         """The transitions in a row as (input, output, target), in slot order."""
         n = len(self.state_names)
         full = (1 << n) - 1
@@ -106,7 +152,7 @@ class EncodedComponent:
         transitions = []
         while stack:
             s = stack.pop()
-            for i, o, t in self.moves_of(self.rows[s]):
+            for i, o, t in self._moves_of(self.rows[s]):
                 transitions.append(Transition(names[s], labels[i], labels[o], names[t]))
                 if t not in seen:
                     seen.add(t)
@@ -119,58 +165,6 @@ class EncodedComponent:
             outputs=frozenset(labels[x] for x in self.output_ids),
             transitions=frozenset(transitions),
         )
-
-
-class BuildMachine(EncodedComponent):
-    """A machine with each state's (input, output, target) ``moves`` in
-    slot order: given when it is made, or read on first use off ``raw``,
-    a composed node's product closure transitions. Its rows are packed
-    from its moves on first read."""
-
-    def __init__(self, *encoding, moves: list[list[tuple[int, int, int]]] | None = None,
-                 raw: list[tuple] | tuple[()] = ()):
-        super().__init__(*encoding)
-        if moves is not None:
-            self.moves = moves
-        self.raw = raw
-
-    @classmethod
-    def leaf(cls, c: Component, label_names: list[str], label_ids: dict[str, int]):
-        """``EncodedComponent.of(c, ...)`` as a leaf of a system build, with
-        the same errors, its moves read off ``c``'s steps. Only ``c``'s
-        own alphabets declare a label."""
-        state_names = sorted(c.states)
-        state_ids = {s: n for n, s in enumerate(state_names)}
-        own_inputs = {x: label_ids[x] for x in c.inputs}
-        own_outputs = {x: label_ids[x] for x in c.outputs}
-        moves = [[] for _ in state_names]
-        try:
-            for source, i, o, target in _step_tuples(c):
-                moves[state_ids[source]].append((own_inputs[i], own_outputs[o], state_ids[target]))
-            initial = state_ids[c.initial]
-        except KeyError:
-            raise InvalidComponentError(_undeclared(c)) from None
-        for found in moves:
-            found.sort()  # ids sort as names: slot order, then targets
-        return cls(c.name, state_names, initial, label_names, label_ids,
-                   frozenset(own_inputs.values()), frozenset(own_outputs.values()),
-                   moves=moves)
-
-    @cached_property
-    def moves(self) -> list[list[tuple[int, int, int]]]:
-        moves: list[set[tuple[int, int, int]]] = [set() for _ in self.state_names]
-        for (src, i, o, dst, _, _) in self.raw:
-            moves[src].add((i, o, dst))
-        return [sorted(found) for found in moves]
-
-    @cached_property
-    def rows(self) -> list[int]:
-        offset = slot_offsets(self.slots, len(self.state_names))
-        rows = [0] * len(self.state_names)
-        for s, found in enumerate(self.moves):
-            for i, o, t in found:
-                rows[s] |= 1 << (offset[(i, o)] + t)
-        return rows
 
 
 def slot_layout(input_ids, output_ids) -> list[tuple[int, int]]:
@@ -195,4 +189,4 @@ def label_table(*components: Component) -> tuple[list[str], dict[str, int]]:
 
 def encode_pair(c1: Component, c2: Component):
     names, ids = label_table(c1, c2)
-    return EncodedComponent.of(c1, names, ids), EncodedComponent.of(c2, names, ids), names, ids
+    return EncodedComponent.of(c1, names, ids), EncodedComponent.of(c2, names, ids)

@@ -272,6 +272,6 @@ def _one_run(record: tuple[tuple[int, int], ...], projection: _core.EncodedCompo
     slots: state ``k`` takes step ``record[k]`` to state ``k + 1``. Its
     states are numbers, not names: it is searched, never decoded."""
     moves = [[(*step, k + 1)] for k, step in enumerate(record)] + [[]]
-    return _core.BuildMachine("run", range(len(moves)), 0, projection.label_names,
-                              projection.label_ids, projection.input_ids,
-                              projection.output_ids, moves=moves)
+    return _core.EncodedComponent("run", range(len(moves)), 0, projection.label_names,
+                                  projection.label_ids, projection.input_ids,
+                                  projection.output_ids, moves=moves)

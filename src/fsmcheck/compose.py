@@ -136,7 +136,7 @@ class SystemBuild:
     expr: SystemExpr
     leaves: tuple[str, ...]
     reports: tuple[tuple[str, CompositionReport], ...]  # (node path, report)
-    machine: _core.BuildMachine
+    machine: _core.EncodedComponent
     parts: tuple[SystemBuild, SystemBuild] | tuple[()] = ()
     pairs: list[tuple[int, int]] = field(default_factory=list)
     raw: list[RawTransition] = field(default_factory=list)
@@ -247,7 +247,7 @@ def _build(
 
 def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -> SystemBuild:
     """A leaf on integer ids: its encoding, moves read off its steps."""
-    machine = _core.BuildMachine.leaf(expr.component, label_names, label_ids)
+    machine = _core.EncodedComponent.leaf(expr.component, label_names, label_ids)
     return SystemBuild(expr, (expr.name,), (), machine)
 
 
@@ -280,16 +280,9 @@ def _compose(
             taken.add(name)
             state_names[k] = name
 
-    machine = _core.BuildMachine(
-        f"({enc1.name}*{enc2.name})",
-        state_names,
-        0,
-        enc1.label_names,
-        enc1.label_ids,
-        input_ids,
-        output_ids,
-        raw=raw,
-    )
+    machine = _core.EncodedComponent(f"({enc1.name}*{enc2.name})", state_names, 0,
+                                     enc1.label_names, enc1.label_ids, input_ids, output_ids,
+                                     raw=raw)
     return SystemBuild(
         expr=expr,
         leaves=left.leaves + right.leaves,

@@ -148,7 +148,7 @@ def check_cioco_exact(iut: Component, spec: Component, unspecified: str = "allow
     after them.
     """
     _require_same_signature(iut, spec)
-    enc_iut, enc_spec, _, _ = _core.encode_pair(iut, spec)
+    enc_iut, enc_spec = _core.encode_pair(iut, spec)
     return _exact_verdict(enc_iut, enc_spec, unspecified)
 
 
@@ -491,5 +491,5 @@ def check_trace_inclusion(c1: Component, c2: Component) -> Verdict:
     trace is a shortest sequence executable by c1 but not by c2.
     """
     _require_same_signature(c1, c2)
-    enc1, enc2, _, _ = _core.encode_pair(c1, c2)
+    enc1, enc2 = _core.encode_pair(c1, c2)
     return _exact_verdict(enc1, enc2, "forbid", warn=False)

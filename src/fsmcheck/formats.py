@@ -207,8 +207,19 @@ def indented_json(value, margin: str = "\n") -> str:
 
 
 def component_from_json(text: str, path: str | None = None) -> Component:
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        """Each JSON object, refused when it holds a key twice."""
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                keys = [k for k, _ in pairs]
+                raise ParseError(f"repeated key {key!r} in the object with keys {keys}",
+                                 None, path)
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", exc.lineno, path) from None
     except (ValueError, RecursionError) as exc:

@@ -128,6 +128,15 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "malformed component object" in err and "Traceback" not in err
 
+    def test_json_repeated_key_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"name": "A", "name": "Z", "initial": "s0", "initial": "s1", '
+                       '"transitions": []}')
+        assert run("validate", bad) == (2, "")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeated key 'name'" in captured.err and "Traceback" not in captured.err
+
     def test_json_output(self, capsys):
         code, out = run("validate", "--json", COFFEE / "drink.fsm", capsys=capsys)
         assert code == 0
@@ -408,6 +417,14 @@ class TestCheck:
             COFFEE / "drink.fsm", COFFEE / "drink.fsm",
         )
         assert "non-negative" in err
+
+    @pytest.mark.parametrize("option, argument", [("-k", "-k/--depth"), ("--guard", "--guard")])
+    def test_non_integer_depth_or_guard_exits_two(self, option, argument, capsys):
+        drink = COFFEE / "drink.fsm"
+        depth = () if option == "-k" else ("-k", "2")
+        err = rejected_at_parsing(capsys, "check", "--method", "bounded", *depth,
+                                  option, "x", drink, drink)
+        assert f"error: argument {argument}: invalid int value: 'x'" in err
 
     def test_depth_without_bounded_method_exits_two(self, capsys):
         drink = COFFEE / "drink.fsm"

@@ -604,7 +604,7 @@ class TestSubsetPairSearch:
 
     @staticmethod
     def assert_same_search(iut, spec):
-        TestSubsetPairSearch.assert_same_encoded_search(*encode_pair(iut, spec)[:2])
+        TestSubsetPairSearch.assert_same_encoded_search(*encode_pair(iut, spec))
 
     @staticmethod
     def assert_same_encoded_search(enc_iut, enc_spec):
@@ -724,7 +724,7 @@ class TestSubsetPairSearch:
             pairs.append(("dense", mutate(rng, spec, name="I"), spec))
         failing, wide = Counter(), Counter()
         for family, iut, spec in pairs:
-            enc_iut, enc_spec = encode_pair(iut, spec)[:2]
+            enc_iut, enc_spec = encode_pair(iut, spec)
             for raw in self.assert_same_encoded_search(enc_iut, enc_spec):
                 if raw is not None:
                     failing[family] += 1
@@ -758,7 +758,7 @@ class TestSubsetPairSearch:
         }[case]
         iut = Component.build("I", "i0", iut, outputs=["x", "y", "z"])
         spec = Component.build("S", "s0", spec, outputs=["x", "y", "z"])
-        for raw in self.assert_same_encoded_search(*encode_pair(iut, spec)[:2]):
+        for raw in self.assert_same_encoded_search(*encode_pair(iut, spec)):
             assert raw is not None
         v = check_cioco_exact(iut, spec)
         witness = "a|x" if case == "one child by two slots" else "a|y"

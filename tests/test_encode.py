@@ -15,7 +15,8 @@ from fsmcheck import (
     trace,
 )
 from fsmcheck.errors import InvalidComponentError
-from fsmcheck._core import BuildMachine, EncodedComponent, cioco_bfs, encode_pair, label_table
+from fsmcheck._core import EncodedComponent, cioco_bfs, encode_pair, label_table
+from fsmcheck.certify import _one_run
 from fsmcheck.conform import _exact_verdict
 from fsmcheck.formats import component_from_text, component_to_text
 from fsmcheck.project import _encoded_projections
@@ -98,9 +99,10 @@ class TestRows:
              ("s1", "a", "d", "s3"), ("s2", "a", "d", "s3")],
             inputs=["a", "c"], outputs=["b", "d"],
         )
-        enc_iut, enc_spec, names, ids = encode_pair(iut, spec)
-        assert names == ["a", "b", "c", "d"]
-        a, b, c, d = (ids[x] for x in "abcd")
+        enc_iut, enc_spec = encode_pair(iut, spec)
+        assert enc_iut.label_names is enc_spec.label_names
+        assert enc_spec.label_names == ["a", "b", "c", "d"]
+        a, b, c, d = (enc_spec.label_ids[x] for x in "abcd")
         assert enc_iut.slots == enc_spec.slots == [(a, b), (a, d), (c, b), (c, d)]
         v = check_cioco_exact(iut, spec)
         assert v.counterexample.witness == trace("a|d")
@@ -126,7 +128,7 @@ class TestRows:
         seen = set()
         for c in random_machines(rng, 80):
             iut = mutate(rng, c, name="I")
-            enc_iut, enc_spec, _, _ = encode_pair(iut, c)
+            enc_iut, enc_spec = encode_pair(iut, c)
             warned = bool(_exact_verdict(enc_iut, enc_spec, "allow").warnings)
             assert warned == (not is_input_enabled(iut))
             seen.add(warned)
@@ -190,7 +192,7 @@ class TestSharedRows:
         other = Component.build("O", "o0", [("o0", "b", "o", "o0")])
         for names, ids in (label_table(c), label_table(c, other)):
             for _ in range(2):
-                for encode in (EncodedComponent.of, BuildMachine.leaf):
+                for encode in (EncodedComponent.of, EncodedComponent.leaf):
                     with pytest.raises(InvalidComponentError,
                                        match=f"component 'M': .*{message}"):
                         encode(c, names, ids)
@@ -223,10 +225,9 @@ def test_leaf_moves_are_those_of_the_packed_rows():
     for c in random_machines(rng, 60):
         for names, ids in (label_table(c), label_table(c, TestSharedRows.WIDER)):
             for copy in (fresh(c), component_from_text(component_to_text(c))):
-                leaf = BuildMachine.leaf(copy, names, ids)
+                leaf = EncodedComponent.leaf(copy, names, ids)
                 assert "_packed" not in vars(copy)
                 enc = EncodedComponent.of(copy, names, ids)
-                assert leaf.moves == [enc.moves_of(row) for row in enc.rows]
                 assert (leaf.state_names, leaf.initial, leaf.input_ids, leaf.output_ids,
                         leaf.slots) == (enc.state_names, enc.initial, enc.input_ids,
                                         enc.output_ids, enc.slots)
@@ -235,30 +236,54 @@ def test_leaf_moves_are_those_of_the_packed_rows():
                 assert vars(leaf)["rows"] is leaf.rows  # kept from the first read
 
 
-def test_build_machines_pack_their_rows_from_their_moves():
-    # a composed node's moves are its closure's (input, output, target)
-    # per source, each once, in slot order; every build machine's rows
-    # hold exactly its moves, unpacked by the documented layout
-    rng = random.Random(659)
+def machines_of_every_kind(rng):
+    """(kind, machine) for every kind of machine on ids, on seeded builds:
+    ``of`` and a projection are given their rows, a leaf and a one-run
+    machine their moves, a composed node its closure's ``raw``."""
+    for c in random_machines(rng, 30):
+        for names, ids in (label_table(c), label_table(c, TestSharedRows.WIDER)):
+            yield "of", EncodedComponent.of(c, names, ids)
+            yield "leaf", EncodedComponent.leaf(fresh(c), names, ids)
     shapes = ("balanced", "left-deep", "right-deep")
     exprs = [random_three_leaf_system(rng) if n % 2 else random_four_leaf_system(
         rng, shapes[n // 2 % 3]) for n in range(12)]
     # in a relay chain, two closure transitions take the same composed step
     exprs += [relay_chain(3, shape) for shape in shapes[1:]]
     for expr in exprs:
-        for node in build_nodes(build_system_full(expr, relax=True)):
-            m = node.machine
-            if node.parts:
-                steps = [set() for _ in m.state_names]
-                for s, i, o, t, _, _ in node.raw:
-                    steps[s].add((i, o, t))
-                assert m.moves == [sorted(found) for found in steps]
-            for moves, row in zip(m.moves, step_maps(m), strict=True):
-                assert moves == sorted(set(moves))
-                targets: dict[tuple[int, int], int] = {}
-                for i, o, t in moves:
-                    targets[i, o] = targets.get((i, o), 0) | 1 << t
-                assert row == targets
+        build = build_system_full(expr, relax=True)
+        for node in build_nodes(build):
+            yield "composed" if node.parts else "leaf", node.machine
+        for projection in _encoded_projections(build):
+            yield "projection", projection
+            for length in (0, 1, 6):
+                record = tuple(rng.choice(projection.slots) for _ in range(length))
+                yield "one run", _one_run(record, projection)
+
+
+def test_every_machine_holds_its_steps_as_rows_and_as_moves():
+    # whichever view a machine is given, the other derived from it gives
+    # it back, and the rows hold exactly the moves, unpacked by the
+    # documented layout; a composed node's moves are its closure's
+    # (input, output, target) per source, each once, in slot order
+    kinds = set()
+    for kind, m in machines_of_every_kind(random.Random(659)):
+        encoding = (m.name, m.state_names, m.initial, m.label_names, m.label_ids,
+                    m.input_ids, m.output_ids)
+        assert EncodedComponent(*encoding, moves=m.moves).rows == m.rows
+        assert EncodedComponent(*encoding, m.rows).moves == m.moves
+        if kind == "composed":
+            steps = [set() for _ in m.state_names]
+            for s, i, o, t, _, _ in m.raw:
+                steps[s].add((i, o, t))
+            assert m.moves == [sorted(found) for found in steps]
+        for moves, row in zip(m.moves, step_maps(m), strict=True):
+            assert moves == sorted(set(moves))
+            targets: dict[tuple[int, int], int] = {}
+            for i, o, t in moves:
+                targets[i, o] = targets.get((i, o), 0) | 1 << t
+            assert row == targets
+        kinds.add(kind)
+    assert kinds == {"of", "leaf", "composed", "projection", "one run"}
 
 
 def test_projection_rows_of_nested_builds_lie_in_the_leaf_slots():

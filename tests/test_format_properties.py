@@ -12,6 +12,7 @@ from fsmcheck.compose import SystemExpr
 from fsmcheck.formats import (
     component_from_json,
     component_from_text,
+    component_to_dict,
     component_to_json,
     component_to_text,
     indented_json,
@@ -141,6 +142,43 @@ _text_name = st.text(alphabet=string.ascii_letters + string.digits + "_~().,-é"
 @given(components(_text_name))
 def test_text_round_trip_is_lossless(c):
     assert component_from_text(component_to_text(c)) == c
+
+
+def _dumps_repeating(value, holder: dict, at: int, key: str, again) -> str:
+    """``json.dumps(value)``, with the object ``holder`` holding ``key``
+    once more, as its ``at``-th item, with the value ``again``."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        if value is holder:
+            items.insert(at, (key, again))
+        return "{" + ", ".join(json.dumps(k) + ": " + _dumps_repeating(v, holder, at, key, again)
+                               for k, v in items) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_dumps_repeating(v, holder, at, key, again) for v in value) + "]"
+    return json.dumps(value)
+
+
+@deterministic
+@given(components(_text_name), st.data())
+def test_text_and_json_load_alike_and_refuse_a_repeated_field(c, data):
+    """Both renderings of a component load to it. A repeated ``component``
+    or ``initial`` directive in the text, or a repeated key in any object
+    of the JSON, is a ParseError, whatever value it repeats."""
+    text = component_to_text(c)
+    assert component_from_text(text) == component_from_json(component_to_json(c)) == c
+    directive = data.draw(st.sampled_from(["component", "initial"]))
+    lines = text.splitlines()
+    lines.insert(data.draw(st.integers(0, len(lines))),
+                 f"{directive} {data.draw(_text_name)}")
+    with pytest.raises(ParseError, match=f"repeated '{directive}' directive"):
+        component_from_text("\n".join(lines))
+    obj = component_to_dict(c)
+    holder = data.draw(st.sampled_from([obj, *obj["transitions"]]))
+    key = data.draw(st.sampled_from(sorted(holder)))
+    again = data.draw(st.sampled_from([holder[key], data.draw(_text_name)]))
+    repeated = _dumps_repeating(obj, holder, data.draw(st.integers(0, len(holder))), key, again)
+    with pytest.raises(ParseError, match=f"repeated key {key!r}"):
+        component_from_json(repeated)
 
 
 def text_writable(c: Component) -> bool:

@@ -164,6 +164,27 @@ def test_json_words_the_text_format_cannot_write_are_parse_errors(fields, messag
     }
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"name": "A", "name": "Z", "initial": "s0", "initial": "s1", '
+                 '"transitions": []}',
+                 "repeated key 'name' in the object with keys "
+                 "['name', 'name', 'initial', 'initial', 'transitions']", id="component"),
+    pytest.param('{"name": "A", "initial": "s0", "transitions": [{"from": "s0", '
+                 '"input": "i", "input": "j", "output": "x", "to": "s0"}]}',
+                 "repeated key 'input' in the object with keys "
+                 "['from', 'input', 'input', 'output', 'to']", id="transition"),
+    pytest.param('{"name": "A", "initial": "s0", "note": [{"k": 1, "k": 1}]}',
+                 "repeated key 'k' in the object with keys ['k', 'k']", id="unread object"),
+])
+def test_json_repeated_keys_are_parse_errors(text, message):
+    """``json.loads`` keeps the last of repeated keys: the loader refuses
+    a key repeated in any object, as the text loader refuses a repeated
+    ``component`` or ``initial`` directive."""
+    with pytest.raises(ParseError) as err:
+        component_from_json(text, "m.json")
+    assert str(err.value) == f"m.json: {message}"
+
+
 def test_round_trip_through_comments_crlf_and_tabs():
     """Rendered text still parses to the same component with a comment
     after every line, CRLF line endings, tabs between tokens and blank

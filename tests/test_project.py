@@ -434,7 +434,7 @@ def test_search_does_not_depend_on_the_specification_numbering():
     for n in range(40):
         spec = random_component(rng, "S", ["a", "b"], ["x", "y"], n_states=(2, 6))
         iut = prune(rng, spec, name="I") if n % 2 else mutate(rng, spec, name="I")
-        enc_iut, enc_spec, _, _ = encode_pair(iut, spec)
+        enc_iut, enc_spec = encode_pair(iut, spec)
         pairs.append((enc_iut, enc_spec))
     shapes = ("balanced", "left-deep", "right-deep")
     for n in range(36):
