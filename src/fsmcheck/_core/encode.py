@@ -18,11 +18,11 @@ packed once per ``Component`` object and a label table adds only the id sets.
 
 The same steps as (input, output, target) triples in slot order are a
 machine's ``moves``, which the product closure reads. One class holds
-every machine on ids, made from one of three sources: its rows (``of``,
-and projections), its moves (``leaf``, a system build's leaf read off
-its component's steps, and one-run machines) or ``raw``, a composed
-node's product closure transitions. The view it is not given is derived
-on first read.
+every machine on ids, made from exactly one of three sources: its rows
+(``of``, projections and one-run machines), its moves (``leaf``, a
+system build's leaf read off its component's steps) or ``raw``, a
+composed node's product closure transitions. The view it is not given
+is derived on first read.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ class EncodedComponent:
     ``label_names[x]`` names label id ``x`` and ``label_ids`` is its
     inverse; ``state_names[s]`` names state ``s``. ``slots`` is the
     ``slot_layout`` of the input and output ids, ``rows[s]`` is state
-    ``s``'s row and ``moves[s]`` its moves; a machine is given its rows,
-    its moves or ``raw``, and reads the rest off it. Machines are never
-    modified, so several may share their rows.
+    ``s``'s row and ``moves[s]`` its moves; a machine is given exactly
+    one of its rows, its moves and ``raw`` (else ``TypeError``), and
+    reads the rest off it. Machines are never modified, so several may
+    share their rows.
     """
 
     def __init__(self, name: str, state_names: list[str], initial: int,
@@ -58,6 +59,8 @@ class EncodedComponent:
         self.input_ids = input_ids
         self.output_ids = output_ids
         self.slots = slot_layout(input_ids, output_ids)
+        if [rows, moves, raw].count(None) != 2:
+            raise TypeError("a machine is given exactly one of rows, moves and raw")
         if rows is not None:
             self.rows = rows
         if moves is not None:

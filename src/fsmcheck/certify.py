@@ -270,8 +270,11 @@ def localize_fault(
 def _one_run(record: tuple[tuple[int, int], ...], projection: _core.EncodedComponent):
     """The machine whose one run performs ``record``, on the projection's
     slots: state ``k`` takes step ``record[k]`` to state ``k + 1``. Its
-    states are numbers, not names: it is searched, never decoded."""
-    moves = [[(*step, k + 1)] for k, step in enumerate(record)] + [[]]
-    return _core.EncodedComponent("run", range(len(moves)), 0, projection.label_names,
+    states are numbers, not names: it is searched, never decoded. It is
+    given its rows, which the search reads."""
+    n = len(record) + 1
+    offset = _core.slot_offsets(projection.slots, n)
+    rows = [1 << (offset[step] + k + 1) for k, step in enumerate(record)] + [0]
+    return _core.EncodedComponent("run", range(n), 0, projection.label_names,
                                   projection.label_ids, projection.input_ids,
-                                  projection.output_ids, moves=moves)
+                                  projection.output_ids, rows)

@@ -7,13 +7,14 @@ with the second reaction observed. Synchronized intermediates are hidden.
 
 Only the reachable part of the state product is materialized. A system
 expression is built on integer ids over one label table for the whole
-expression. Every composed node keeps its children and the
-transitions of the product closure, each carrying the step each side
-takes in it. From those steps, the steps each leaf may take in each
-transition are joined down the tree on first read; projection reads
-them. The node's machine reads its moves off its transitions and packs
-its step rows from them, each on first read too. Names are decoded only
-when read.
+expression. Every composed node keeps its children, and its machine
+keeps the transitions of the product closure, each carrying the step
+each side takes in it. From those steps, the steps each leaf may take in
+each transition are joined down the tree on first read; projection reads
+them. The machine reads its moves off its transitions and packs its step
+rows from them, each on first read too. Names are decoded only when
+read. ``relax`` is decided when a build is made; projection reads the
+build.
 """
 
 from __future__ import annotations
@@ -109,12 +110,6 @@ def composed_alphabets(
 #: A composed transition on integer ids: (source, input, output, target).
 TransitionIds = tuple[int, int, int, int]
 
-#: A transition of a product closure: (source, input, output, target,
-#: left, right), source and target indexing the node's pairs, and left and
-#: right the (input, output) step each side takes, () for a side that
-#: does not move.
-RawTransition = tuple[int, int, int, int, tuple[int, ...], tuple[int, ...]]
-
 
 @dataclass(frozen=True)
 class SystemBuild:
@@ -123,11 +118,11 @@ class SystemBuild:
     ``machine`` is the composed component encoded over the sorted label
     table of the whole expression: a leaf's states are numbered in sorted
     name order, a composed node's in discovery order from the initial
-    state. A composed node keeps its two built ``parts``, its ``pairs``
-    (each state as the pair of the parts' own state ids) and the ``raw``
-    transitions of the product closure between them, each with the step
-    each part takes; its machine reads its moves off ``raw`` and packs
-    its step rows from them. ``steps`` maps every transition ``(source,
+    state. A composed node keeps its two built ``parts`` and its
+    ``pairs`` (each state as the pair of the parts' own state ids). Its
+    machine keeps, as ``machine.raw``, the transitions of the product
+    closure between them, each with the step each part takes, and reads
+    its moves off them. ``steps`` maps every transition ``(source,
     input, output, target)`` on those ids to the steps each leaf may take
     in it, and ``component`` is the same machine with names. Both are
     derived on first read.
@@ -139,7 +134,6 @@ class SystemBuild:
     machine: _core.EncodedComponent
     parts: tuple[SystemBuild, SystemBuild] | tuple[()] = ()
     pairs: list[tuple[int, int]] = field(default_factory=list)
-    raw: list[RawTransition] = field(default_factory=list)
 
     @cached_property
     def inputs(self) -> frozenset[str]:
@@ -164,12 +158,12 @@ class SystemBuild:
         steps over all the ways the transition can be attributed to leaf
         steps, holding None when the leaf may not move. Steps of
         different leaves are not paired up, so the table stays as small
-        as ``raw``, where the ways can grow exponentially with the depth
-        of the tree. A leaf's own moves each hold just their step. A
-        composed node's are joined in one pass over ``raw``: a basic
-        part's leaf takes the part's step, a composed part's leaves the
-        steps its ``steps`` gives them, each None where the part does not
-        move.
+        as ``machine.raw``, where the ways can grow exponentially with
+        the depth of the tree. A leaf's own moves each hold just their
+        step. A composed node's are joined in one pass over
+        ``machine.raw``: a basic part's leaf takes the part's step, a
+        composed part's leaves the steps its ``steps`` gives them, each
+        None where the part does not move.
         """
         if not self.parts:
             return {
@@ -177,7 +171,7 @@ class SystemBuild:
                 for s, moves in enumerate(self.machine.moves) for i, o, t in moves
             }
         pairs, steps = self.pairs, {}
-        for t in self.raw:
+        for t in self.machine.raw:
             per_leaf = steps.get(t[:4])
             if per_leaf is None:
                 per_leaf = steps[t[:4]] = [set() for _ in self.leaves]
@@ -290,7 +284,6 @@ def _compose(
         machine=machine,
         parts=(left, right),
         pairs=pairs,
-        raw=raw,
     )
 
 

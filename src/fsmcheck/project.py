@@ -15,6 +15,10 @@ finite one (relabel composed transitions to target contributions, then
 eliminate silent steps by forward closure, on the build's integer ids)
 and a depth-bounded trace-tree whose states literally are projected
 histories. The tree is the oracle for the finite construction.
+
+Every function here reads a ``SystemBuild``: a system is built once, by
+``compose.build_system_full``, which alone decides whether a pair that
+cannot synchronize composes, and each projection is read off that build.
 """
 
 from __future__ import annotations
@@ -22,15 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._core import EncodedComponent, slot_offsets
-from .compose import SystemBuild, SystemExpr, build_system_full
+from .compose import SystemBuild
 from .errors import NotATraceError, TraceLimitError, UnknownTargetError
 from .machine import Component, Step, Trace, DEFAULT_TRACE_GUARD
-
-
-@dataclass(frozen=True)
-class ProjectedTraceSet:
-    target: str
-    traces: frozenset[Trace]
 
 
 @dataclass(frozen=True)
@@ -39,12 +37,6 @@ class ContextComponent:
 
     component: Component
     provenance: str  # "finite" | "tree(k)"
-
-
-def _as_build(system: SystemExpr | SystemBuild, relax: bool) -> SystemBuild:
-    if isinstance(system, SystemBuild):
-        return system
-    return build_system_full(system, relax=relax)
 
 
 def _leaf_index(build: SystemBuild, target: str) -> int:
@@ -85,18 +77,11 @@ def _replay(build: SystemBuild, tr: Trace, j: int) -> frozenset[tuple[tuple[int,
     return frozenset(record for _, record in frontier)
 
 
-def project_trace(
-    system: SystemExpr | SystemBuild,
-    tr: Trace,
-    target: str,
-    relax: bool = False,
-) -> ProjectedTraceSet:
+def project_trace(build: SystemBuild, tr: Trace, target: str) -> frozenset[Trace]:
     """All target-component step sequences a composed trace can exercise."""
-    build = _as_build(system, relax)
     labels = build.machine.label_names
     records = _replay(build, tr, _leaf_index(build, target))
-    traces = frozenset(tuple(Step(labels[i], labels[o]) for i, o in r) for r in records)
-    return ProjectedTraceSet(target=target, traces=traces)
+    return frozenset(tuple(Step(labels[i], labels[o]) for i, o in r) for r in records)
 
 
 def _relabel(build: SystemBuild):
@@ -106,12 +91,12 @@ def _relabel(build: SystemBuild):
     per leaf, ``leaf`` being its build. Per composed state, ``labelled``
     is the row of the leaf's steps, in the leaf's slots, and ``silent``
     lists the targets reached without the leaf moving. One pass over
-    ``build.raw`` per part serves all of the part's leaves: a basic
-    part's leaf takes the part's step, a composed part's leaves the
-    steps its ``steps`` gives them.
+    ``build.machine.raw`` per part serves all of the part's leaves: a
+    basic part's leaf takes the part's step, a composed part's leaves
+    the steps its ``steps`` gives them.
     """
     n = len(build.machine.state_names)
-    pairs, raw = build.pairs, build.raw
+    pairs, raw = build.pairs, build.machine.raw
     relabelled = []
     for side, part in enumerate(build.parts):
         at = 4 + side
@@ -211,16 +196,13 @@ def _closed_steps(labelled: list[int], silent) -> list[int]:
     return closed
 
 
-def component_in_context(
-    system: SystemExpr | SystemBuild, target: str, relax: bool = False
-) -> ContextComponent:
+def component_in_context(build: SystemBuild, target: str) -> ContextComponent:
     """Finite construction of the projection of a system on one leaf.
 
     Relabel every composed transition by its target contribution (silent
     when the target does not move), then eliminate silent steps by
     forward closure. The alphabets are the target component's own.
     """
-    build = _as_build(system, relax)
     j = _leaf_index(build, target)
     if not build.parts:  # projecting a basic component on itself
         return ContextComponent(build.expr.component, "finite")
@@ -250,11 +232,7 @@ def _encoded_projections(build: SystemBuild) -> list[EncodedComponent]:
 
 
 def component_in_context_tree(
-    system: SystemExpr | SystemBuild,
-    target: str,
-    k: int,
-    relax: bool = False,
-    guard: int = DEFAULT_TRACE_GUARD,
+    build: SystemBuild, target: str, k: int, guard: int = DEFAULT_TRACE_GUARD
 ) -> ContextComponent:
     """Depth-bounded literal construction: states are projected histories.
 
@@ -265,7 +243,6 @@ def component_in_context_tree(
     """
     if k < 0:
         raise ValueError("depth bound must be non-negative")
-    build = _as_build(system, relax)
     j = _leaf_index(build, target)
     leaf = build.leaf_component(target)
     # the root's own ``steps``, which ``_relabel`` never builds (it reads

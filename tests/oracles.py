@@ -358,7 +358,7 @@ def build_ways(build) -> dict[tuple[int, int, int, int], frozenset[tuple]]:
     ``build.leaves``, and None for a leaf that does not move. A leaf's
     steps, read off its rows, are each their own single way; a composed
     transition pairs every way of one part's step with every way of the
-    other's, through ``raw`` and ``pairs``. So there can be
+    other's, through ``machine.raw`` and ``pairs``. So there can be
     exponentially many in the depth of the tree.
     """
     if not build.parts:
@@ -372,7 +372,7 @@ def build_ways(build) -> dict[tuple[int, int, int, int], frozenset[tuple]]:
     left_ways, right_ways = build_ways(left), build_ways(right)
     left_still, right_still = (None,) * len(left.leaves), (None,) * len(right.leaves)
     ways: dict[tuple[int, int, int, int], set[tuple]] = {}
-    for (src, i, o, dst, ls, rs) in build.raw:
+    for (src, i, o, dst, ls, rs) in build.machine.raw:
         (l1, r1), (l2, r2) = build.pairs[src], build.pairs[dst]
         ways.setdefault((src, i, o, dst), set()).update(
             wl + wr

@@ -134,8 +134,9 @@ class TestInContext:
             spec1 = random_component(rng, "S1", i1, o1, n_states=(2, 3))
             spec2 = random_component(rng, "S2", i2, o2, n_states=(2, 3))
             expr = Par(Leaf("S1", spec1), Leaf("S2", spec2))
-            proj1 = component_in_context(expr, "S1", relax=True).component
-            proj2 = component_in_context(expr, "S2", relax=True).component
+            build = build_system_full(expr, relax=True)
+            proj1 = component_in_context(build, "S1").component
+            proj2 = component_in_context(build, "S2").component
             iut1 = prune(rng, proj1, keep=rng.uniform(0.5, 1.0), name="I1")
             iut2 = prune(rng, proj2, keep=rng.uniform(0.5, 1.0), name="I2")
             report = certify_in_context(iut1, spec1, iut2, spec2, relax=True)
@@ -187,8 +188,9 @@ class TestInContext:
         iut2 = spec2
 
         expr_spec = Par(Leaf("P", spec1), Leaf("Q", spec2))
-        proj_p = component_in_context(expr_spec, "P", relax=True).component
-        proj_q = component_in_context(expr_spec, "Q", relax=True).component
+        spec_build = build_system_full(expr_spec, relax=True)
+        proj_p = component_in_context(spec_build, "P").component
+        proj_q = component_in_context(spec_build, "Q").component
 
         assert check_cioco_exact(iut1, proj_p, unspecified="allow").passed
         assert check_cioco_exact(iut2, proj_q, unspecified="allow").passed
@@ -258,7 +260,7 @@ def local_candidates(expr_iut, expr_spec, ce, relax=False):
         found[name] = {
             v for v in (
                 naive_first_step_outside(tr, projection)
-                for tr in project_trace(iut_build, full, name).traces
+                for tr in project_trace(iut_build, full, name)
             ) if v is not None
         }
     return found

@@ -236,7 +236,7 @@ def assert_leaf_steps_are_real(node):
     leaves = [part for part in build_nodes(node) if not part.parts]
     assert [leaf.leaves[0] for leaf in leaves] == list(node.leaves)
     joint = build_ways(node)
-    assert joint.keys() == node.steps.keys() == {t[:4] for t in node.raw}
+    assert joint.keys() == node.steps.keys() == {t[:4] for t in node.machine.raw}
     for key, ways in joint.items():
         before, after = _leaf_states(node, key[0]), _leaf_states(node, key[3])
         for way in ways:
@@ -258,7 +258,7 @@ def assert_side_steps_are_real(build):
         if not node.parts:
             continue
         assert_leaf_steps_are_real(node)
-        for (src, i, o, dst, left, right) in node.raw:
+        for (src, i, o, dst, left, right) in node.machine.raw:
             assert left or right, "a transition in which no side moves"
             for side, (part, step) in enumerate(zip(node.parts, (left, right))):
                 s, t = node.pairs[src][side], node.pairs[dst][side]
@@ -312,8 +312,8 @@ def test_each_rule_records_both_sides_steps(left, right, expected):
     ids = build.machine.label_ids
     i, o, l, r = expected
     target = build.pairs.index((int(bool(l)), int(bool(r))))
-    assert build.raw == [(0, ids[i], ids[o], target, tuple(ids[x] for x in l),
-                          tuple(ids[x] for x in r))]
+    assert build.machine.raw == [(0, ids[i], ids[o], target, tuple(ids[x] for x in l),
+                                  tuple(ids[x] for x in r))]
     assert_side_steps_are_real(build)
 
 
@@ -330,7 +330,7 @@ def test_a_leaf_maps_each_move_to_its_own_step():
         for (s, i, o, t), per_leaf in build.steps.items()
     } == {(s, i, o, t): [{(i, o)}] for s, i, o, t in moves}
     assert build.steps == {key: [{way for (way,) in ways}] for key, ways in build_ways(build).items()}
-    assert project_trace(build, trace("a|x a|y a|x b|x"), "C").traces == {
+    assert project_trace(build, trace("a|x a|y a|x b|x"), "C") == {
         trace("a|x a|y a|x b|x")
     }
     tree = component_in_context_tree(build, "C", 3).component
@@ -365,7 +365,7 @@ def test_relay_chains_keep_the_record_as_small_as_the_machines(shape):
     depth = 12
     build = build_system_full(relay_chain(depth, shape), relax=True)
     for node in build_nodes(build):
-        assert len(node.raw) <= 8
+        assert len(node.machine.raw or ()) <= 8
     for target in build.leaves:
         projection = component_in_context(build, target).component
         own = build.leaf_component(target)
@@ -476,7 +476,7 @@ def test_product_closure_equals_the_literal_closure():
     shared = one_way = nested = several = unanswered = wider_right = wider_left = 0
     for node in nodes:
         left, right = node.parts
-        assert (node.pairs, node.raw) == naive_product_closure(
+        assert (node.pairs, node.machine.raw) == naive_product_closure(
             left.machine, right.machine, node.machine.input_ids)
         assert node.machine.state_names == naive_pair_names(
             left.machine, right.machine, node.pairs)
@@ -485,7 +485,7 @@ def test_product_closure_equals_the_literal_closure():
         one_way += not node.reports[-1][1].synchronizable
         nested += bool(left.parts or right.parts)
         # the right side reacts in more than one way to one left output
-        fed = Counter((t[0], t[4], node.pairs[t[3]][0]) for t in node.raw
+        fed = Counter((t[0], t[4], node.pairs[t[3]][0]) for t in node.machine.raw
                       if t[4] and t[5] and t[5][0] == t[4][1])
         several += any(ways > 1 for ways in fed.values())
         # a side feeds the other a label the other cannot react to there
@@ -508,7 +508,7 @@ def test_product_closure_numbering_is_pinned():
     right target, left step, right step); each target not seen before
     takes the next id."""
     for node in composed_nodes(100):
-        pairs, raw = node.pairs, node.raw
+        pairs, raw = node.pairs, node.machine.raw
         left, right = node.parts
         assert pairs[0] == (left.machine.initial, right.machine.initial)
         assert len(set(pairs)) == len(pairs)

@@ -1,6 +1,7 @@
 """Integer encoding: the packed step rows the search kernels read."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -238,8 +239,8 @@ def test_leaf_moves_are_those_of_the_packed_rows():
 
 def machines_of_every_kind(rng):
     """(kind, machine) for every kind of machine on ids, on seeded builds:
-    ``of`` and a projection are given their rows, a leaf and a one-run
-    machine their moves, a composed node its closure's ``raw``."""
+    ``of``, a projection and a one-run machine are given their rows, a
+    leaf its moves, a composed node its closure's ``raw``."""
     for c in random_machines(rng, 30):
         for names, ids in (label_table(c), label_table(c, TestSharedRows.WIDER)):
             yield "of", EncodedComponent.of(c, names, ids)
@@ -284,6 +285,22 @@ def test_every_machine_holds_its_steps_as_rows_and_as_moves():
             assert row == targets
         kinds.add(kind)
     assert kinds == {"of", "leaf", "composed", "projection", "one run"}
+
+
+def test_a_machine_is_given_exactly_one_source():
+    # with no source each derived view would read the other; with two,
+    # the two views could disagree
+    encoding = ("x", ["s"], 0, ["a"], {"a": 0}, frozenset({0}), frozenset({0}))
+    sources = {"rows": [0], "moves": [[]], "raw": []}
+    for count in range(len(sources) + 1):
+        for chosen in itertools.combinations(sources, count):
+            given = {name: sources[name] for name in chosen}
+            if count == 1:
+                m = EncodedComponent(*encoding, **given)
+                assert (m.rows, m.moves) == ([0], [[]])
+            else:
+                with pytest.raises(TypeError, match="exactly one of rows, moves and raw"):
+                    EncodedComponent(*encoding, **given)
 
 
 def test_projection_rows_of_nested_builds_lie_in_the_leaf_slots():

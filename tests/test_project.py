@@ -1,5 +1,6 @@
 """Projection: per-trace projections and the component-in-context."""
 
+import itertools
 import random
 
 import pytest
@@ -66,22 +67,22 @@ def feeding_expr():
 
 class TestProjectTrace:
     def test_solo_steps_project_to_empty_on_the_other_side(self):
-        expr = feeding_expr()
+        build = build_system_full(feeding_expr())
         # second step is executed by C2 alone
         tr = trace("a|y c|z")
-        assert project_trace(expr, tr, "C1").traces == {trace("a|m")}
-        assert project_trace(expr, tr, "C2").traces == {trace("m|y c|z")}
+        assert project_trace(build, tr, "C1") == {trace("a|m")}
+        assert project_trace(build, tr, "C2") == {trace("m|y c|z")}
 
     def test_synchronized_step_splits_into_contributions(self):
-        expr = feeding_expr()
+        build = build_system_full(feeding_expr())
         tr = trace("a|y")
-        assert project_trace(expr, tr, "C1").traces == {trace("a|m")}
-        assert project_trace(expr, tr, "C2").traces == {trace("m|y")}
+        assert project_trace(build, tr, "C1") == {trace("a|m")}
+        assert project_trace(build, tr, "C2") == {trace("m|y")}
 
     def test_coffee_projection_of_the_brewing_prefix(self):
         expr = coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))
-        got = project_trace(expr, trace("coinC|preparing abs|coffee"), "M")
-        assert got.traces == {trace("coinC|makeC")}
+        got = project_trace(build_system_full(expr), trace("coinC|preparing abs|coffee"), "M")
+        assert got == {trace("coinC|makeC")}
 
     def test_nondeterministic_intermediates_yield_several_projections(self):
         c1 = Component.build(
@@ -99,15 +100,32 @@ class TestProjectTrace:
             inputs=["m1", "m2", "b"],
         )
         expr = Par(Leaf("C1", c1), Leaf("C2", c2))
-        got = project_trace(expr, trace("a|y"), "C1")
-        assert got.traces == {trace("a|m1"), trace("a|m2")}
+        got = project_trace(build_system_full(expr), trace("a|y"), "C1")
+        assert got == {trace("a|m1"), trace("a|m2")}
 
     def test_unknown_target_and_non_trace_raise(self):
-        expr = feeding_expr()
+        build = build_system_full(feeding_expr())
         with pytest.raises(UnknownTargetError):
-            project_trace(expr, (), "nope")
+            project_trace(build, (), "nope")
         with pytest.raises(NotATraceError):
-            project_trace(expr, trace("a|zz"), "C1")
+            project_trace(build, trace("a|zz"), "C1")
+
+    def test_a_one_leaf_build_projects_each_trace_to_itself(self):
+        rng = random.Random(131)
+        steps = [Step(i, o) for i in ("a", "b") for o in ("x", "y")]
+        non_traces = 0
+        for _ in range(30):
+            c = random_component(rng, "C", ["a", "b"], ["x", "y"], n_states=(1, 4))
+            build = build_system_full(Leaf("C", c))
+            for k in range(4):
+                for tr in itertools.product(steps, repeat=k):
+                    if has_trace(c, tr):
+                        assert project_trace(build, tr, "C") == {tr}
+                    else:
+                        non_traces += 1
+                        with pytest.raises(NotATraceError):
+                            project_trace(build, tr, "C")
+        assert non_traces >= 100
 
     def test_matches_vector_replay_on_random_systems(self):
         rng = random.Random(103)
@@ -118,7 +136,7 @@ class TestProjectTrace:
             for tr in sorted_traces(traces_up_to(build.component, 4))[:80]:
                 for target in ("L", "R"):
                     assert (
-                        project_trace(build, tr, target).traces
+                        project_trace(build, tr, target)
                         == vector_projections(expr, tr, target)
                     )
 
@@ -286,7 +304,7 @@ class TestComponentInContext:
 
             names, labels = build.machine.state_names, build.machine.label_names
             eager = [{} for _ in names]
-            for (s, i, o, t, _, _) in build.raw:
+            for (s, i, o, t, _, _) in build.machine.raw:
                 eager[s][(i, o)] = eager[s].get((i, o), 0) | (1 << t)
             assert step_maps(build.machine) == eager
             assert rows_built(build.machine) and build.machine.rows is build.machine.rows
@@ -357,19 +375,19 @@ class TestComponentInContext:
 
     def test_single_leaf_is_identity(self):
         c = Component.build("c", "s0", [("s0", "a", "x", "s0")])
-        ctx = component_in_context(Leaf("C", c), "C")
+        ctx = component_in_context(build_system_full(Leaf("C", c)), "C")
         assert ctx.component == c
         assert ctx.provenance == "finite"
 
     def test_alphabets_are_the_leaf_alphabets(self):
         expr = feeding_expr()
-        ctx = component_in_context(expr, "C2").component
+        ctx = component_in_context(build_system_full(expr), "C2").component
         assert ctx.inputs == {"m", "b", "c"}
         assert ctx.outputs == {"y", "w", "z"}
 
     def test_revised_coffee_projection_is_the_money_spec_itself(self):
         expr = coffee_expr(demo("coffee/spec_money_revised"), demo("coffee/drink"))
-        proj = component_in_context(expr, "M").component
+        proj = component_in_context(build_system_full(expr), "M").component
         spec = demo("coffee/spec_money_revised")
         for k in range(7):
             assert traces_up_to(proj, k) == traces_up_to(spec, k)
@@ -378,9 +396,9 @@ class TestComponentInContext:
         rng = random.Random(109)
         for _ in range(40):
             c1, c2 = random_composable_pair(rng, names=("L", "R"), n_states=(2, 4))
-            expr = Par(Leaf("L", c1), Leaf("R", c2))
+            build = build_system_full(Par(Leaf("L", c1), Leaf("R", c2)), relax=True)
             for target, leaf in (("L", c1), ("R", c2)):
-                proj = component_in_context(expr, target, relax=True).component
+                proj = component_in_context(build, target).component
                 for k in range(5):
                     assert traces_up_to(proj, k) <= traces_up_to(leaf, k)
 
@@ -403,7 +421,7 @@ class TestComponentInContext:
                 collected = set()
                 for tr in composed_traces:
                     collected |= {
-                        p for p in project_trace(build, tr, target).traces if len(p) <= k
+                        p for p in project_trace(build, tr, target) if len(p) <= k
                     }
                 assert collected <= proj_traces
 
@@ -478,7 +496,7 @@ def test_projection_traces_all_realized_by_some_composed_trace():
             realized = set()
             for tr in composed_traces:
                 realized |= {
-                    p for p in project_trace(build, tr, target).traces if len(p) <= k
+                    p for p in project_trace(build, tr, target) if len(p) <= k
                 }
             assert proj_traces == realized
 
@@ -492,29 +510,38 @@ def numbered_breadth_first(tree) -> bool:
 
 class TestTreeConstruction:
     def test_depth_zero_is_a_single_silent_state(self):
-        expr = feeding_expr()
-        tree = component_in_context_tree(expr, "C1", 0).component
+        build = build_system_full(feeding_expr())
+        tree = component_in_context_tree(build, "C1", 0).component
         assert len(tree.states) == 1
         assert not tree.transitions
         with pytest.raises(ValueError, match="depth bound must be non-negative"):
-            component_in_context_tree(expr, "C1", -1)
+            component_in_context_tree(build, "C1", -1)
 
     def test_provenance_string(self):
-        expr = feeding_expr()
-        assert component_in_context_tree(expr, "C1", 3).provenance == "tree(3)"
+        build = build_system_full(feeding_expr())
+        assert component_in_context_tree(build, "C1", 3).provenance == "tree(3)"
 
     def test_provenance_names_the_depth_bound(self):
-        coffee = coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))
-        for expr, target in ((coffee, "M"), (feeding_expr(), "C1")):
+        coffee = build_system_full(coffee_expr(demo("coffee/spec_money"), demo("coffee/drink")))
+        for build, target in ((coffee, "M"), (build_system_full(feeding_expr()), "C1")):
             for k in range(1, 5):
-                assert component_in_context_tree(expr, target, k).provenance == f"tree({k})"
+                assert component_in_context_tree(build, target, k).provenance == f"tree({k})"
         with pytest.raises(TraceLimitError) as limited:
             component_in_context_tree(coffee, "M", 3, guard=2)
         assert str(limited.value).endswith("context tree for 'M' up to depth 3")
 
+    def test_a_one_leaf_tree_has_the_leaf_traces(self):
+        rng = random.Random(137)
+        for _ in range(30):
+            c = random_component(rng, "C", ["a", "b"], ["x", "y"], n_states=(1, 4))
+            build = build_system_full(Leaf("C", c))
+            for k in range(5):
+                tree = component_in_context_tree(build, "C", k).component
+                assert traces_up_to(tree, k) == traces_up_to(c, k)
+
     def test_revised_coffee_tree_matches_money_spec(self):
         expr = coffee_expr(demo("coffee/spec_money_revised"), demo("coffee/drink"))
-        tree = component_in_context_tree(expr, "M", 3).component
+        tree = component_in_context_tree(build_system_full(expr), "M", 3).component
         spec = demo("coffee/spec_money_revised")
         assert traces_up_to(tree, 3) == traces_up_to(spec, 3)
 
