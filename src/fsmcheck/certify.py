@@ -31,9 +31,8 @@ from .compose import (
     CompositionReport,
     Leaf,
     Par,
-    SystemExpr,
+    SystemBuild,
     build_system_full,
-    leaf_components,
     signature_check,
 )
 from .conform import Counterexample, Verdict, _check_against_projection, check_cioco_exact
@@ -217,13 +216,12 @@ def _distinct_names(spec1: Component, spec2: Component) -> tuple[str, str]:
 
 
 def localize_fault(
-    expr_iut: SystemExpr,
-    expr_spec: SystemExpr,
-    ce: Counterexample | None,
-    relax: bool = False,
+    iut_build: SystemBuild, spec_build: SystemBuild, ce: Counterexample | None
 ) -> dict[str, Counterexample | None]:
     """Map a global counterexample back onto the basic components.
 
+    ``ce`` is a counterexample of the implementation's build against the
+    specification's, which this reads as they are and never rebuilds.
     Projects the violating trace onto every implementation leaf and
     checks each projection against the in-context projection of the
     specification, with unspecified inputs forbidden, all on ids: each
@@ -233,24 +231,23 @@ def localize_fault(
     (shortest witness first), the only one decoded, or None; a pass
     verdict (no counterexample) yields an empty map.
 
-    Raises ``ShapeMismatchError`` when the two expressions have different
+    Raises ``ShapeMismatchError`` when the two builds have different
     leaf names, and ``SignatureMismatchError`` when an implementation
     leaf and the specification leaf of its name differ in inputs or
     outputs.
     """
     if ce is None:
         return {}
-    iut_leaves = leaf_components(expr_iut)
-    spec_leaves = leaf_components(expr_spec)
+    iut_leaves = dict(zip(iut_build.leaves, iut_build.leaf_builds))
+    spec_leaves = dict(zip(spec_build.leaves, spec_build.leaf_builds))
     if iut_leaves.keys() != spec_leaves.keys():
         raise ShapeMismatchError(
             f"leaf sets differ: {sorted(iut_leaves)} vs {sorted(spec_leaves)}"
         )
     for name in sorted(iut_leaves):
-        _require_pair_signature(iut_leaves[name], spec_leaves[name], f"leaf '{name}'")
+        _require_pair_signature(iut_leaves[name].component, spec_leaves[name].component,
+                                f"leaf '{name}'")
 
-    iut_build = build_system_full(expr_iut, relax=relax)
-    spec_build = build_system_full(expr_spec, relax=relax)
     # one pass projects the specification onto every leaf; both builds
     # share one label table, since their leaves share signatures
     projections = dict(zip(spec_build.leaves, _encoded_projections(spec_build)))

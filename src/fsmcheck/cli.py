@@ -24,7 +24,7 @@ from . import certify as certify_mod
 from .certify import certify_by_parts, certify_in_context
 from .compose import build_system_full
 from .conform import Verdict, check_cioco_bounded, check_cioco_exact
-from .errors import FsmCheckError, ParseError
+from .errors import FsmCheckError, InvalidComponentError, ParseError
 from .formats import (
     component_to_dict,
     indented_json,
@@ -37,6 +37,7 @@ from .formats import (
 from .machine import (
     DEFAULT_TRACE_GUARD,
     Component,
+    _undeclared,
     format_trace,
     is_input_enabled,
     sorted_traces,
@@ -267,6 +268,9 @@ def cmd_compose(args) -> int:
 
 def cmd_traces(args) -> int:
     c = load_component(args.path)
+    undeclared = _undeclared(c)
+    if undeclared:
+        raise InvalidComponentError(undeclared)
     result = sorted_traces(traces_up_to(c, args.depth, guard=_guard(args)))
     _emit(args, lambda: [trace_to_list(tr) for tr in result],
           lambda: "\n".join(format_trace(tr) if tr else "<empty>" for tr in result))

@@ -47,10 +47,6 @@ def subcomponents(expr: SystemExpr) -> frozenset[str]:
     return frozenset(leaf.name for leaf in _leaves(expr))
 
 
-def leaf_components(expr: SystemExpr) -> dict[str, Component]:
-    return {leaf.name: leaf.component for leaf in _leaves(expr)}
-
-
 @dataclass(frozen=True)
 class CompositionReport:
     """Alphabet intersections governing whether and how a pair composes."""
@@ -125,15 +121,29 @@ class SystemBuild:
     its moves off them. ``steps`` maps every transition ``(source,
     input, output, target)`` on those ids to the steps each leaf may take
     in it, and ``component`` is the same machine with names. Both are
-    derived on first read.
+    derived on first read, as are ``leaf_builds``, the one record of the
+    builds of the leaves, and ``leaves``, their names.
     """
 
     expr: SystemExpr
-    leaves: tuple[str, ...]
     reports: tuple[tuple[str, CompositionReport], ...]  # (node path, report)
     machine: _core.EncodedComponent
     parts: tuple[SystemBuild, SystemBuild] | tuple[()] = ()
     pairs: list[tuple[int, int]] = field(default_factory=list)
+
+    @cached_property
+    def leaf_builds(self) -> tuple[SystemBuild, ...]:
+        """The builds of the leaves, left to right: a leaf's is the build
+        itself, a composed node's are its parts' joined, the same objects."""
+        if not self.parts:
+            return (self,)
+        left, right = self.parts
+        return left.leaf_builds + right.leaf_builds
+
+    @cached_property
+    def leaves(self) -> tuple[str, ...]:
+        """The names of the leaves, aligned with ``leaf_builds``."""
+        return tuple(leaf.expr.name for leaf in self.leaf_builds)
 
     @cached_property
     def inputs(self) -> frozenset[str]:
@@ -190,7 +200,7 @@ class SystemBuild:
         return steps
 
     def leaf_component(self, name: str) -> Component:
-        return leaf_components(self.expr)[name]
+        return self.leaf_builds[self.leaves.index(name)].component
 
 
 def compose_pair(c1: Component, c2: Component, relax: bool = False) -> SystemBuild:
@@ -201,11 +211,6 @@ def compose_pair(c1: Component, c2: Component, relax: bool = False) -> SystemBui
     synchronization to be possible at the signature level.
     """
     return build_system_full(Par(Leaf("left", c1), Leaf("right", c2)), relax)
-
-
-def synchronous_parallel(c1: Component, c2: Component, relax: bool = False) -> Component:
-    """The synchronous parallel composition of two components."""
-    return compose_pair(c1, c2, relax=relax).component
 
 
 def build_system_full(expr: SystemExpr, relax: bool = False) -> SystemBuild:
@@ -242,7 +247,7 @@ def _build(
 def _leaf_build(expr: Leaf, label_names: list[str], label_ids: dict[str, int]) -> SystemBuild:
     """A leaf on integer ids: its encoding, moves read off its steps."""
     machine = _core.EncodedComponent.leaf(expr.component, label_names, label_ids)
-    return SystemBuild(expr, (expr.name,), (), machine)
+    return SystemBuild(expr, (), machine)
 
 
 def _compose(
@@ -279,14 +284,8 @@ def _compose(
                                      raw=raw)
     return SystemBuild(
         expr=expr,
-        leaves=left.leaves + right.leaves,
         reports=left.reports + right.reports + ((node, report),),
         machine=machine,
         parts=(left, right),
         pairs=pairs,
     )
-
-
-def build_system(expr: SystemExpr, relax: bool = False) -> Component:
-    """The composed component denoted by a system expression."""
-    return build_system_full(expr, relax=relax).component

@@ -101,7 +101,7 @@ def _relabel(build: SystemBuild):
     for side, part in enumerate(build.parts):
         at = 4 + side
         leaves = []
-        for leaf in _leaf_builds(part):
+        for leaf in part.leaf_builds:
             labelled, silent = [0] * n, [[] for _ in range(n)]
             leaves.append((slot_offsets(leaf.machine.slots, n), labelled, silent))
             relabelled.append((leaf, labelled, silent))
@@ -128,14 +128,6 @@ def _relabel(build: SystemBuild):
                     else:
                         labelled[src] |= 1 << (offset[x] + dst)
     return relabelled
-
-
-def _leaf_builds(build: SystemBuild) -> list[SystemBuild]:
-    """The builds of the leaves of ``build``, aligned with ``build.leaves``."""
-    if not build.parts:
-        return [build]
-    left, right = build.parts
-    return _leaf_builds(left) + _leaf_builds(right)
 
 
 def _closed_steps(labelled: list[int], silent) -> list[int]:
@@ -225,7 +217,7 @@ def _encoded_projections(build: SystemBuild) -> list[EncodedComponent]:
         # forward closure: anything reachable silently can act on our behalf
         rows = _closed_steps(labelled, silent)
         projections.append(EncodedComponent(
-            f"{m.name}.at.{leaf.leaves[0]}", m.state_names, m.initial, m.label_names,
+            f"{m.name}.at.{leaf.expr.name}", m.state_names, m.initial, m.label_names,
             m.label_ids, leaf.machine.input_ids, leaf.machine.output_ids, rows,
         ))
     return projections

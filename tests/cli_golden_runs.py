@@ -2,11 +2,12 @@
 with and without ``--json``, and the generator of ``cli_golden.json``.
 
 This module imports no pytest, so any interpreter can regenerate the
-goldens: run ``python tests/cli_golden_runs.py > tests/cli_golden.json``
-with ``src`` on the path. With ``--check`` it writes nothing: it compares
-the runs with ``cli_golden.json``, names each run that differs on
-stderr and exits 1 if any does, so that every interpreter the package
-supports can be checked for the same bytes.
+goldens: run ``python tests/cli_golden_runs.py > tests/cli_golden.json``.
+Run as a script, it puts the checkout's ``src`` first on the path, as
+pytest's ``pythonpath`` does. With ``--check`` it writes nothing: it
+compares the runs with ``cli_golden.json``, names each run that differs
+on stderr and exits 1 if any does, so that every interpreter the
+package supports can be checked for the same bytes.
 """
 
 import contextlib
@@ -17,6 +18,9 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fsmcheck.cli import main
 

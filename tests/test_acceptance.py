@@ -10,7 +10,6 @@ import time
 from fsmcheck import (
     Leaf,
     Par,
-    build_system,
     build_system_full,
     certify_by_parts,
     certify_in_context,
@@ -58,8 +57,8 @@ WITNESS = trace("coinC|preparing abs|coffee coinC|preparing")
 
 def test_criterion_01_coffee_global_failure():
     started = time.monotonic()
-    iut = build_system(coffee_expr(demo("coffee/iut_money"), demo("coffee/drink")))
-    spec = build_system(coffee_expr(demo("coffee/spec_money"), demo("coffee/drink")))
+    iut = build_system_full(coffee_expr(demo("coffee/iut_money"), demo("coffee/drink"))).component
+    spec = build_system_full(coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))).component
     verdict = check_cioco_exact(iut, spec)
     elapsed = time.monotonic() - started
     ce = verdict.counterexample
@@ -93,8 +92,8 @@ def test_criterion_03_by_parts_not_applicable_on_coffee():
     }
     locals_pass = all(v.passed for v in rep.local_verdicts.values())
     global_fails = check_cioco_exact(
-        build_system(coffee_expr(demo("coffee/iut_money"), demo("coffee/drink"))),
-        build_system(coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))),
+        build_system_full(coffee_expr(demo("coffee/iut_money"), demo("coffee/drink"))).component,
+        build_system_full(coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))).component,
     ).failed
     ok = (
         rep.global_conclusion == NOT_APPLICABLE
@@ -135,8 +134,8 @@ def test_criterion_05_relay_counterexample():
     local_left = check_cioco_exact(demo("relay/iut_left"), demo("relay/spec_left"))
     local_right = check_cioco_exact(demo("relay/right"), demo("relay/right"))
     verdict = check_cioco_exact(
-        build_system(relay_expr(demo("relay/iut_left"), demo("relay/right"))),
-        build_system(relay_expr(demo("relay/spec_left"), demo("relay/right"))),
+        build_system_full(relay_expr(demo("relay/iut_left"), demo("relay/right"))).component,
+        build_system_full(relay_expr(demo("relay/spec_left"), demo("relay/right"))).component,
     )
     ce = verdict.counterexample
     ok = (
@@ -168,8 +167,8 @@ def test_criterion_06_by_parts_soundness_suite():
             continue
         instances += 1
         direct = check_cioco_exact(
-            build_system(Par(Leaf("S1", iut1), Leaf("S2", iut2)), relax=True),
-            build_system(Par(Leaf("S1", spec1), Leaf("S2", spec2)), relax=True),
+            build_system_full(Par(Leaf("S1", iut1), Leaf("S2", iut2)), relax=True).component,
+            build_system_full(Par(Leaf("S1", spec1), Leaf("S2", spec2)), relax=True).component,
         )
         if not direct.passed:
             violations.append(instances)
@@ -202,7 +201,7 @@ def test_criterion_07_in_context_soundness_suite():
             continue  # the suite quantifies over locally passing quadruples
         instances += 1
         direct = check_cioco_exact(
-            build_system(Par(Leaf("S1", iut1), Leaf("S2", iut2)), relax=True),
+            build_system_full(Par(Leaf("S1", iut1), Leaf("S2", iut2)), relax=True).component,
             build.component,
         )
         if not direct.passed:

@@ -1,5 +1,6 @@
 """Certification workflows and fault localization."""
 
+import contextlib
 import dataclasses
 import os
 import random
@@ -18,7 +19,6 @@ from fsmcheck import (
     ShapeMismatchError,
     SignatureMismatchError,
     Step,
-    build_system,
     build_system_full,
     check_cioco_exact,
     certify_by_parts,
@@ -28,7 +28,7 @@ from fsmcheck import (
     localize_fault,
     project_trace,
 )
-from fsmcheck import certify, project
+from fsmcheck import certify, compose, project
 from fsmcheck.certify import NOT_APPLICABLE, SOUND_FAIL, SOUND_PASS
 from fsmcheck.randgen import (
     alphabets_for_pair,
@@ -65,8 +65,8 @@ class TestByParts:
         assert report.global_conclusion == NOT_APPLICABLE
         assert all(v.passed for v in report.local_verdicts.values())
         direct = check_cioco_exact(
-            build_system(relay_expr(demo("relay/iut_left"), demo("relay/right"))),
-            build_system(relay_expr(demo("relay/spec_left"), demo("relay/right"))),
+            build_system_full(relay_expr(demo("relay/iut_left"), demo("relay/right"))).component,
+            build_system_full(relay_expr(demo("relay/spec_left"), demo("relay/right"))).component,
         )
         assert direct.failed
 
@@ -79,8 +79,8 @@ class TestByParts:
             report = certify_by_parts(spec1, spec1, spec2, spec2)
             assert report.global_conclusion == SOUND_PASS
             direct = check_cioco_exact(
-                build_system(Par(Leaf("S1", spec1), Leaf("S2", spec2)), relax=True),
-                build_system(Par(Leaf("S1", spec1), Leaf("S2", spec2)), relax=True),
+                build_system_full(Par(Leaf("S1", spec1), Leaf("S2", spec2)), relax=True).component,
+                build_system_full(Par(Leaf("S1", spec1), Leaf("S2", spec2)), relax=True).component,
             )
             assert direct.passed
 
@@ -144,8 +144,8 @@ class TestInContext:
                 continue
             sound_passes += 1
             direct = check_cioco_exact(
-                build_system(Par(Leaf("S1", iut1), Leaf("S2", iut2)), relax=True),
-                build_system(expr, relax=True),
+                build_system_full(Par(Leaf("S1", iut1), Leaf("S2", iut2)), relax=True).component,
+                build_system_full(expr, relax=True).component,
             )
             assert direct.passed
         assert sound_passes > 20
@@ -195,8 +195,8 @@ class TestInContext:
         assert check_cioco_exact(iut1, proj_p, unspecified="allow").passed
         assert check_cioco_exact(iut2, proj_q, unspecified="allow").passed
         direct = check_cioco_exact(
-            build_system(Par(Leaf("P", iut1), Leaf("Q", iut2)), relax=True),
-            build_system(expr_spec, relax=True),
+            build_system_full(Par(Leaf("P", iut1), Leaf("Q", iut2)), relax=True).component,
+            build_system_full(expr_spec, relax=True).component,
         )
         assert direct.failed
         assert direct.counterexample.offending_output == "c"
@@ -235,8 +235,8 @@ def test_global_failure_implies_a_failing_in_context_local():
         iut1 = random_component(rng, "I1", i1, o1, n_states=(2, 3))
         iut2 = random_component(rng, "I2", i2, o2, n_states=(2, 3))
         direct = check_cioco_exact(
-            build_system(Par(Leaf("S1", iut1), Leaf("S2", iut2)), relax=True),
-            build_system(Par(Leaf("S1", spec1), Leaf("S2", spec2)), relax=True),
+            build_system_full(Par(Leaf("S1", iut1), Leaf("S2", iut2)), relax=True).component,
+            build_system_full(Par(Leaf("S1", spec1), Leaf("S2", spec2)), relax=True).component,
         )
         if not direct.failed:
             continue
@@ -247,12 +247,10 @@ def test_global_failure_implies_a_failing_in_context_local():
     assert failing > 10
 
 
-def local_candidates(expr_iut, expr_spec, ce, relax=False):
+def local_candidates(iut_build, spec_build, ce):
     """Per leaf, the distinct local counterexamples of the counterexample's
     projections onto it, each against the specification's projection
     computed with ``component_in_context``."""
-    iut_build = build_system_full(expr_iut, relax=relax)
-    spec_build = build_system_full(expr_spec, relax=relax)
     full = ce.full_trace()
     found = {}
     for name in sorted(spec_build.leaves):
@@ -274,10 +272,33 @@ def least_candidates(candidates):
     }
 
 
-def localize_by_leaf(expr_iut, expr_spec, ce, relax=False):
+def localize_by_leaf(iut_build, spec_build, ce):
     """``localize_fault`` projecting the specification once per leaf, with
     ``component_in_context``: the maps one projection pass must give."""
-    return least_candidates(local_candidates(expr_iut, expr_spec, ce, relax))
+    return least_candidates(local_candidates(iut_build, spec_build, ce))
+
+
+@contextlib.contextmanager
+def building_refused():
+    """While open, building a system raises: ``localize_fault`` reads the
+    builds it is given and makes none."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a system was built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (certify, compose):
+            patch.setattr(module, "build_system_full", refuse)
+        yield
+
+
+def built(expr_iut, expr_spec, relax=False):
+    """Both systems built once, and the implementation's counterexample
+    against the specification (None when it conforms)."""
+    iut_build = build_system_full(expr_iut, relax=relax)
+    spec_build = build_system_full(expr_spec, relax=relax)
+    return iut_build, spec_build, check_cioco_exact(
+        iut_build.component, spec_build.component
+    ).counterexample
 
 
 def counting_chain(length, last):
@@ -327,19 +348,19 @@ def random_merging_relay(rng):
 class TestLocalizeFault:
     def test_pass_verdict_yields_empty_map(self):
         assert localize_fault(
-            relay_expr(demo("relay/iut_left"), demo("relay/right")),
-            relay_expr(demo("relay/spec_left"), demo("relay/right")),
+            build_system_full(relay_expr(demo("relay/iut_left"), demo("relay/right"))),
+            build_system_full(relay_expr(demo("relay/spec_left"), demo("relay/right"))),
             None,
         ) == {}
 
     def test_coffee_failure_localizes_to_money_only(self):
-        expr_iut = coffee_expr(demo("coffee/iut_money"), demo("coffee/drink"))
-        expr_spec_orig = coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))
-        ce = check_cioco_exact(
-            build_system(expr_iut), build_system(expr_spec_orig)
-        ).counterexample
-        expr_spec_revised = coffee_expr(demo("coffee/spec_money_revised"), demo("coffee/drink"))
-        located = localize_fault(expr_iut, expr_spec_revised, ce)
+        iut_build, _, ce = built(
+            coffee_expr(demo("coffee/iut_money"), demo("coffee/drink")),
+            coffee_expr(demo("coffee/spec_money"), demo("coffee/drink")),
+        )
+        spec_revised = build_system_full(
+            coffee_expr(demo("coffee/spec_money_revised"), demo("coffee/drink")))
+        located = localize_fault(iut_build, spec_revised, ce)
         assert located["D"] is None
         money = located["M"]
         assert money is not None
@@ -347,10 +368,10 @@ class TestLocalizeFault:
         assert format_trace(money.witness) == "coinC|makeC coinC|makeC"
 
     def test_relay_failure_implicates_the_back_channel_reactor(self):
-        expr_iut = relay_expr(demo("relay/iut_left"), demo("relay/right"))
-        expr_spec = relay_expr(demo("relay/spec_left"), demo("relay/right"))
-        ce = check_cioco_exact(build_system(expr_iut), build_system(expr_spec)).counterexample
-        located = localize_fault(expr_iut, expr_spec, ce)
+        located = localize_fault(*built(
+            relay_expr(demo("relay/iut_left"), demo("relay/right")),
+            relay_expr(demo("relay/spec_left"), demo("relay/right")),
+        ))
         left = located["A"]
         assert left is not None
         assert (left.input, left.offending_output) == ("x", "o5")
@@ -364,22 +385,21 @@ class TestLocalizeFault:
                 return original(build)
 
             monkeypatch.setattr(module, "_encoded_projections", counted)
-        expr_iut = coffee_expr(demo("coffee/iut_money"), demo("coffee/drink"))
-        expr_spec = coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))
-        ce = check_cioco_exact(build_system(expr_iut), build_system(expr_spec)).counterexample
-        located = localize_fault(expr_iut, expr_spec, ce)
+        iut_build, spec_build, ce = built(
+            coffee_expr(demo("coffee/iut_money"), demo("coffee/drink")),
+            coffee_expr(demo("coffee/spec_money"), demo("coffee/drink")),
+        )
+        located = localize_fault(iut_build, spec_build, ce)
         assert calls == [("M", "D")]
         monkeypatch.undo()
-        assert located == localize_by_leaf(expr_iut, expr_spec, ce)
+        assert located == localize_by_leaf(iut_build, spec_build, ce)
 
     def test_replays_the_trace_for_each_leaf_once(self, monkeypatch):
         rng = random.Random(257)
         while True:
             expr_spec = random_three_leaf_system(rng)
-            expr_iut = with_mutated_leaves(rng, expr_spec)
-            ce = check_cioco_exact(
-                build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
-            ).counterexample
+            iut_build, spec_build, ce = built(with_mutated_leaves(rng, expr_spec), expr_spec,
+                                              relax=True)
             if ce is not None:
                 break
         calls = []
@@ -389,13 +409,14 @@ class TestLocalizeFault:
             return original(build, tr, j)
 
         monkeypatch.setattr(project, "_replay", counted)
-        located = localize_fault(expr_iut, expr_spec, ce, relax=True)
-        # one build of the implementation, replayed once for each of its leaves
-        assert len({id(build) for build, _ in calls}) == 1
+        with building_refused():
+            located = localize_fault(iut_build, spec_build, ce)
+        # the implementation's build, replayed once for each of its leaves
+        assert {id(build) for build, _ in calls} == {id(iut_build)}
         assert len(calls[0][0].leaves) == 3
         assert sorted(j for _, j in calls) == [0, 1, 2]
         monkeypatch.undo()
-        assert located == localize_by_leaf(expr_iut, expr_spec, ce, relax=True)
+        assert located == localize_by_leaf(iut_build, spec_build, ce)
 
     @pytest.mark.parametrize("shape", ["left-deep", "right-deep"])
     def test_localizes_a_fault_among_twenty_one_leaves(self, shape):
@@ -406,12 +427,9 @@ class TestLocalizeFault:
         expr_iut = relay_chain(20, shape)
         last = Component.build("L20", "s", [("s", x, "a20", "s") for x in ("a19", "b19")],
                                outputs=["a20", "b20"])
-        expr_spec = with_leaf(expr_iut, last)
-        ce = check_cioco_exact(
-            build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
-        ).counterexample
+        iut_build, spec_build, ce = built(expr_iut, with_leaf(expr_iut, last), relax=True)
         assert (ce.witness, ce.input, ce.offending_output) == ((), "i", "b20")
-        assert localize_fault(expr_iut, expr_spec, ce, relax=True) == {
+        assert localize_fault(iut_build, spec_build, ce) == {
             **{f"L{k}": None for k in range(20)},
             "L20": Counterexample(witness=(), input="a19", offending_output="b20",
                                   iut_outputs=frozenset({"b20"}),
@@ -423,12 +441,9 @@ class TestLocalizeFault:
         """Leaf A answers ``a|m`` ``length`` times and then ``a|x``, which
         its implementation answers with ``a|z``; B relays each ``m``.
         Only A is implicated, after a witness of ``length`` steps."""
-        expr_iut, expr_spec = counting_chain(length, "z"), counting_chain(length, "x")
-        ce = check_cioco_exact(
-            build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
-        ).counterexample
-        located = localize_fault(expr_iut, expr_spec, ce, relax=True)
-        assert located == localize_by_leaf(expr_iut, expr_spec, ce, relax=True)
+        builds = built(counting_chain(length, "z"), counting_chain(length, "x"), relax=True)
+        located = localize_fault(*builds)
+        assert located == localize_by_leaf(*builds)
         assert len(located["A"].witness) == length
         assert (located["A"].offending_output, located["A"].spec_outputs) == ("z", {"x"})
         assert located["B"] is None
@@ -448,12 +463,10 @@ class TestLocalizeFault:
                                        ("b", "m2", "z", "b")], outputs=["y", "z"])
         expr_iut, expr_spec = (Par(Leaf("A", Component.build("A", "a0", steps, **sig)),
                                    Leaf("B", b)) for steps in (iut_steps, spec_steps))
-        ce = check_cioco_exact(
-            build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
-        ).counterexample
+        iut_build, spec_build, ce = built(expr_iut, expr_spec, relax=True)
         assert format_trace(ce.full_trace()) == "i|y i|y i|y"
-        located = localize_fault(expr_iut, expr_spec, ce, relax=True)
-        assert located == localize_by_leaf(expr_iut, expr_spec, ce, relax=True)
+        located = localize_fault(iut_build, spec_build, ce)
+        assert located == localize_by_leaf(iut_build, spec_build, ce)
         assert located["A"] == Counterexample(
             witness=(Step("i", "m1"),), input="i", offending_output="m0",
             iut_outputs=frozenset({"m0"}), spec_outputs=frozenset({"m1"}),
@@ -469,8 +482,11 @@ class TestLocalizeFault:
              relay_expr(demo("relay/spec_left"), demo("relay/right"))),
         ]
         for expr_iut, expr_spec, against in cases:
-            ce = check_cioco_exact(build_system(expr_iut), build_system(expr_spec)).counterexample
-            assert localize_fault(expr_iut, against, ce) == localize_by_leaf(expr_iut, against, ce)
+            iut_build, _, ce = built(expr_iut, expr_spec)
+            against_build = build_system_full(against)
+            with building_refused():
+                located = localize_fault(iut_build, against_build, ce)
+            assert located == localize_by_leaf(iut_build, against_build, ce)
 
     def test_single_leaf_specification_is_its_own_projection(self):
         rng = random.Random(241)
@@ -482,8 +498,9 @@ class TestLocalizeFault:
             if ce is None:
                 continue
             failing += 1
-            located = localize_fault(Leaf("P", iut), Leaf("P", spec), ce)
-            assert located == localize_by_leaf(Leaf("P", iut), Leaf("P", spec), ce)
+            builds = build_system_full(Leaf("P", iut)), build_system_full(Leaf("P", spec))
+            located = localize_fault(*builds, ce)
+            assert located == localize_by_leaf(*builds, ce)
             local = located["P"]
             assert (local.witness, local.input, local.offending_output) == (
                 ce.witness, ce.input, ce.offending_output
@@ -503,14 +520,13 @@ class TestLocalizeFault:
                 expr_spec = random_three_leaf_system(rng)
             else:
                 expr_spec = random_four_leaf_system(rng, shapes[n // 3 % 3])
-            expr_iut = with_mutated_leaves(rng, expr_spec)
-            ce = check_cioco_exact(
-                build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
-            ).counterexample
+            iut_build, spec_build, ce = built(with_mutated_leaves(rng, expr_spec), expr_spec,
+                                              relax=True)
             if ce is None:
                 continue
-            located = localize_fault(expr_iut, expr_spec, ce, relax=True)
-            assert located == localize_by_leaf(expr_iut, expr_spec, ce, relax=True)
+            with building_refused():
+                located = localize_fault(iut_build, spec_build, ce)
+            assert located == localize_by_leaf(iut_build, spec_build, ce)
             failing[len(located)] += 1
             failing["implicated"] += any(v is not None for v in located.values())
         assert sum(failing[k] for k in (2, 3, 4)) >= 100
@@ -519,39 +535,31 @@ class TestLocalizeFault:
         # leaves with several candidates, where the least one must be chosen
         several = 0
         for _ in range(120):
-            expr_iut, expr_spec = random_merging_relay(rng)
-            ce = check_cioco_exact(
-                build_system(expr_iut, relax=True), build_system(expr_spec, relax=True)
-            ).counterexample
+            iut_build, spec_build, ce = built(*random_merging_relay(rng), relax=True)
             if ce is None:
                 continue
-            located = localize_fault(expr_iut, expr_spec, ce, relax=True)
-            candidates = local_candidates(expr_iut, expr_spec, ce, relax=True)
+            located = localize_fault(iut_build, spec_build, ce)
+            candidates = local_candidates(iut_build, spec_build, ce)
             assert located == least_candidates(candidates)
             several += sum(len(found) > 1 for found in candidates.values())
         assert several >= 15
 
     def test_shape_mismatch_raises(self):
+        iut_build, _, ce = built(relay_expr(demo("relay/iut_left"), demo("relay/right")),
+                                 relay_expr(demo("relay/spec_left"), demo("relay/right")))
+        coffee = build_system_full(coffee_expr(demo("coffee/spec_money"), demo("coffee/drink")))
         with pytest.raises(ShapeMismatchError):
-            localize_fault(
-                relay_expr(demo("relay/iut_left"), demo("relay/right")),
-                coffee_expr(demo("coffee/spec_money"), demo("coffee/drink")),
-                check_cioco_exact(
-                    build_system(relay_expr(demo("relay/iut_left"), demo("relay/right"))),
-                    build_system(relay_expr(demo("relay/spec_left"), demo("relay/right"))),
-                ).counterexample,
-            )
+            localize_fault(iut_build, coffee, ce)
 
 
     def test_signature_mismatch_raises(self):
         spec_left = demo("relay/spec_left")
         wider = dataclasses.replace(spec_left, inputs=spec_left.inputs | {"extra"})
-        expr_iut = relay_expr(demo("relay/iut_left"), demo("relay/right"))
-        ce = check_cioco_exact(
-            build_system(expr_iut), build_system(relay_expr(spec_left, demo("relay/right")))
-        ).counterexample
+        iut_build, _, ce = built(relay_expr(demo("relay/iut_left"), demo("relay/right")),
+                                 relay_expr(spec_left, demo("relay/right")))
+        wider_build = build_system_full(relay_expr(wider, demo("relay/right")))
         with pytest.raises(SignatureMismatchError, match="leaf 'A'"):
-            localize_fault(expr_iut, relay_expr(wider, demo("relay/right")), ce)
+            localize_fault(iut_build, wider_build, ce)
 
     def test_least_of_several_candidates_under_any_hash_seed(self):
         """Leaf A's implementation answers ``i`` with ``x2`` or ``x3``,
@@ -559,15 +567,16 @@ class TestLocalizeFault:
         the composed step ``i|y`` projects onto A either way. The local
         counterexample is the least candidate, ``x2``."""
         script = """
-from fsmcheck import Component, Leaf, Par, build_system, check_cioco_exact, localize_fault
+from fsmcheck import Component, Leaf, Par, build_system_full, check_cioco_exact, localize_fault
 sig = {"inputs": ["i", "r"], "outputs": ["x1", "x2", "x3"]}
 iut_a = Component.build("A", "a0", [("a0", "i", "x3", "a0"), ("a0", "i", "x2", "a0")], **sig)
 spec_a = Component.build("A", "a0", [("a0", "i", "x1", "a0")], **sig)
 b = Component.build("B", "b0", [("b0", "x1", "z", "b0"), ("b0", "x2", "y", "b0"),
                                 ("b0", "x3", "y", "b0")], outputs=["r", "y", "z"])
-expr_iut, expr_spec = Par(Leaf("A", iut_a), Leaf("B", b)), Par(Leaf("A", spec_a), Leaf("B", b))
-ce = check_cioco_exact(build_system(expr_iut), build_system(expr_spec)).counterexample
-local = localize_fault(expr_iut, expr_spec, ce)["A"]
+iut = build_system_full(Par(Leaf("A", iut_a), Leaf("B", b)))
+spec = build_system_full(Par(Leaf("A", spec_a), Leaf("B", b)))
+ce = check_cioco_exact(iut.component, spec.component).counterexample
+local = localize_fault(iut, spec, ce)["A"]
 print(ce.input, ce.offending_output, local.input, local.offending_output, local.spec_outputs)
 """
         src = Path(__file__).resolve().parent.parent / "src"

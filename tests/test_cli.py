@@ -624,11 +624,31 @@ class TestInvalidComponent:
                 assert f"error: {raised.value}" == message
 
     def test_validate_and_traces_still_read_it(self, invalid, capsys):
-        bad, _ = invalid
+        """``validate`` reports it; ``traces`` rejects it as ``check`` does."""
+        bad, message = invalid
         assert run("validate", bad)[0] == 1
         assert "INVALID" in capsys.readouterr().out
-        assert run("traces", "-k", "2", bad)[0] == 0
-        assert "Traceback" not in capsys.readouterr().err
+        assert run("traces", "-k", "2", bad)[0] == 2
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("initial s0\ntrans s0 b|x s0\ntrans s0 a|y s1\n", id="state and labels"),
+        pytest.param("initial s0\ntrans s0 b|x s0\n", id="input"),
+        pytest.param("initial s0\ntrans s0 a|y s0\n", id="output"),
+        pytest.param("initial s9\ntrans s0 a|x s0\n", id="initial"),
+    ])
+    def test_traces_prints_what_check_prints(self, body, tmp_path, capsys):
+        """A component that uses a state, input or output it does not
+        declare, or starts in an undeclared state: ``traces`` stops with
+        exactly the error ``check`` prints for the same file."""
+        bad = tmp_path / "bad.fsm"
+        bad.write_text("component M\nstates s0\ninputs a\noutputs x\n" + body)
+        assert run("check", bad, bad)[0] == 2
+        expected = capsys.readouterr()
+        assert run("traces", "-k", "2", bad) == (2, "")
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", expected.err)
+        assert expected.err.startswith("error: component 'M': ")
 
 
 class TestUnwritableOutput:

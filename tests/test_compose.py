@@ -10,7 +10,6 @@ from fsmcheck import (
     Component,
     Leaf,
     Par,
-    build_system,
     build_system_full,
     component_in_context,
     component_in_context_tree,
@@ -18,7 +17,6 @@ from fsmcheck import (
     project_trace,
     signature_check,
     subcomponents,
-    synchronous_parallel,
     trace,
     traces_up_to,
 )
@@ -66,7 +64,7 @@ def test_shared_inputs_break_disjointness():
 def test_left_only_rule():
     c1 = Component.build("c1", "s0", [("s0", "a", "x", "s1")])
     c2 = Component.build("c2", "t0", [("t0", "i", "o", "t0")], inputs=["x_unused", "i"])
-    composed = synchronous_parallel(c1, c2, relax=True)
+    composed = compose_pair(c1, c2, relax=True).component
     assert has_trace(composed, trace("a|x"))
     assert "(s1,t0)" in composed.states
 
@@ -74,7 +72,7 @@ def test_left_only_rule():
 def test_feeding_rule_hides_intermediate():
     c1 = Component.build("c1", "s0", [("s0", "a", "m", "s1")])
     c2 = Component.build("c2", "t0", [("t0", "m", "y", "t1")])
-    composed = synchronous_parallel(c1, c2, relax=True)
+    composed = compose_pair(c1, c2, relax=True).component
     assert composed.inputs == {"a"}
     assert has_trace(composed, trace("a|y"))
     assert not has_trace(composed, trace("a|m"))
@@ -86,7 +84,7 @@ def test_trigger_inside_output_union_is_excluded():
     # left side, hence not a composed input
     c1 = Component.build("c1", "s0", [("s0", "a", "m", "s1")])
     c2 = Component.build("c2", "t0", [("t0", "m", "y", "t1")])
-    composed = synchronous_parallel(c1, c2, relax=True)
+    composed = compose_pair(c1, c2, relax=True).component
     assert "m" not in composed.inputs
     assert all(t.input != "m" for t in composed.transitions)
 
@@ -95,22 +93,23 @@ def test_composability_error_without_relax():
     c1 = Component.build("c1", "s0", [("s0", "a", "x", "s0")])
     c2 = Component.build("c2", "t0", [("t0", "b", "y", "t0")])
     with pytest.raises(ComposabilityError):
-        synchronous_parallel(c1, c2)
-    assert synchronous_parallel(c1, c2, relax=True) is not None
+        compose_pair(c1, c2).component
+    assert compose_pair(c1, c2, relax=True).component is not None
 
 
 def test_composed_alphabet_law():
     rng = random.Random(5)
     for _ in range(50):
         c1, c2 = random_composable_pair(rng)
-        composed = synchronous_parallel(c1, c2, relax=True)
+        composed = compose_pair(c1, c2, relax=True).component
         assert composed.inputs == (c1.inputs | c2.inputs) - (c1.outputs | c2.outputs)
         assert composed.outputs == c1.outputs | c2.outputs
         assert not composed.inputs & composed.outputs
 
 
 def test_coffee_composition_runs_the_refund_trace():
-    composed = build_system(coffee_expr(demo("coffee/iut_money"), demo("coffee/drink")))
+    composed = build_system_full(
+        coffee_expr(demo("coffee/iut_money"), demo("coffee/drink"))).component
     assert has_trace(
         composed, trace("coinC|preparing abs|coffee coinC|preparing abs|refund")
     )
@@ -120,7 +119,7 @@ def test_reachable_product_matches_literal_rule_closure():
     rng = random.Random(11)
     for _ in range(60):
         c1, c2 = random_composable_pair(rng, n_states=(2, 5))
-        fast = synchronous_parallel(c1, c2, relax=True)
+        fast = compose_pair(c1, c2, relax=True).component
         naive = naive_full_product(c1, c2)
         for k in range(5):
             assert traces_up_to(fast, k) == naive_traces(naive, k)
@@ -130,7 +129,7 @@ def test_every_composed_transition_is_rule_justified():
     rng = random.Random(17)
     for _ in range(40):
         c1, c2 = random_composable_pair(rng, n_states=(2, 4))
-        fast = synchronous_parallel(c1, c2, relax=True)
+        fast = compose_pair(c1, c2, relax=True).component
         naive = naive_full_product(c1, c2)
         naive_keys = {
             (t.source, t.input, t.output, t.target) for t in naive.transitions
@@ -143,8 +142,8 @@ def test_trace_sets_commute():
     rng = random.Random(19)
     for _ in range(40):
         c1, c2 = random_composable_pair(rng, n_states=(2, 4))
-        ab = synchronous_parallel(c1, c2, relax=True)
-        ba = synchronous_parallel(c2, c1, relax=True)
+        ab = compose_pair(c1, c2, relax=True).component
+        ba = compose_pair(c2, c1, relax=True).component
         for k in range(5):
             assert traces_up_to(ab, k) == traces_up_to(ba, k)
 
@@ -152,12 +151,12 @@ def test_trace_sets_commute():
 class TestSystemTrees:
     def test_single_leaf_is_identity(self):
         c = Component.build("c", "s0", [("s0", "a", "x", "s0")])
-        assert build_system(Leaf("C", c)) == c
+        assert build_system_full(Leaf("C", c)).component == c
 
     def test_pair_node_composes(self):
         money, drink = demo("coffee/iut_money"), demo("coffee/drink")
         expr = coffee_expr(money, drink)
-        assert build_system(expr) == synchronous_parallel(money, drink)
+        assert build_system_full(expr).component == compose_pair(money, drink).component
 
     def test_subcomponents(self):
         c = Component.build("c", "s0", [("s0", "a", "x", "s0")])
@@ -170,7 +169,7 @@ class TestSystemTrees:
         rng = random.Random(29)
         for _ in range(15):
             a, b = random_composable_pair(rng, names=("A", "B"), n_states=(2, 3))
-            inner = synchronous_parallel(a, b, relax=True)
+            inner = compose_pair(a, b, relax=True).component
             # wire a third component consuming one inner output
             shared_out = sorted(inner.outputs)[0]
             c = Component.build(
@@ -185,14 +184,14 @@ class TestSystemTrees:
                 outputs=["z0", "z1", "cback"],
             )
             expr = Par(Par(Leaf("A", a), Leaf("B", b)), Leaf("C", c))
-            composed = build_system(expr, relax=True)
+            composed = build_system_full(expr, relax=True).component
             for k in range(4):
                 assert traces_up_to(composed, k) == vector_traces(expr, k)
 
     def test_duplicate_leaf_names_rejected(self):
         c = Component.build("c", "s0", [("s0", "a", "x", "s0")])
         with pytest.raises(ComposabilityError):
-            build_system(Par(Leaf("M", c), Leaf("M", c)))
+            build_system_full(Par(Leaf("M", c), Leaf("M", c))).component
 
     def test_error_carries_node_path(self):
         a = Component.build("a", "s0", [("s0", "a", "x", "s0")])
@@ -293,6 +292,22 @@ def test_closure_transitions_carry_real_side_steps():
         else:
             expr = random_four_leaf_system(rng, shapes[n // 3 % 3])
         assert_side_steps_are_real(build_system_full(expr, relax=True))
+
+
+@pytest.mark.parametrize("shape, order", [
+    ("balanced", "ABCD"), ("left-deep", "ABCD"), ("right-deep", "DCAB"),
+])
+def test_leaf_builds_are_the_leaves_in_expression_order(shape, order):
+    """A build records its leaves once, as ``leaf_builds`` in the
+    expression's left-to-right order; ``leaves`` are their names, and every
+    node's ``leaf_builds`` are the root's own objects."""
+    build = build_system_full(random_four_leaf_system(random.Random(37), shape), relax=True)
+    assert [b.expr.name for b in build.leaf_builds] == list(build.leaves) == list(order)
+    assert all(not leaf.parts for leaf in build.leaf_builds)
+    for node in build_nodes(build):
+        assert node.leaf_builds == tuple(b for b in build.leaf_builds if b.expr.name in node.leaves)
+        for name, leaf in zip(node.leaves, node.leaf_builds):
+            assert leaf is build.leaf_builds[build.leaves.index(name)]
 
 
 @pytest.mark.parametrize("left, right, expected", [

@@ -1,7 +1,7 @@
 """Shipped fixture files: valid, lossless in both formats, and the trace
 facts of fixtures/README.md hold."""
 
-from fsmcheck import build_system, check_cioco_exact, has_trace, out_after, trace
+from fsmcheck import build_system_full, check_cioco_exact, has_trace, out_after, trace
 from fsmcheck.formats import (
     component_from_json,
     component_from_text,
@@ -25,8 +25,8 @@ def test_every_file_is_valid_and_round_trips():
 
 
 def test_coffee_facts_hold():
-    spec = build_system(coffee_expr(demo("coffee/spec_money"), demo("coffee/drink")))
-    iut = build_system(coffee_expr(demo("coffee/iut_money"), demo("coffee/drink")))
+    spec = build_system_full(coffee_expr(demo("coffee/spec_money"), demo("coffee/drink"))).component
+    iut = build_system_full(coffee_expr(demo("coffee/iut_money"), demo("coffee/drink"))).component
     witness = trace("coinC|preparing abs|coffee coinC|preparing")
 
     # the composed implementation refunds where the composed specification may not
@@ -39,8 +39,8 @@ def test_coffee_facts_hold():
 
 
 def test_relay_facts_hold():
-    spec = build_system(relay_expr(demo("relay/spec_left"), demo("relay/right")))
-    iut = build_system(relay_expr(demo("relay/iut_left"), demo("relay/right")))
+    spec = build_system_full(relay_expr(demo("relay/spec_left"), demo("relay/right"))).component
+    iut = build_system_full(relay_expr(demo("relay/iut_left"), demo("relay/right"))).component
 
     assert has_trace(iut, trace("i1|o3 i2|o5"))
     assert has_trace(spec, trace("i1|o3"))
