@@ -163,8 +163,17 @@ def _load_named(paths) -> dict:
 
 def _emit(args, payload, human) -> None:
     """Print ``payload()`` as JSON with ``--json``, else ``human()``: only
-    the form printed is built."""
-    print(indented_json(payload()) if args.json else human())
+    the form printed is built. A standard output that cannot be written
+    is a usage error; its descriptor then goes to the null device, so that
+    what is still buffered flushes there at exit."""
+    text = indented_json(payload()) if args.json else human()
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise FsmCheckError(f"cannot write standard output: {exc.strerror or exc}") from None
 
 
 def _save(c: Component, out: str, dot: str | None) -> None:

@@ -95,14 +95,6 @@ def _report(i1, o1, i2, o2, name) -> CompositionReport:
     )
 
 
-def composed_alphabets(
-    c1: Component | SystemBuild, c2: Component | SystemBuild
-) -> tuple[frozenset[str], frozenset[str]]:
-    outputs = c1.outputs | c2.outputs
-    inputs = (c1.inputs | c2.inputs) - outputs
-    return inputs, outputs
-
-
 #: A composed transition on integer ids: (source, input, output, target).
 TransitionIds = tuple[int, int, int, int]
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .compose import composed_alphabets
 from .machine import Component, complete
 
 DEFAULT_DENSITY = (0.3, 0.8)
@@ -171,7 +170,6 @@ def conforming_iut(rng: random.Random, spec: Component) -> Component:
 
 __all__ = [
     "alphabets_for_pair",
-    "composed_alphabets",
     "conforming_iut",
     "mutate",
     "prune",

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -666,6 +667,42 @@ class TestUnwritableOutput:
         captured = capsys.readouterr()
         assert captured.err == f"error: cannot write {missing}: No such file or directory\n"
         assert captured.out == ""
+
+    @staticmethod
+    def cli_process(*argv, **kwargs):
+        """``fsmcheck`` with ``argv`` in a subprocess, the package from ``src``."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.Popen([sys.executable, "-m", "fsmcheck.cli", *map(str, argv)],
+                                env=env, stderr=subprocess.PIPE, **kwargs)
+
+    def test_closed_standard_output_exits_two(self, tmp_path, capsys):
+        # each step takes over 100 bytes, so the traces up to length 10
+        # fill far more than a pipe holds and the writing fails midway
+        a, x, y = "a" * 50, "x" * 50, "y" * 50
+        path = tmp_path / "long.fsm"
+        save_component(Component.build("L", "s", [("s", a, x, "s"), ("s", a, y, "s")]), str(path))
+        code, out = run("traces", "-k", "10", path, capsys=capsys)
+        assert code == 0 and len(out) > 2**20
+        with self.cli_process("traces", "-k", "10", path, stdout=subprocess.PIPE) as proc:
+            proc.stdout.read(1)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.decode() == f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["validate", COFFEE / "drink.fsm"],
+        ["traces", "-k", "2", COFFEE / "drink.fsm"],
+        ["check", "--method", "bounded", "-k", "3", "--json", COFFEE / "drink.fsm",
+         COFFEE / "drink.fsm"],
+    ], ids=["validate", "traces", "check"])
+    def test_full_device_exits_two(self, argv):
+        with open("/dev/full", "w") as full, self.cli_process(*argv, stdout=full) as proc:
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.decode() == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
 
 
 class TestGuard:

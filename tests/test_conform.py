@@ -592,7 +592,7 @@ def with_output(c, label):
 
 
 #: States per block of a subset mask: the byte of states that
-#: ``_core.pure._row_union`` walks at a time in a subset of four or more
+#: ``_core._row_union`` walks at a time in a subset of four or more
 #: states. A subset whose states lie in several blocks, some holding two
 #: or more, merges rows far apart in its mask; the floors below count
 #: such subsets.

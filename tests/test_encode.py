@@ -124,6 +124,18 @@ class TestRows:
             with pytest.raises(ValueError, match="different step slots"):
                 _exact_verdict(first, second, "allow")
 
+    def test_a_pair_is_encoded_over_both_alphabets(self):
+        # each side has a label the other lacks: in either order, both
+        # sides share one table of the two alphabets and decode to themselves
+        one = Component.build("N", "s0", [("s0", "a", "x", "s0")], outputs=["x", "z"])
+        other = Component.build("W", "s0", [("s0", "b", "y", "s0")],
+                                inputs=["a", "b"], outputs=["x", "y"])
+        for first, second in ((one, other), (other, one)):
+            enc1, enc2 = encode_pair(first, second)
+            assert enc1.label_names is enc2.label_names
+            assert enc1.label_names == ["a", "b", "x", "y", "z"]
+            assert (enc1.decode(), enc2.decode()) == (first, second)
+
     def test_input_enabledness_is_read_from_the_rows(self):
         rng = random.Random(613)
         seen = set()
@@ -239,8 +251,8 @@ def test_leaf_moves_are_those_of_the_packed_rows():
 
 def machines_of_every_kind(rng):
     """(kind, machine) for every kind of machine on ids, on seeded builds:
-    ``of``, a projection and a one-run machine are given their rows, a
-    leaf its moves, a composed node its closure's ``raw``."""
+    ``of`` and a projection are given their rows, a leaf and a one-run
+    machine their moves, a composed node its closure's ``raw``."""
     for c in random_machines(rng, 30):
         for names, ids in (label_table(c), label_table(c, TestSharedRows.WIDER)):
             yield "of", EncodedComponent.of(c, names, ids)

@@ -21,7 +21,7 @@ from fsmcheck import (
     check_cioco_exact,
     validate_component,
 )
-from fsmcheck._core.encode import EncodedComponent, label_table
+from fsmcheck._core import EncodedComponent, label_table
 from fsmcheck.formats import (
     component_from_json,
     component_from_text,

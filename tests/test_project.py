@@ -22,7 +22,7 @@ from fsmcheck import (
     trace,
     traces_up_to,
 )
-from fsmcheck.compose import composed_alphabets, subcomponents
+from fsmcheck.compose import subcomponents
 from fsmcheck.conform import _exact_verdict
 from fsmcheck.formats import component_from_text, component_to_text
 from fsmcheck._core import EncodedComponent, encode_pair
@@ -156,6 +156,12 @@ class TestProjectTrace:
                 # converse: the composed trace is reconstructible, i.e. it
                 # is indeed a composed trace supported by those runs
                 assert has_trace(build.component, tr)
+
+
+def composed_alphabets(c1, c2):
+    """The inputs and outputs of the composition of ``c1`` and ``c2``."""
+    outputs = c1.outputs | c2.outputs
+    return (c1.inputs | c2.inputs) - outputs, outputs
 
 
 def random_three_leaf_system(rng, n_states=(2, 3), **density):
