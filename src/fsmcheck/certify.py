@@ -105,8 +105,10 @@ def _disjointness(report: CompositionReport) -> list[Assumption]:
     ]
 
 
-def _conclude(assumptions: list[Assumption], locals_: dict[str, Verdict]) -> str:
+def _conclude(assumptions: list[Assumption], locals_: dict[str, Verdict], notes: list[str]) -> str:
+    """The global conclusion; an unmet assumption also appends its note."""
     if not all(a.holds for a in assumptions):
+        notes.append("assumptions unmet: local verdicts say nothing about the composition")
         return NOT_APPLICABLE
     if all(v.passed for v in locals_.values()):
         return SOUND_PASS
@@ -126,9 +128,7 @@ def certify_by_parts(
     not-applicable even if both local checks pass: locally conforming
     parts can still compose into a non-conforming system.
     """
-    _require_pair_signature(iut1, spec1, "first pair")
-    _require_pair_signature(iut2, spec2, "second pair")
-    n1, n2 = _distinct_names(spec1, spec2)
+    n1, n2 = _pair_names(iut1, spec1, iut2, spec2)
 
     assumptions = _disjointness(signature_check(spec1, spec2))
     for n, spec in ((1, spec1), (2, spec2)):
@@ -145,12 +145,8 @@ def certify_by_parts(
         n1: check_cioco_exact(iut1, spec1),
         n2: check_cioco_exact(iut2, spec2),
     }
-    conclusion = _conclude(assumptions, locals_)
-    notes = []
-    if conclusion == NOT_APPLICABLE:
-        notes.append(
-            "assumptions unmet: local verdicts say nothing about the composition"
-        )
+    notes: list[str] = []
+    conclusion = _conclude(assumptions, locals_, notes)
     return CompositionalReport(
         strategy=BY_PARTS,
         assumptions=tuple(assumptions),
@@ -173,9 +169,7 @@ def certify_in_context(
     checks each implementation against its projection with unspecified
     inputs forbidden. Part specifications need not be input-enabled.
     """
-    _require_pair_signature(iut1, spec1, "first pair")
-    _require_pair_signature(iut2, spec2, "second pair")
-    n1, n2 = _distinct_names(spec1, spec2)
+    n1, n2 = _pair_names(iut1, spec1, iut2, spec2)
 
     build = build_system_full(Par(Leaf(n1, spec1), Leaf(n2, spec2)), relax=relax)
     root_report = build.reports[-1][1]
@@ -190,12 +184,8 @@ def certify_in_context(
         for name, iut, projection in zip(build.leaves, (iut1, iut2), projections)
     }
 
-    conclusion = _conclude(assumptions, locals_)
-    if conclusion == NOT_APPLICABLE:
-        notes.append(
-            "assumptions unmet: local verdicts say nothing about the composition"
-        )
-    elif conclusion == SOUND_FAIL:
+    conclusion = _conclude(assumptions, locals_, notes)
+    if conclusion == SOUND_FAIL:
         failed = sorted(n for n, v in locals_.items() if v.failed)
         notes.append(f"implicated components: {failed}")
     return CompositionalReport(
@@ -207,7 +197,11 @@ def certify_in_context(
     )
 
 
-def _distinct_names(spec1: Component, spec2: Component) -> tuple[str, str]:
+def _pair_names(iut1: Component, spec1: Component, iut2: Component,
+                spec2: Component) -> tuple[str, str]:
+    """Check each pair's signature, then name the two specifications apart."""
+    _require_pair_signature(iut1, spec1, "first pair")
+    _require_pair_signature(iut2, spec2, "second pair")
     n1 = spec1.name or "left"
     n2 = spec2.name or "right"
     if n1 == n2:

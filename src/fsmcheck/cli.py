@@ -20,9 +20,8 @@ import functools
 import os
 import sys
 
-from . import certify as certify_mod
-from .certify import certify_by_parts, certify_in_context
-from .compose import build_system_full
+from .certify import NOT_APPLICABLE, SOUND_FAIL, SOUND_PASS, certify_by_parts, certify_in_context
+from .compose import SystemBuild, build_system_full
 from .conform import Verdict, check_cioco_bounded, check_cioco_exact
 from .errors import FsmCheckError, InvalidComponentError, ParseError
 from .formats import (
@@ -50,6 +49,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
+#: the exit code of each verdict result and of each certification conclusion
+EXIT_CODES = {"pass": EXIT_OK, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE,
+              SOUND_PASS: EXIT_OK, SOUND_FAIL: EXIT_FAIL, NOT_APPLICABLE: EXIT_INCONCLUSIVE}
 
 
 def _non_negative(what: str):
@@ -88,8 +90,15 @@ def _guard(args) -> int:
     return DEFAULT_TRACE_GUARD if args.guard is None else args.guard
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints help to standard output through ``_print``, which reports write errors."""
+
+    def print_help(self, file=None) -> None:
+        _print(self.format_help(), end="")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fsmcheck",
         description="composition and conformance checking for input/output state machines",
     )
@@ -151,24 +160,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_named(paths) -> dict:
+def _build_system(args) -> SystemBuild:
+    """Load the files, each binding its component's name, and build ``args.expr``."""
     components = {}
-    for path in paths:
+    for path in args.paths:
         c = load_component(path)
         if c.name in components:
             raise ParseError(f"component name '{c.name}' already bound", None, path)
         components[c.name] = c
-    return components
+    return build_system_full(parse_system_expr(args.expr, components), relax=args.relax)
+
+
+def _trace_text(tr) -> str:
+    return format_trace(tr) if tr else "<empty>"
 
 
 def _emit(args, payload, human) -> None:
     """Print ``payload()`` as JSON with ``--json``, else ``human()``: only
-    the form printed is built. A standard output that cannot be written
-    is a usage error; its descriptor then goes to the null device, so that
-    what is still buffered flushes there at exit."""
-    text = indented_json(payload()) if args.json else human()
+    the form printed is built."""
+    _print(indented_json(payload()) if args.json else human())
+
+
+def _print(text: str, end: str = "\n") -> None:
+    """Print ``text``. A standard output that cannot be written is a usage
+    error; its descriptor then goes to the null device, so that what is
+    still buffered flushes there at exit."""
     try:
-        print(text, flush=True)
+        print(text, end=end, flush=True)
     except OSError as exc:
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, sys.stdout.fileno())
@@ -246,9 +264,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    components = _load_named(args.paths)
-    expr = parse_system_expr(args.expr, components)
-    build = build_system_full(expr, relax=args.relax)
+    build = _build_system(args)
     _save(build.component, args.out, args.dot)
 
     def payload() -> dict:
@@ -282,16 +298,8 @@ def cmd_traces(args) -> int:
         raise InvalidComponentError(undeclared)
     result = sorted_traces(traces_up_to(c, args.depth, guard=_guard(args)))
     _emit(args, lambda: [trace_to_list(tr) for tr in result],
-          lambda: "\n".join(format_trace(tr) if tr else "<empty>" for tr in result))
+          lambda: "\n".join(map(_trace_text, result)))
     return EXIT_OK
-
-
-def _verdict_exit(v: Verdict) -> int:
-    if v.result == "pass":
-        return EXIT_OK
-    if v.result == "fail":
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
 
 
 def _verdict_human(v: Verdict) -> str:
@@ -300,7 +308,7 @@ def _verdict_human(v: Verdict) -> str:
         lines.append(f"warning: {w}")
     if v.counterexample is not None:
         ce = v.counterexample
-        lines.append(f"witness: {format_trace(ce.witness) if ce.witness else '<empty>'}")
+        lines.append(f"witness: {_trace_text(ce.witness)}")
         lines.append(f"input: {ce.input}")
         lines.append(f"offending output: {ce.offending_output}")
         lines.append(f"implementation outputs: {sorted(ce.iut_outputs)}")
@@ -324,13 +332,11 @@ def cmd_check(args) -> int:
             raise ParseError("--guard requires --method bounded")
         verdict = check_cioco_exact(iut, spec, unspecified=args.unspecified)
     _emit(args, verdict.to_dict, lambda: _verdict_human(verdict))
-    return _verdict_exit(verdict)
+    return EXIT_CODES[verdict.result]
 
 
 def cmd_project(args) -> int:
-    components = _load_named(args.paths)
-    expr = parse_system_expr(args.expr, components)
-    build = build_system_full(expr, relax=args.relax)
+    build = _build_system(args)
     ctx = component_in_context(build, args.target)
     _save(ctx.component, args.out, args.dot)
     _emit(
@@ -344,14 +350,11 @@ def cmd_project(args) -> int:
 def cmd_compositional(args) -> int:
     if args.relax and args.theorem == "1":
         raise ParseError("--relax requires --theorem 2")
-    iut1 = load_component(args.iut1)
-    spec1 = load_component(args.spec1)
-    iut2 = load_component(args.iut2)
-    spec2 = load_component(args.spec2)
+    quadruple = [load_component(path) for path in (args.iut1, args.spec1, args.iut2, args.spec2)]
     if args.theorem == "1":
-        report = certify_by_parts(iut1, spec1, iut2, spec2)
+        report = certify_by_parts(*quadruple)
     else:
-        report = certify_in_context(iut1, spec1, iut2, spec2, relax=args.relax)
+        report = certify_in_context(*quadruple, relax=args.relax)
 
     def human() -> str:
         lines = [f"strategy: {report.strategy}", f"conclusion: {report.global_conclusion}"]
@@ -362,21 +365,14 @@ def cmd_compositional(args) -> int:
             lines.append(f"local check '{name}': {verdict.result}")
             if verdict.counterexample is not None:
                 ce = verdict.counterexample
-                lines.append(
-                    f"  witness {format_trace(ce.witness) if ce.witness else '<empty>'}"
-                    f" + {ce.input}|{ce.offending_output}"
-                )
+                lines.append(f"  witness {_trace_text(ce.witness)}"
+                             f" + {ce.input}|{ce.offending_output}")
         for note in report.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
 
     _emit(args, report.to_dict, human)
-
-    if report.global_conclusion == certify_mod.SOUND_PASS:
-        return EXIT_OK
-    if report.global_conclusion == certify_mod.SOUND_FAIL:
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    return EXIT_CODES[report.global_conclusion]
 
 
 COMMANDS = {
@@ -400,8 +396,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return COMMANDS[args.command](args)
     except FsmCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)

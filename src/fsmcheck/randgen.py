@@ -120,7 +120,8 @@ def mutate(
 
     Produces implementations that diverge from ``c`` at varying depths.
     """
-    kept = [t for t in c.sorted_transitions() if rng.random() < keep]
+    kept = [(t.source, t.input, t.output, t.target)
+            for t in c.sorted_transitions() if rng.random() < keep]
     states = sorted(c.states)
     for _ in range(adds):
         kept.append(
@@ -131,14 +132,10 @@ def mutate(
                 rng.choice(states),
             )
         )
-    normalized = [
-        (t.source, t.input, t.output, t.target) if not isinstance(t, tuple) else t
-        for t in kept
-    ]
     return Component.build(
         name or c.name,
         initial=c.initial,
-        transitions=normalized,
+        transitions=kept,
         inputs=c.inputs,
         outputs=c.outputs,
         states=c.states,

@@ -616,3 +616,21 @@ class TestReportInvariants:
                     assert any(v.failed for v in report.local_verdicts.values())
                 else:
                     assert not report.assumptions_hold
+
+    def test_notes_name_the_relax_before_the_implicated_components(self):
+        spec1 = Component.build("A", "s0", [("s0", "a", "x", "s0")], outputs={"x", "w"})
+        iut1 = Component.build("A", "s0", [("s0", "a", "w", "s0")], outputs={"x", "w"})
+        other = Component.build("B", "t0", [("t0", "b", "y", "t0")])
+        report = certify_in_context(iut1, spec1, other, other, relax=True)
+        assert report.global_conclusion == SOUND_FAIL
+        assert report.notes == (
+            "pair cannot synchronize in both directions; composed with relax",
+            "implicated components: ['A']",
+        )
+
+    @pytest.mark.parametrize("certify_pair", [certify_by_parts, certify_in_context])
+    def test_a_mismatch_in_both_pairs_names_the_first(self, certify_pair):
+        a = Component.build("A", "s0", [("s0", "a", "x", "s0")])
+        b = Component.build("B", "t0", [("t0", "b", "y", "t0")])
+        with pytest.raises(SignatureMismatchError, match="^first pair: implementation 'B'"):
+            certify_pair(b, a, a, b)

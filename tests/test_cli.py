@@ -1,5 +1,6 @@
 """Command-line interface: behaviour and exit codes."""
 
+import argparse
 import contextlib
 import dataclasses
 import errno
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsmcheck import InvalidComponentError, Leaf, Par, build_system_full, certify_in_context
+from fsmcheck import InvalidComponentError, Leaf, Par, build_system_full, certify_in_context, cli
 from fsmcheck.cli import main
 from fsmcheck.formats import (
     component_to_json,
@@ -704,6 +705,35 @@ class TestUnwritableOutput:
         assert proc.returncode == 2
         assert err.decode() == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["main", "check"])
+    def test_help_into_full_device_exits_two(self, argv, unbuffered, monkeypatch):
+        """argparse prints the help itself and drops its write error: with a
+        buffered standard output the interpreter then fails at exit, with an
+        unbuffered one the help is lost and the exit code is 0."""
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        with open("/dev/full", "w") as full, self.cli_process(*argv, stdout=full) as proc:
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.decode() == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["main", "check"])
+    def test_help_keeps_its_bytes(self, argv, capsys, monkeypatch):
+        """Help into a writable standard output is the text argparse prints."""
+        printed = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 0
+            printed.append(capsys.readouterr().out)
+            monkeypatch.setattr(cli._Parser, "print_help", argparse.ArgumentParser.print_help)
+        assert printed[0] == printed[1]
+        assert printed[0].startswith(" ".join(["usage: fsmcheck", *argv[:-1]]))
+
 
 class TestGuard:
     """``--guard`` is accepted only where a bounded enumeration reads it."""
@@ -1020,7 +1050,7 @@ _MALFORMED_REASONS = (
 def test_every_expression_and_binding_error_exits_2_and_writes_nothing(
     tmp_path, capsys, expr, names, reason, command, flags
 ):
-    """Each error branch of ``parse_system_expr`` and ``cli._load_named``,
+    """Each error branch of ``parse_system_expr`` and ``cli._build_system``,
     reached deterministically: exit 2, one ``error:`` line naming the
     reason, nothing on stdout and no file written."""
     machines = {
